@@ -74,10 +74,6 @@ def _plan_for(f: DiagMatrix) -> BsgsPlan:
     return best
 
 
-def _window_steps(plan: BsgsPlan) -> list[int]:
-    return plan.executed_steps()
-
-
 @dataclass
 class BenesChain:
     """Stage factors in product order; evaluation applies them right to left.
@@ -118,7 +114,7 @@ class BenesChain:
         return [len(f.diags) for f in self.factors]
 
     def factor_steps(self, i: int) -> list[int]:
-        return _window_steps(self.plans[i])
+        return self.plans[i].executed_steps()
 
     def rotation_counts(self) -> list[int]:
         out = []
@@ -229,7 +225,7 @@ def collapse_benes(chain: BenesChain, target_depth: int | None = None
             if b > a + 1:
                 q = q.compose(perms[b - 1])
             merged[a, b] = q
-            cost[a, b] = len(_window_steps(_plan_for(perm_to_diag(q))))
+            cost[a, b] = len(_plan_for(perm_to_diag(q)).executed_steps())
 
     INF = float("inf")
     best = [[INF] * (target_depth + 1) for _ in range(nf + 1)]

@@ -70,17 +70,13 @@ class RunConfig:
 _BUILDERS = {"ut": build_ut, "sigma": build_sigma, "tau": build_tau}
 
 
-def _load_perm(path: str) -> Permutation:
-    return Permutation.load(path)
-
-
 def _signed(n: int, steps) -> list[int]:
     return sorted(signed_rep(s % n, n) for s in steps)
 
 
 def _cmd_search(cfg: RunConfig):
     if cfg.perm_file:
-        u = perm_to_diag(_load_perm(cfg.perm_file))
+        u = perm_to_diag(Permutation.load(cfg.perm_file))
         target = cfg.perm_file
     else:
         u = _BUILDERS[cfg.target or "ut"](cfg.d, cfg.n)
@@ -204,7 +200,7 @@ def _cmd_hmm(cfg: RunConfig):
 
 def _net_for(cfg: RunConfig):
     if cfg.perm_file:
-        p = _load_perm(cfg.perm_file)
+        p = Permutation.load(cfg.perm_file)
     else:
         p = Permutation.random(cfg.n or 256, random.Random(cfg.seed))
     net = build_network(p)
@@ -214,6 +210,13 @@ def _net_for(cfg: RunConfig):
         t, b, ar = cfg.collapse
         net = collapse_levels(net, t, b, ar)
     return p, net
+
+
+def _zero_profile(net):
+    """The rotation profile of one evaluation of net on zeros."""
+    with CostLedger() as led:
+        evaluate_network(net, SlotVector.zeros(net.n))
+    return rotation_profile(net, led)
 
 
 def _cmd_net(cfg: RunConfig):
@@ -230,7 +233,7 @@ def _cmd_net(cfg: RunConfig):
             if cfg.collapse:
                 t, b, ar = cfg.collapse
                 net = collapse_levels(net, t, b, ar)
-            prof = rotation_profile(net)
+            prof = _zero_profile(net)
             for lv, c in prof.per_level.items():
                 per[lv] = per.get(lv, 0) + c
             totals.append(sum(prof.per_level.values()))
@@ -246,8 +249,8 @@ def _cmd_net(cfg: RunConfig):
         return 0, report
 
     p, net = _net_for(cfg)
-    prof = rotation_profile(net)
     if cfg.target == "build":
+        prof = _zero_profile(net)
         report = {
             "command": "net", "action": "build", "n": net.n,
             "seed": cfg.seed, "max_level": net.max_level,
@@ -263,6 +266,7 @@ def _cmd_net(cfg: RunConfig):
     with CostLedger() as led:
         out = evaluate_network(net, SlotVector.from_list(vals))
     ok = out.to_list() == p.apply(vals)
+    prof = rotation_profile(net, led)
     report = {
         "command": "net", "action": "eval", "n": net.n, "seed": cfg.seed,
         "rotations": led.rotation_count, "depth_used": out.depth_used,
@@ -274,7 +278,7 @@ def _cmd_net(cfg: RunConfig):
 
 def _cmd_benes(cfg: RunConfig):
     n = cfg.n or 256
-    p = (_load_perm(cfg.perm_file) if cfg.perm_file
+    p = (Permutation.load(cfg.perm_file) if cfg.perm_file
          else Permutation.random(n, random.Random(cfg.seed)))
     bc = benes_decompose(p)
     if not cfg.no_collapse:

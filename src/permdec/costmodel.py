@@ -14,11 +14,16 @@ Masks (plaintext multiplications) are priced at 2*N*(level+1) each, an
 elementwise product over both ciphertext components; rotation-only totals are
 kept in the separate breakdown entries so the extension is visible.
 
-Costing a network or chain uses the fused form for network rotation nodes and
-per-rotation-plus-one-rescale accounting for factor chains. Rotations at
-chain position j (counting from the input) are priced at level start - j;
-mask costs are taken from a replay of the structure on an all-zero vector,
-which records every mask at its true level.
+Every route is priced from one trace: the structure is evaluated once on an
+all-zero vector under a CostLedger, and that ledger alone supplies the
+rotation counts, the per-level counts, the key set and the mask levels. A
+network's rotations are grouped by the schedule level named in their tags and
+get the fused form there. A factor chain's rotations are grouped by operand
+level, which puts those of chain position j (counting from the input) on
+level start - j; each gets one rotation at that width, and each factor one
+rescale. Plan-side predictions (BsgsPlan.rotation_count, the BenesChain
+counts, hmm_rotation_budget) stay independent of this and are checked
+against it.
 """
 
 from __future__ import annotations
@@ -170,7 +175,9 @@ def _mask_charge(led: CostLedger, cp0: CostParams) -> int:
 
 
 def _network_cost(net: MultiGroupNetwork, cp0: CostParams) -> CostReport:
-    prof = rotation_profile(net)
+    with CostLedger() as led:
+        evaluate_network(net, SlotVector.zeros(net.n, cp0.level))
+    prof = rotation_profile(net, led)
     breakdown = _empty_breakdown()
     for lv, count in prof.per_level.items():
         l = cp0.level - lv
@@ -182,70 +189,45 @@ def _network_cost(net: MultiGroupNetwork, cp0: CostParams) -> CostReport:
         breakdown["decompose"] += count * dec
         breakdown["multsum"] += count * ms
         breakdown["moddown"] += count * _fused_moddown(cp)
-    with CostLedger() as led:
-        evaluate_network(net, SlotVector.zeros(net.n, cp0.level))
     breakdown["mask"] = _mask_charge(led, cp0)
     depth = max(prof.per_level, default=0)
-    return CostReport(net.n, depth, dict(prof.per_level), set(prof.key_set),
-                      breakdown)
-
-
-def _chain_rotations(ch) -> list[list[int]]:
-    """Executed rotation steps per factor, multiplicities included."""
-    if isinstance(ch, BenesChain):
-        return [ch.factor_steps(i) for i in range(ch.depth)]
-    out = []
-    for f, plan in zip(ch.factors, ch.plans):
-        if plan is not None:
-            out.append(plan.executed_steps())
-        else:
-            out.append([k for k in f.diag_set() if k])
-    return out
+    return CostReport(net.n, depth, prof.per_level, prof.key_set, breakdown)
 
 
 def _chain_cost(ch, cp0: CostParams) -> CostReport:
-    steps = _chain_rotations(ch)
-    restricted = isinstance(ch, BenesChain) and ch.key_paths is not None
-    breakdown = _empty_breakdown()
-    per_level: dict[int, int] = {}
-    keys: set[int] = set()
-    depth = len(steps)
-    for pos in range(depth):  # application order, input side first
-        i = depth - 1 - pos
-        l = cp0.level - pos
-        if l < 1:
-            raise DepthExhaustedError(f"factor {i} underflows the modulus "
-                                      f"chain at {cp0.level}")
-        cp = cp0.at(l)
-        factor_steps = steps[i]
-        if restricted:
-            count = sum(len(ch.key_paths[s]) for s in factor_steps)
-            keys |= {k for s in factor_steps for k in ch.key_paths[s]}
-        else:
-            count = len(factor_steps)
-            keys |= set(factor_steps)
-        per_level[pos + 1] = count
-        dec, ms, md = _rot_parts(l + 1, cp)
-        breakdown["decompose"] += count * dec
-        breakdown["multsum"] += count * ms
-        breakdown["moddown"] += count * md
-        breakdown["rescale"] += submodule_cost("rescale", cp0.at(l - 1))
+    depth = ch.depth
+    if depth > cp0.level:
+        raise DepthExhaustedError(f"factor {depth - 1 - cp0.level} underflows "
+                                  f"the modulus chain at {cp0.level}")
     with CostLedger() as led:
         v = SlotVector.zeros(ch.n, cp0.level)
         if isinstance(ch, BenesChain):
             evaluate_benes(ch, v)
         else:
             ch.evaluate(v)
+    # factor position (input side first) = cp0.level - operand level
+    per_level = dict.fromkeys(range(1, depth + 1), 0)
+    for ev in led.rotations:
+        per_level[cp0.level - ev.level + 1] += 1
+    breakdown = _empty_breakdown()
+    for pos in range(depth):
+        l = cp0.level - pos
+        count = per_level[pos + 1]
+        dec, ms, md = _rot_parts(l + 1, cp0.at(l))
+        breakdown["decompose"] += count * dec
+        breakdown["multsum"] += count * ms
+        breakdown["moddown"] += count * md
+        breakdown["rescale"] += submodule_cost("rescale", cp0.at(l - 1))
     breakdown["mask"] = _mask_charge(led, cp0)
-    return CostReport(ch.n, depth, per_level, keys, breakdown)
+    return CostReport(ch.n, depth, per_level, led.key_set(), breakdown)
 
 
 def chain_cost(source, cp0: CostParams | None = None) -> CostReport:
     """Price a network or factor chain starting from level cp0.level.
 
-    Network rotation nodes get the fused rotate-and-drop form on the
-    schedule level = cp0.level - network_level; chain factors get one
-    rotation each at their operand width plus one rescale per factor.
+    Network rotations get the fused rotate-and-drop form on the schedule
+    level = cp0.level - network_level; chain rotations are priced at their
+    operand width, plus one rescale per factor.
     """
     if cp0 is None:
         cp0 = CostParams()

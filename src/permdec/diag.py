@@ -55,17 +55,6 @@ class DiagMatrix:
     def from_permutation(cls, p: Permutation) -> "DiagMatrix":
         return perm_to_diag(p)
 
-    @classmethod
-    def from_dense(cls, rows: Sequence[Sequence[int]]) -> "DiagMatrix":
-        n = len(rows)
-        m = cls(n)
-        for l in range(n):
-            assert len(rows[l]) == n
-            for c in range(n):
-                if rows[l][c]:
-                    m.set_entry((c - l) % n, l, rows[l][c])
-        return m
-
     def set_entry(self, k: int, l: int, val: int) -> None:
         assert val != 0
         self.diags.setdefault(k % self.n, {})[l % self.n] = val

@@ -347,8 +347,10 @@ def hmm_rotation_budget(cfg: HmmConfig) -> HmmBudget:
     Single-mask replication is exact: the instrumented pipeline matches it
     rotation for rotation. The layered forms assume the shared one- and
     two-sided window costs; the anchored windows the pipeline actually
-    executes stay within a d'-sized constant of them (tests pin the exact
-    instrumented numbers per configuration).
+    executes stay within d rotations of them (tests pin the exact
+    instrumented numbers per configuration). Per side, the two-sided window
+    of 2d/f0 parent shifts shares d' of them between neighbouring groups,
+    but never drops below the d/f0 - 1 shifts a single group needs.
     """
     d, dp = cfg.d, cfg.d_prime
     ld, ldp = _log2(d), _log2(dp)
@@ -362,7 +364,8 @@ def hmm_rotation_budget(cfg: HmmConfig) -> HmmBudget:
         if dp == 1:
             rep = 3 * d // f0 + 2 * d * lf0
         else:
-            rep = 4 * d // f0 - 2 * dp + 2 * cfg.groups * lf0
+            shared = max(2 * d // f0 - dp, d // f0 - 1)
+            rep = 2 * shared + 2 * cfg.groups * lf0
         parts = {"reorder": 2 * ldp, "replicate": rep, "fold": ldp}
     total = sum(parts.values())
     return HmmBudget(total=total, amortized=Fraction(total, cfg.m), parts=parts)

@@ -18,7 +18,10 @@ class RotEvent:
     """One executed rotation. step is reduced mod n and never 0.
 
     level is the operand's modulus level at execution time (-1 when the
-    operation happened outside a level-carrying context).
+    operation happened outside a level-carrying context). It is not a
+    network's schedule level: a network rotation carries that in its tag
+    (net.g{group}.l{level}, net.collapse.top or net.collapse.bot), which
+    network.rotation_profile reads.
     """
 
     step: int
@@ -103,10 +106,6 @@ class CostLedger:
 _active: contextvars.ContextVar[CostLedger | None] = contextvars.ContextVar(
     "permdec_cost_ledger", default=None
 )
-
-
-def active_ledger() -> CostLedger | None:
-    return _active.get()
 
 
 def record_rotation(step: int, tag: str = "", level: int = -1) -> None:

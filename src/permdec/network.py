@@ -34,8 +34,10 @@ permutation.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 
+from .ledger import CostLedger
 from .slots import Permutation, SlotVector
 
 UNSOLVED = "unsolved"
@@ -148,6 +150,13 @@ class MultiGroupNetwork:
     @property
     def max_level(self) -> int:
         return max((nd.level for nd in self.nodes), default=0)
+
+    @property
+    def cut(self) -> int:
+        """Deepest level evaluated node by node; a collapsed bottom replaces
+        the levels below it."""
+        bottom = self.collapse.bottom if self.collapse else 0
+        return self.max_level - bottom
 
     def childless(self) -> list[Node]:
         return [nd for nd in self.nodes if not self.out_edges[nd.idx]]
@@ -358,6 +367,10 @@ def collapse_levels(net: MultiGroupNetwork, top: int = 0, bottom: int = 0,
         return net
     if top < 0 or bottom < 0:
         raise ValueError("collapse counts must be nonnegative")
+    if len(net.entries) != net.n:
+        raise ValueError("cannot collapse a network without its routing "
+                         "state (JSON keeps only the graph); rebuild it "
+                         "from the permutation")
     if arity < 2 or arity & (arity - 1):
         raise ValueError("tree arity must be a power of two >= 2")
     lmax = net.max_level
@@ -381,7 +394,7 @@ def evaluate_network(net: MultiGroupNetwork, v: SlotVector) -> SlotVector:
     bottoms = {g: b for g, (_, b) in enumerate(net.group_spans)}
     cs = net.collapse
     t = cs.top if cs else 0
-    cut = net.max_level - cs.bottom if cs else net.max_level
+    cut = net.cut
 
     rotants = {0: v}
 
@@ -436,8 +449,9 @@ def evaluate_network(net: MultiGroupNetwork, v: SlotVector) -> SlotVector:
             for e in ine:
                 src = outputs.get(e.src)
                 if src is None:
-                    # re-fed edge whose source sits in the collapsed top
-                    src = rebuilt(net.nodes[e.src])
+                    # re-fed edge whose source sits in the collapsed top;
+                    # it carries the source's output, shifted if a rotation
+                    src = rebuilt(net.nodes[e.src], final=True)
                 part = src if e.mask is None else _masked(src, e.mask, tag)
                 inp = part if inp is None else inp + part
         if nd.kind == "rotation":
@@ -459,7 +473,6 @@ def evaluate_network(net: MultiGroupNetwork, v: SlotVector) -> SlotVector:
             if src in net.filtered and pos not in net.nodes[src].occ:
                 src = e.trace[cut - 1]  # re-fed entries sit one level up
             r = e.r_rem_at(cut)
-            assert 0 <= r < (1 << cs.bottom), "cut level too shallow"
             groups.setdefault((src, r), []).append(pos)
         buckets = {}
         for (src, r), ps in sorted(groups.items()):
@@ -496,54 +509,18 @@ def evaluate_network(net: MultiGroupNetwork, v: SlotVector) -> SlotVector:
     return out
 
 
-def rotation_profile(net: MultiGroupNetwork) -> RotationProfile:
-    """Rotation-node counts per level across groups, plus the key set."""
-    per_level: dict[int, int] = {}
-    keys = set()
-    for nd in net.rotation_nodes():
-        per_level[nd.level] = per_level.get(nd.level, 0) + 1
-        keys.add(nd.step)
-    if net.collapse:
-        cs = net.collapse
-        cut = net.max_level - cs.bottom
-        if cs.top:
-            seen = set()
-            for nd in net.nodes:
-                at_frontier = nd.level == cs.top + 1
-                ends_inside = (nd.level <= cs.top and nd.occ
-                               and not net.out_edges[nd.idx])
-                if at_frontier or ends_inside:
-                    lvl = nd.level if ends_inside else nd.level - 1
-                    for ei in nd.occ.values():
-                        e = net.entries[ei]
-                        seen.add(e.r_org - e.r_rem_at(lvl))
-            mat = set()
-            for r in seen:
-                while r and r not in mat:
-                    mat.add(r)
-                    r -= 1 << (r.bit_length() - 1)
-            keys = {nd.step for nd in net.rotation_nodes()
-                    if nd.level > cs.top}
-            keys |= {1 << (r.bit_length() - 1) for r in mat}
-            for lv in range(1, cs.top + 1):
-                per_level.pop(lv, None)
-            per_level[1] = len(mat)
-        if cs.bottom:
-            rs = set()
-            for e in net.entries:
-                if len(e.trace) - 1 >= cut:
-                    rs.add(e.r_rem_at(cut))
-            for lv in range(cut + 1, net.max_level + 1):
-                per_level.pop(lv, None)
-            count = 0
-            scale = 1
-            while rs - {0}:
-                count += sum(1 for r in rs if (r // scale) % cs.arity)
-                keys |= {((r // scale) % cs.arity) * scale
-                         for r in rs if (r // scale) % cs.arity}
-                rs = {r - ((r // scale) % cs.arity) * scale
-                      for r in rs}
-                scale *= cs.arity
-            per_level[cut + 1] = count
-    total = sum(per_level.values())
-    return RotationProfile(per_level, keys, total)
+def rotation_profile(net: MultiGroupNetwork, led: CostLedger
+                     ) -> RotationProfile:
+    """Executed rotations per schedule level, plus the key set, reduced from
+    the CostLedger of one evaluate_network run of net.
+
+    The schedule level comes from each rotation's tag: net.g{g}.l{lv} sits on
+    level lv, the collapsed top's pre-rotations on level 1 and the collapsed
+    bottom's digit tree on the level just below the cut.
+    """
+    collapsed = {"net.collapse.top": 1, "net.collapse.bot": net.cut + 1}
+    per_level = Counter(
+        collapsed.get(ev.tag) or int(ev.tag.rpartition(".l")[2])
+        for ev in led.rotations)
+    return RotationProfile(dict(sorted(per_level.items())), led.key_set(),
+                           led.rotation_count)

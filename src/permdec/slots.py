@@ -104,7 +104,9 @@ class Permutation:
     def __init__(self, targets: Sequence[int]):
         self.targets = tuple(targets)
         self.n = len(self.targets)
-        assert sorted(self.targets) == list(range(self.n)), "not a permutation"
+        if sorted(self.targets) != list(range(self.n)):
+            raise ValueError(f"not a permutation of {self.n} slots: every "
+                             f"target in 0..{self.n - 1} must appear once")
 
     def apply(self, vals: Sequence[int]) -> list[int]:
         """Plain (free) application: out[targets[i]] = vals[i]."""
@@ -164,8 +166,13 @@ class Permutation:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Permutation":
+        if not isinstance(obj, dict) or "targets" not in obj:
+            raise ValueError("not a permutation file: expected an object "
+                             "with 'n' and 'targets'")
         p = cls(obj["targets"])
-        assert p.n == obj["n"]
+        if p.n != obj.get("n"):
+            raise ValueError(f"permutation file says n={obj.get('n')} but "
+                             f"lists {p.n} targets")
         return p
 
     def save(self, path) -> None:

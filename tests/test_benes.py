@@ -10,8 +10,9 @@ from permdec.benes import (BenesChain, benes_decompose, collapse_benes,
 from permdec.chain import DecompositionChain
 from permdec.diag import perm_to_diag
 from permdec.ledger import CostLedger
-from permdec.network import build_network, rotation_profile
+from permdec.network import build_network
 from permdec.slots import Permutation, SlotVector
+from util import zero_profile
 
 
 def log2(x: int) -> int:
@@ -238,7 +239,7 @@ def test_restricted_totals_exceed_network_totals():
     for n, count in ((1 << 10, 4), (1 << 11, 3)):
         for seed in range(count):
             p = Permutation.random(n, random.Random(9000 + seed))
-            net_total = rotation_profile(build_network(p)).total
+            net_total = zero_profile(build_network(p)).total
             res = restrict_keys(collapse_benes(benes_decompose(p)))
             assert res.total_rotations() > net_total
 

@@ -1,12 +1,17 @@
 """Command line round trips: flags, reports, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from permdec import cli
 from permdec.bench import CSV_HEADER
 from permdec.cli import main
-from permdec.network import MultiGroupNetwork, evaluate_network
+from permdec.network import MultiGroupNetwork, build_network, evaluate_network
 from permdec.slots import Permutation, SlotVector
 from permdec.verify import CheckResult, SuiteReport
 
@@ -211,3 +216,35 @@ def test_usage_errors_exit_two(capsys, tmp_path):
     assert main(["net", "eval", "--perm-file", str(tmp_path / "absent.json")]) == 2
     assert main(["decompose", "ut", "--d", "4", "--l", "9"]) == 2
     capsys.readouterr()
+
+
+def test_duplicate_targets_exit_two(capsys, tmp_path):
+    path = tmp_path / "dup.json"
+    path.write_text(json.dumps({"n": 4, "targets": [0, 1, 1, 3]}))
+    assert main(["benes", "--perm-file", str(path)]) == 2
+    assert "not a permutation" in capsys.readouterr().err
+
+
+def test_duplicate_targets_exit_two_without_asserts(tmp_path):
+    # the check must not vanish under python -O
+    path = tmp_path / "dup.json"
+    path.write_text(json.dumps({"n": 4, "targets": [0, 1, 1, 3]}))
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "permdec.cli", "benes", "--perm-file",
+         str(path)], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 2
+    assert "not a permutation" in proc.stderr and not proc.stdout
+
+
+def test_network_file_is_not_a_permutation_file(capsys, tmp_path):
+    # a saved network keeps only its graph, so it cannot stand in for the
+    # permutation a collapsed network is rebuilt from
+    path = tmp_path / "net.json"
+    build_network(Permutation.rotation(256, 77)).save(path)
+    assert main(["net", "build", "--perm-file", str(path),
+                 "--collapse", "2,3"]) == 2
+    assert "not a permutation file" in capsys.readouterr().err

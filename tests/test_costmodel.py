@@ -218,10 +218,10 @@ def test_identity_network_costs_nothing():
 
 
 def test_network_report_matches_profile(rng):
-    from permdec.network import rotation_profile
+    from util import zero_profile
     net = _reduced_net(256, 123)
     rep = chain_cost(net)
-    prof = rotation_profile(net)
+    prof = zero_profile(net)
     assert rep.per_level == prof.per_level
     assert rep.key_set == prof.key_set
     assert rep.depth == max(prof.per_level)

@@ -325,7 +325,7 @@ LAYERED_CASES = [
     (8, 2, (4, 2), 23, 23),
     (8, 4, (4, 2), 20, 18),
     (16, 4, (4, 4), 34, 30),
-    (16, 16, (4, 4), 22, 0),
+    (16, 16, (4, 4), 22, 22),
     (16, 1, (8, 2), 60, 56),
     (16, 2, (4, 2, 2), 47, 47),
 ]
@@ -346,6 +346,37 @@ def test_layered_pipeline_counts_and_products(d, dp, factors, frozen, closed):
         assert abs(frozen - closed) <= 2 * dp
     if dp == 1:
         assert frozen - closed == d // factors[-1] - 4
+
+
+def layered_configs(d_max):
+    """Every (d, d', factors) with d <= d_max and at least two factors >= 2."""
+    def splits(k):  # ordered compositions of k
+        if k == 0:
+            yield ()
+        for a in range(1, k + 1):
+            for rest in splits(k - a):
+                yield (a,) + rest
+
+    d = 2
+    while d <= d_max:
+        for dp in divisors_pow2(d):
+            for parts in splits(log2(d)):
+                if len(parts) >= 2:
+                    yield d, dp, tuple(1 << x for x in parts)
+        d *= 2
+
+
+def test_layered_budget_parts_nonnegative_and_within_d():
+    cases = list(layered_configs(16))
+    assert len(cases) == 50
+    for d, dp, factors in cases:
+        cfg = HmmConfig(d, dp, replication=factors)
+        zero = [[[0] * d for _ in range(d)]]
+        with CostLedger() as lg:
+            hmm_multiply(zero, zero, cfg)
+        budget = hmm_rotation_budget(cfg)
+        assert min(budget.parts.values()) >= 0, (d, dp, factors)
+        assert abs(lg.rotation_count - budget.total) <= d, (d, dp, factors)
 
 
 def test_layered_pipeline_depth():

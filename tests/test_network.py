@@ -14,8 +14,9 @@ import pytest
 
 from permdec.ledger import CostLedger
 from permdec.network import (MultiGroupNetwork, build_network, collapse_levels,
-                             evaluate_network, reduce_masks, rotation_profile)
+                             evaluate_network, reduce_masks)
 from permdec.slots import Permutation, SlotVector
+from util import zero_profile
 
 
 def log2(x: int) -> int:
@@ -102,7 +103,7 @@ def test_distinct_steps_at_most_log_n():
     for seed in range(20):
         for n in (256, 1024):
             p, _ = build_random(n, 300 + seed)
-            prof = rotation_profile(build_network(p))
+            prof = zero_profile(build_network(p))
             assert len(prof.key_set) <= log2(n)
             assert all(k & (k - 1) == 0 for k in prof.key_set)
 
@@ -201,7 +202,7 @@ def test_evaluation_rotations_match_profile():
         net = build_network(p)
         with CostLedger() as led:
             evaluate_network(net, SlotVector.from_list(rand_vec(256, rng)))
-        assert led.rotation_count == rotation_profile(net).total
+        assert led.rotation_count == zero_profile(net).total
 
 
 # --------------------------------------------------------- mask reduction
@@ -326,13 +327,13 @@ def test_collapse_key_increase_within_budget():
     for seed in range(10):
         p, rng = build_random(1024, 4400 + seed)
         net = build_network(p)
-        base = rotation_profile(net).key_set
+        base = zero_profile(net).key_set
         assert len(base) <= log2(1024)
         for top, bottom, m in ((2, 3, 4), (0, 4, 4), (2, 2, 2), (1, 3, 8)):
             if top + bottom >= net.max_level:
                 continue
             col = collapse_levels(net, top, bottom, arity=m)
-            keys = rotation_profile(col).key_set
+            keys = zero_profile(col).key_set
             extra = len(keys - base)
             budget = Fraction(m - 1, log2(m)) - 1
             assert extra <= budget * (top + bottom)
@@ -344,7 +345,7 @@ def test_collapsed_rotations_match_profile():
         col = collapse_levels(build_network(p), 2, 3)
         with CostLedger() as led:
             evaluate_network(col, SlotVector.from_list(rand_vec(256, rng)))
-        assert led.rotation_count == rotation_profile(col).total
+        assert led.rotation_count == zero_profile(col).total
 
 
 def test_collapse_single_bottom_level_on_reduced():
@@ -359,16 +360,54 @@ def test_collapse_single_bottom_level_on_reduced():
         assert out.to_list() == p.apply(vals)
 
 
+def test_every_accepted_collapse_is_exact():
+    # every (top, bottom) collapse_levels accepts, on raw and reduced networks
+    for n in (8, 16, 64, 256):
+        for seed in range(3):
+            p, rng = build_random(n, 4700 + 10 * n + seed)
+            vals = rand_vec(n, rng)
+            raw = build_network(p)
+            for net in (raw, reduce_masks(raw)):
+                lmax = net.max_level
+                for top in range(lmax):
+                    for bottom in range(lmax - top):
+                        col = collapse_levels(net, top, bottom)
+                        out = evaluate_network(col, SlotVector.from_list(vals))
+                        assert out.to_list() == p.apply(vals), \
+                            (n, seed, net.reduced, top, bottom)
+
+
+def test_bottom_collapse_routes_long_remaining_distances():
+    # a deferred entry reaches the cut with 2 or more still to go although
+    # only one level is collapsed; the digit tree rotates it all the same
+    p = Permutation([6, 5, 4, 1, 0, 7, 2, 3])
+    net = build_network(p)
+    cut = net.max_level - 1
+    assert any(e.r_rem_at(cut) >= 2 for e in net.entries
+               if len(e.trace) - 1 >= cut)
+    vals = list(range(1, 9))
+    out = evaluate_network(collapse_levels(net, 0, 1),
+                           SlotVector.from_list(vals))
+    assert out.to_list() == p.apply(vals)
+
+
+def test_collapse_refuses_network_loaded_from_json():
+    p, _ = build_random(256, 4800)
+    back = MultiGroupNetwork.from_json(build_network(p).to_json())
+    with pytest.raises(ValueError, match="routing state"):
+        collapse_levels(back, 2, 3)
+
+
 # ----------------------------------------------------------------- profile
 
 
 def test_profile_identity_all_zero():
-    prof = rotation_profile(build_network(Permutation.identity(64)))
+    prof = zero_profile(build_network(Permutation.identity(64)))
     assert prof.per_level == {} and prof.total == 0 and prof.key_set == set()
 
 
 def test_profile_rotation_by_three():
-    prof = rotation_profile(build_network(Permutation.rotation(8, 3)))
+    prof = zero_profile(build_network(Permutation.rotation(8, 3)))
     assert prof.per_level == {1: 1, 2: 1}
     assert prof.key_set == {1, 2} and prof.total == 2
 
@@ -379,11 +418,13 @@ def test_profile_reference_rows(n):
     sums = [0] * (log2(n) + 1)
     totals = []
     for seed in range(20):
+        # an uncollapsed network runs one rotation per rotation node
+        # (test_properties checks it), so the nodes give the profile
         p, _ = build_random(n, 5000 + seed)
-        prof = rotation_profile(build_network(p))
-        totals.append(prof.total)
-        for lv, c in prof.per_level.items():
-            sums[lv] += c
+        rots = build_network(p).rotation_nodes()
+        totals.append(len(rots))
+        for nd in rots:
+            sums[nd.level] += 1
     means = [s / 20 for s in sums[1:]]
     assert len(means) == len(row)
     for got, want in zip(means, row):
@@ -396,7 +437,7 @@ def test_profile_total_spread_grows_with_n():
         out = []
         for seed in range(20):
             p, _ = build_random(n, base + seed)
-            out.append(rotation_profile(build_network(p)).total)
+            out.append(len(build_network(p).rotation_nodes()))
         return out
 
     small = statistics.pstdev(totals(1 << 10, 6000))
@@ -417,8 +458,8 @@ def test_json_roundtrip_evaluates_identically():
             json.loads(json.dumps(net.to_json())))
         v = SlotVector.from_list(vals)
         assert evaluate_network(back, v).to_list() == p.apply(vals)
-        assert rotation_profile(back).per_level == \
-            rotation_profile(net).per_level
+        assert zero_profile(back).per_level == \
+            zero_profile(net).per_level
 
 
 def test_reduced_json_roundtrip():

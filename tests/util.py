@@ -3,7 +3,16 @@
 from __future__ import annotations
 
 from permdec.diag import DiagMatrix
-from permdec.slots import Permutation
+from permdec.ledger import CostLedger
+from permdec.network import evaluate_network, rotation_profile
+from permdec.slots import Permutation, SlotVector
+
+
+def zero_profile(net):
+    """rotation_profile of one evaluation of net on an all-zero vector."""
+    with CostLedger() as led:
+        evaluate_network(net, SlotVector.zeros(net.n))
+    return rotation_profile(net, led)
 
 
 def depth1_oracle(u: DiagMatrix, a: int, r: int, rc: int,
