@@ -1,11 +1,12 @@
 """Rotation-count and scalar-mult statistics over sampled permutations.
 
 For each size the bench samples uniform random permutations (per-sample seed
-= base seed + index), builds the mask-reduced routing network, and
-aggregates the per-level rotation profile together with the priced
-scalar-multiplication total. Sampling can fan out over worker processes;
-results are keyed by sample index, so the aggregate does not depend on
-completion order.
+= base seed + index), builds the routing network (mask-reduced unless asked
+otherwise, optionally level-collapsed), and aggregates the per-level rotation
+profile, the distinct rotation keys and the priced scalar-multiplication
+total; `permdec net profile` reports the same aggregate. Sampling can fan out
+over worker processes; results are keyed by sample index, so the aggregate
+does not depend on completion order.
 
 CSV schema (one row per size and level):
 
@@ -24,21 +25,23 @@ import statistics
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
-from .costmodel import CostParams, chain_cost
-from .network import build_network, reduce_masks
+from .costmodel import CostParams, CostReport, chain_cost
+from .network import build_network, collapse_levels, reduce_masks
 from .slots import Permutation
 
 CSV_HEADER = ("n,samples,seed,level,mean_rotations,"
               "std_total,mean_total,mean_scalar_mult")
 
 
-def _sample(job: tuple[int, int, int]) -> tuple[int, dict[int, int], int]:
-    """One permutation: (index, per-level rotation counts, scalar mults)."""
-    idx, n, seed = job
-    p = Permutation.random(n, random.Random(seed))
-    net = reduce_masks(build_network(p))
-    rep = chain_cost(net, CostParams())
-    return idx, rep.per_level, rep.total
+def _sample(job) -> tuple[int, CostReport]:
+    """One permutation: (index, priced network)."""
+    idx, n, seed, reduce, collapse = job
+    net = build_network(Permutation.random(n, random.Random(seed)))
+    if reduce:
+        net = reduce_masks(net)
+    if collapse:
+        net = collapse_levels(net, *collapse)
+    return idx, chain_cost(net, CostParams())
 
 
 @dataclass
@@ -50,6 +53,7 @@ class BenchResult:
     total_mean: float
     total_std: float
     scalar_mean: float
+    distinct_keys: int
 
     def to_json(self) -> dict:
         return {
@@ -62,25 +66,29 @@ class BenchResult:
 
 
 def bench_networks(n: int, samples: int = 20, seed: int = 0,
-                   workers: int = 1) -> BenchResult:
-    jobs = [(i, n, seed + i) for i in range(samples)]
+                   workers: int = 1, reduce: bool = True,
+                   collapse: tuple[int, int, int] | None = None
+                   ) -> BenchResult:
+    """Aggregate over `samples` networks; `collapse` is (top, bottom,
+    arity) for collapse_levels."""
+    jobs = [(i, n, seed + i, reduce, collapse) for i in range(samples)]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             raw = list(pool.map(_sample, jobs))
     else:
         raw = [_sample(j) for j in jobs]
-    raw.sort(key=lambda r: r[0])
+    reps = [rep for _, rep in sorted(raw, key=lambda r: r[0])]
 
-    levels = sorted({lv for _, per, _ in raw for lv in per})
-    per_mean = {lv: sum(per.get(lv, 0) for _, per, _ in raw) / samples
+    levels = sorted({lv for rep in reps for lv in rep.per_level})
+    per_mean = {lv: sum(rep.per_level.get(lv, 0) for rep in reps) / samples
                 for lv in levels}
-    totals = [sum(per.values()) for _, per, _ in raw]
-    scalars = [c for _, _, c in raw]
+    totals = [sum(rep.per_level.values()) for rep in reps]
     return BenchResult(
         n, samples, seed, per_mean,
         total_mean=statistics.fmean(totals),
         total_std=statistics.pstdev(totals),
-        scalar_mean=statistics.fmean(scalars))
+        scalar_mean=statistics.fmean(rep.total for rep in reps),
+        distinct_keys=len(set().union(*(rep.key_set for rep in reps))))
 
 
 def bench_csv(results: list[BenchResult]) -> str:

@@ -20,10 +20,11 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field, replace
+from typing import ClassVar
 
 from .chain import DecompositionChain
-from .diag import (BsgsPlan, DiagMatrix, apply_hlt_bsgs, perm_to_diag,
-                   plan_bsgs, signed_rep, to_permutation)
+from .diag import (BsgsPlan, DiagMatrix, perm_to_diag, plan_bsgs, signed_rep,
+                   to_permutation)
 from .slots import Permutation, SlotVector
 
 
@@ -75,43 +76,33 @@ def _plan_for(f: DiagMatrix) -> BsgsPlan:
 
 
 @dataclass
-class BenesChain:
-    """Stage factors in product order; evaluation applies them right to left.
+class BenesChain(DecompositionChain):
+    """A factor chain of switch stages, planned for BSGS evaluation.
 
     `allowed[i]` bounds the signed diagonals factor i may occupy, `groups[i]`
-    records which pre-collapse stages it merges. With `key_steps` set, every
-    window rotation is realized as the chain of keys in `key_paths`.
+    records which pre-collapse stages it merges, and `key_steps` is the
+    restricted rotation-key set whose compositions `key_paths` lists. The
+    counts below are plan-side predictions, checked against executed runs.
     """
 
-    n: int
-    factors: list[DiagMatrix]
-    allowed: list[set[int]]
-    groups: list[tuple[int, int]]
-    plans: list[BsgsPlan] = field(default_factory=list)
+    allowed: list[set[int]] = field(default_factory=list)
+    groups: list[tuple[int, int]] = field(default_factory=list)
     key_steps: set[int] | None = None
-    key_paths: dict[int, tuple[int, ...]] | None = None
+
+    TAG: ClassVar[str] = "benes"
 
     def __post_init__(self):
         if not self.plans:
             self.plans = [_plan_for(f) for f in self.factors]
-        assert len(self.factors) == len(self.allowed) == len(self.groups) \
-            == len(self.plans)
-
-    @property
-    def depth(self) -> int:
-        return len(self.factors)
-
-    def product(self) -> DiagMatrix:
-        return self.to_chain().product()
+        super().__post_init__()
+        if not len(self.factors) == len(self.allowed) == len(self.groups):
+            raise ValueError("factors, allowed and groups differ in length")
 
     def permutation(self) -> Permutation:
         out = Permutation.identity(self.n)
         for f in self.factors:
             out = out.compose(to_permutation(f))
         return out
-
-    def diag_counts(self) -> list[int]:
-        return [len(f.diags) for f in self.factors]
 
     def factor_steps(self, i: int) -> list[int]:
         return self.plans[i].executed_steps()
@@ -137,15 +128,6 @@ class BenesChain:
             used |= set(self.factor_steps(i))
         return used
 
-    def to_chain(self) -> DecompositionChain:
-        return DecompositionChain(self.n, list(self.factors), list(self.plans))
-
-    def to_json(self) -> dict:
-        return self.to_chain().to_json()
-
-    def save(self, path) -> None:
-        self.to_chain().save(path)
-
 
 def benes_decompose(p: Permutation) -> BenesChain:
     """Full-depth stage factorization, 2 log n - 1 factors."""
@@ -153,7 +135,7 @@ def benes_decompose(p: Permutation) -> BenesChain:
     if n & (n - 1):
         raise ValueError("length must be a power of two")
     if n == 1:
-        return BenesChain(1, [], [], [])
+        return BenesChain(1, [], allowed=[], groups=[])
     m = n.bit_length() - 1
     sigmas: list[Permutation] = []
     taus: list[Permutation] = []
@@ -188,7 +170,7 @@ def benes_decompose(p: Permutation) -> BenesChain:
     allowed = outer + [{0, 1, -1}] + outer[::-1]
     factors = [perm_to_diag(q) for q in perms]
     groups = [(i, i + 1) for i in range(2 * m - 1)]
-    return BenesChain(n, factors, allowed, groups)
+    return BenesChain(n, factors, allowed=allowed, groups=groups)
 
 
 def _sum_set(sets, n):
@@ -258,7 +240,7 @@ def collapse_benes(chain: BenesChain, target_depth: int | None = None
         factors.append(perm_to_diag(merged[a, b]))
         allowed.append(_sum_set(chain.allowed[a:b], n))
         groups.append((chain.groups[a][0], chain.groups[b - 1][1]))
-    return BenesChain(n, factors, allowed, groups)
+    return BenesChain(n, factors, allowed=allowed, groups=groups)
 
 
 def _short_sum(step, keys, n):
@@ -341,19 +323,4 @@ def restrict_keys(chain: BenesChain, budget: int | None = None) -> BenesChain:
 
 def evaluate_benes(chain: BenesChain, v: SlotVector,
                    tag: str = "benes") -> SlotVector:
-    if v.n != chain.n:
-        raise ValueError(f"slot length mismatch: {v.n} != {chain.n}")
-    rot = None
-    if chain.key_paths is not None:
-        paths, n = chain.key_paths, chain.n
-
-        def rot(vec, step, t):
-            for k in paths[step % n]:
-                vec = vec.rotate(k, t)
-            return vec
-
-    out = v
-    for i in range(chain.depth - 1, -1, -1):
-        out = apply_hlt_bsgs(chain.factors[i], chain.plans[i], out,
-                             tag=f"{tag}.f{i}", rot=rot)
-    return out
+    return chain.evaluate(v, tag)

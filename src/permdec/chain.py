@@ -1,14 +1,19 @@
 """Ordered factor chains: U = factors[0] * factors[1] * ... * factors[-1].
 
-Factors are stored in product order (leftmost first), so evaluation applies
-them right to left. Each factor costs one HLT (one rescale); a factor may
-carry a BSGS plan, otherwise it is evaluated diagonal by diagonal.
+Every factor chain in the package is a DecompositionChain: the searched and
+structured ladders, and the Beneš baseline (benes.BenesChain, a subclass that
+adds its routing data). Factors are stored in product order (leftmost first),
+so evaluation applies them right to left. Each factor costs one HLT (one
+rescale); a factor may carry a BSGS plan, otherwise it is evaluated diagonal
+by diagonal. With `key_paths` set, every window rotation of a planned factor
+runs as the chain of key rotations listed for its step. `evaluate` is the one
+chain evaluator; the cost model prices a chain from the ledger of its run.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 from .diag import BsgsPlan, DiagMatrix, apply_hlt_bsgs, apply_hlt_direct, matmul
 from .slots import SlotVector
@@ -19,12 +24,22 @@ class DecompositionChain:
     n: int
     factors: list[DiagMatrix]
     plans: list[BsgsPlan | None] = field(default_factory=list)
+    key_paths: dict[int, tuple[int, ...]] | None = None
+
+    TAG: ClassVar[str] = "chain"  # factor i's ops are tagged f"{tag}.f{i}"
 
     def __post_init__(self):
         if not self.plans:
             self.plans = [None] * len(self.factors)
-        assert len(self.plans) == len(self.factors)
-        assert all(f.n == self.n for f in self.factors)
+        if len(self.plans) != len(self.factors):
+            raise ValueError(f"{len(self.plans)} plans for "
+                             f"{len(self.factors)} factors")
+        for i, f in enumerate(self.factors):
+            if f.n != self.n:
+                raise ValueError(f"factor {i} has n={f.n}, chain has "
+                                 f"n={self.n}")
+        if self.key_paths is not None and None in self.plans:
+            raise ValueError("key paths need a BSGS plan for every factor")
 
     @property
     def depth(self) -> int:
@@ -36,57 +51,26 @@ class DecompositionChain:
             out = matmul(out, f)
         return out
 
-    def evaluate(self, v: SlotVector, tag: str = "") -> SlotVector:
-        assert v.n == self.n, "dimension mismatch"
-        for f, plan in zip(reversed(self.factors), reversed(self.plans)):
-            if plan is not None:
-                v = apply_hlt_bsgs(f, plan, v, tag)
+    def evaluate(self, v: SlotVector, tag: str | None = None) -> SlotVector:
+        if v.n != self.n:
+            raise ValueError(f"slot length mismatch: {v.n} != {self.n}")
+        tag = self.TAG if tag is None else tag
+        rot = None
+        if self.key_paths is not None:
+            paths, n = self.key_paths, self.n
+
+            def rot(vec, step, t):
+                for k in paths[step % n]:
+                    vec = vec.rotate(k, t)
+                return vec
+
+        for i in range(self.depth - 1, -1, -1):
+            f, plan, ftag = self.factors[i], self.plans[i], f"{tag}.f{i}"
+            if plan is None:
+                v = apply_hlt_direct(f, v, ftag)
             else:
-                v = apply_hlt_direct(f, v, tag)
+                v = apply_hlt_bsgs(f, plan, v, ftag, rot=rot)
         return v
 
     def diag_counts(self) -> list[int]:
         return [len(f.diags) for f in self.factors]
-
-    # -- JSON (shared by the search and benes CLIs) --------------------------
-
-    def to_json(self) -> dict:
-        factors = []
-        for f in self.factors:
-            diags = {}
-            for k in f.diag_set():
-                rows = f.diags[k]
-                if all(v == 1 for v in rows.values()):
-                    diags[str(k)] = sorted(rows)
-                else:
-                    diags[str(k)] = [[l, rows[l]] for l in sorted(rows)]
-            factors.append({"diags": diags})
-        return {"n": self.n, "depth": self.depth, "factors": factors}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "DecompositionChain":
-        n = obj["n"]
-        factors = []
-        for fobj in obj["factors"]:
-            m = DiagMatrix(n)
-            for kstr, rows in fobj["diags"].items():
-                k = int(kstr)
-                for item in rows:
-                    if isinstance(item, list):
-                        m.set_entry(k, item[0], item[1])
-                    else:
-                        m.set_entry(k, item, 1)
-            factors.append(m)
-        chain = cls(n, factors)
-        assert chain.depth == obj["depth"]
-        return chain
-
-    def save(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json(), fh, sort_keys=True)
-            fh.write("\n")
-
-    @classmethod
-    def load(cls, path) -> "DecompositionChain":
-        with open(path) as fh:
-            return cls.from_json(json.load(fh))

@@ -21,7 +21,8 @@ import sys
 from dataclasses import dataclass, field
 
 from .bench import bench_csv, bench_networks
-from .benes import benes_decompose, collapse_benes, evaluate_benes, restrict_keys
+from .benes import benes_decompose, collapse_benes, restrict_keys
+from .costmodel import chain_cost
 from .diag import matvec, perm_to_diag, signed_rep
 from .hmm import HmmConfig, hmm_multiply, hmm_rotation_budget
 from .ledger import CostLedger
@@ -182,8 +183,7 @@ def _cmd_hmm(cfg: RunConfig):
                 for g in range(hc.m)]
         products_ok = products_ok and got == want
     bud = hmm_rotation_budget(hc)
-    budget_ok = rotations == bud.total if repl is None \
-        else abs(rotations - bud.total) <= hc.d
+    budget_ok = abs(rotations - bud.total) <= bud.tolerance
     ok = products_ok and budget_ok
     report = {
         "command": "hmm", "d": hc.d, "dp": hc.d_prime, "m": hc.m,
@@ -192,7 +192,7 @@ def _cmd_hmm(cfg: RunConfig):
         "budget": {"total": bud.total, "parts": dict(bud.parts),
                    "amortized": [bud.amortized.numerator,
                                  bud.amortized.denominator]},
-        "budget_exact": repl is None,
+        "budget_exact": bud.tolerance == 0,
         "products_ok": products_ok, "budget_ok": budget_ok, "ok": ok,
     }
     return (0 if ok else 1), report
@@ -212,51 +212,30 @@ def _net_for(cfg: RunConfig):
     return p, net
 
 
-def _zero_profile(net):
-    """The rotation profile of one evaluation of net on zeros."""
-    with CostLedger() as led:
-        evaluate_network(net, SlotVector.zeros(net.n))
-    return rotation_profile(net, led)
-
-
 def _cmd_net(cfg: RunConfig):
     if cfg.target == "profile":
         n = cfg.n or 256
-        per: dict[int, float] = {}
-        totals = []
-        keys = set()
-        for i in range(cfg.samples):
-            p = Permutation.random(n, random.Random(cfg.seed + i))
-            net = build_network(p)
-            if cfg.reduce:
-                net = reduce_masks(net)
-            if cfg.collapse:
-                t, b, ar = cfg.collapse
-                net = collapse_levels(net, t, b, ar)
-            prof = _zero_profile(net)
-            for lv, c in prof.per_level.items():
-                per[lv] = per.get(lv, 0) + c
-            totals.append(sum(prof.per_level.values()))
-            keys |= prof.key_set
+        res = bench_networks(n, cfg.samples, cfg.seed, reduce=cfg.reduce,
+                             collapse=cfg.collapse)
         report = {
             "command": "net", "action": "profile", "n": n,
             "samples": cfg.samples, "seed": cfg.seed,
-            "per_level_mean": {str(lv): per[lv] / cfg.samples
-                               for lv in sorted(per)},
-            "total_mean": sum(totals) / cfg.samples,
-            "distinct_keys": len(keys),
+            "per_level_mean": {str(lv): v for lv, v in
+                               sorted(res.per_level_mean.items())},
+            "total_mean": res.total_mean,
+            "distinct_keys": res.distinct_keys,
         }
         return 0, report
 
     p, net = _net_for(cfg)
     if cfg.target == "build":
-        prof = _zero_profile(net)
+        rep = chain_cost(net)
         report = {
             "command": "net", "action": "build", "n": net.n,
             "seed": cfg.seed, "max_level": net.max_level,
             "rotation_nodes": len(net.rotation_nodes()),
-            "per_level": {str(k): v for k, v in sorted(prof.per_level.items())},
-            "keys": sorted(prof.key_set),
+            "per_level": {str(k): v for k, v in sorted(rep.per_level.items())},
+            "keys": sorted(rep.key_set),
             "network": net.to_json(),
         }
         return 0, report
@@ -287,7 +266,7 @@ def _cmd_benes(cfg: RunConfig):
         bc = restrict_keys(bc, cfg.budget)
     rng = random.Random(cfg.seed + 1)
     vals = [rng.randint(-50, 50) for _ in range(p.n)]
-    out = evaluate_benes(bc, SlotVector.from_list(vals))
+    out = bc.evaluate(SlotVector.from_list(vals))
     ok = bc.product() == perm_to_diag(p) and out.to_list() == p.apply(vals)
     report = {
         "command": "benes", "n": p.n, "seed": cfg.seed,

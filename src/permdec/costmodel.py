@@ -16,11 +16,13 @@ kept in the separate breakdown entries so the extension is visible.
 
 Every route is priced from one trace: the structure is evaluated once on an
 all-zero vector under a CostLedger, and that ledger alone supplies the
-rotation counts, the per-level counts, the key set and the mask levels. A
-network's rotations are grouped by the schedule level named in their tags and
-get the fused form there. A factor chain's rotations are grouped by operand
-level, which puts those of chain position j (counting from the input) on
-level start - j; each gets one rotation at that width, and each factor one
+rotation counts, the per-level counts, the key set and the mask levels. There
+are two kinds of structure. A network's rotations are grouped by the schedule
+level named in their tags and get the fused form there. Every factor chain,
+Beneš baselines and key-restricted ones included, is a DecompositionChain and
+runs through its own `evaluate`; its rotations are grouped by operand level,
+which puts those of chain position j (counting from the input) on level
+start - j; each gets one rotation at that width, and each factor one
 rescale. Plan-side predictions (BsgsPlan.rotation_count, the BenesChain
 counts, hmm_rotation_budget) stay independent of this and are checked
 against it.
@@ -33,7 +35,6 @@ import io
 import json
 from dataclasses import dataclass, field, replace
 
-from .benes import BenesChain, evaluate_benes
 from .chain import DecompositionChain
 from .ledger import CostLedger
 from .network import MultiGroupNetwork, evaluate_network, rotation_profile
@@ -194,17 +195,13 @@ def _network_cost(net: MultiGroupNetwork, cp0: CostParams) -> CostReport:
     return CostReport(net.n, depth, prof.per_level, prof.key_set, breakdown)
 
 
-def _chain_cost(ch, cp0: CostParams) -> CostReport:
+def _chain_cost(ch: DecompositionChain, cp0: CostParams) -> CostReport:
     depth = ch.depth
     if depth > cp0.level:
         raise DepthExhaustedError(f"factor {depth - 1 - cp0.level} underflows "
                                   f"the modulus chain at {cp0.level}")
     with CostLedger() as led:
-        v = SlotVector.zeros(ch.n, cp0.level)
-        if isinstance(ch, BenesChain):
-            evaluate_benes(ch, v)
-        else:
-            ch.evaluate(v)
+        ch.evaluate(SlotVector.zeros(ch.n, cp0.level))
     # factor position (input side first) = cp0.level - operand level
     per_level = dict.fromkeys(range(1, depth + 1), 0)
     for ev in led.rotations:
@@ -233,6 +230,6 @@ def chain_cost(source, cp0: CostParams | None = None) -> CostReport:
         cp0 = CostParams()
     if isinstance(source, MultiGroupNetwork):
         return _network_cost(source, cp0)
-    if isinstance(source, (BenesChain, DecompositionChain)):
+    if isinstance(source, DecompositionChain):
         return _chain_cost(source, cp0)
     raise TypeError(f"cannot cost a {type(source).__name__}")

@@ -336,21 +336,26 @@ def fast_replicate(v: SlotVector, cfg: HmmConfig, direction: str,
 
 @dataclass(frozen=True)
 class HmmBudget:
+    """`tolerance` is how far an executed rotation count may sit from
+    `total` and still match the budget."""
+
     total: int
     amortized: Fraction
     parts: dict = field(compare=False)
+    tolerance: int = 0
 
 
 def hmm_rotation_budget(cfg: HmmConfig) -> HmmBudget:
     """Closed-form rotation counts for the configured pipeline.
 
-    Single-mask replication is exact: the instrumented pipeline matches it
-    rotation for rotation. The layered forms assume the shared one- and
-    two-sided window costs; the anchored windows the pipeline actually
-    executes stay within d rotations of them (tests pin the exact
-    instrumented numbers per configuration). Per side, the two-sided window
-    of 2d/f0 parent shifts shares d' of them between neighbouring groups,
-    but never drops below the d/f0 - 1 shifts a single group needs.
+    Single-mask replication is exact (tolerance 0): the instrumented
+    pipeline matches it rotation for rotation. The layered forms assume the
+    shared one- and two-sided window costs; the anchored windows the pipeline
+    actually executes stay within d rotations of them (tolerance d; tests pin
+    the exact instrumented numbers per configuration). Per side, the
+    two-sided window of 2d/f0 parent shifts shares d' of them between
+    neighbouring groups, but never drops below the d/f0 - 1 shifts a single
+    group needs.
     """
     d, dp = cfg.d, cfg.d_prime
     ld, ldp = _log2(d), _log2(dp)
@@ -368,4 +373,5 @@ def hmm_rotation_budget(cfg: HmmConfig) -> HmmBudget:
             rep = 2 * shared + 2 * cfg.groups * lf0
         parts = {"reorder": 2 * ldp, "replicate": rep, "fold": ldp}
     total = sum(parts.values())
-    return HmmBudget(total=total, amortized=Fraction(total, cfg.m), parts=parts)
+    return HmmBudget(total=total, amortized=Fraction(total, cfg.m), parts=parts,
+                     tolerance=0 if cfg.replication is None else d)

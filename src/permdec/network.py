@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .ledger import CostLedger
 from .slots import Permutation, SlotVector
@@ -164,7 +164,7 @@ class MultiGroupNetwork:
     def rotation_nodes(self) -> list[Node]:
         return [nd for nd in self.nodes if nd.kind == "rotation"]
 
-    # -- serialization (graph only; collapse specs live in memory) ----------
+    # -- serialization (graph, plus the collapse spec when one is set) ----
 
     def to_json(self) -> dict:
         groups = []
@@ -187,10 +187,17 @@ class MultiGroupNetwork:
                     nodes.append(item)
                 levels.append({"nodes": nodes})
             groups.append({"levels": levels, "start": start})
-        return {"n": self.n, "reduced": self.reduced, "groups": groups}
+        obj = {"n": self.n, "reduced": self.reduced, "groups": groups}
+        if self.collapse:
+            obj["collapse"] = asdict(self.collapse)
+        return obj
 
     @classmethod
     def from_json(cls, obj: dict) -> "MultiGroupNetwork":
+        if "collapse" in obj:
+            raise ValueError("cannot load a collapsed network: its JSON "
+                             "carries the collapse spec but not the routing "
+                             "state that evaluates it")
         net = cls(obj["n"])
         net.reduced = obj.get("reduced", False)
         raw = []

@@ -90,6 +90,8 @@ def test_evaluate_oracle():
 
 
 def test_evaluation_count_matches_report():
+    # the full chain through evaluate_benes, and a key-restricted chain
+    # through its own evaluate, whose window rotations follow the key paths
     p = rand_perm(64, 77)
     ch = benes_decompose(p)
     rng = random.Random(77)
@@ -99,6 +101,28 @@ def test_evaluation_count_matches_report():
     by_tag = led.rotations_by_tag()
     for i, c in enumerate(ch.rotation_counts()):
         assert by_tag.get(f"benes.f{i}", 0) == c
+
+    q = rand_perm(256, 256)
+    rc = restrict_keys(collapse_benes(benes_decompose(q)))
+    vals = rand_vec(256, rng)
+    with CostLedger() as led:
+        out = rc.evaluate(SlotVector.from_list(vals))
+    assert out.to_list() == q.apply(vals)
+    by_tag = led.rotations_by_tag()
+    assert [by_tag.get(f"benes.f{i}", 0) for i in range(rc.depth)] \
+        == rc.rotation_counts()
+    assert led.rotation_count == rc.total_rotations()
+    assert led.key_set() <= rc.key_set()
+
+
+def test_benes_chains_are_decomposition_chains():
+    ch = benes_decompose(rand_perm(64, 78))
+    col = collapse_benes(ch)
+    for c in (ch, col, restrict_keys(col)):
+        assert isinstance(c, DecompositionChain)
+    # depth, product and evaluation come from DecompositionChain alone
+    shared = {"depth", "product", "diag_counts", "evaluate"}
+    assert not shared & set(vars(BenesChain))
 
 
 def test_dimension_mismatch_rejected():
@@ -242,26 +266,3 @@ def test_restricted_totals_exceed_network_totals():
             net_total = zero_profile(build_network(p)).total
             res = restrict_keys(collapse_benes(benes_decompose(p)))
             assert res.total_rotations() > net_total
-
-
-# ----------------------------------------------------------- serialization
-
-
-def test_chain_json_roundtrip():
-    rng = random.Random(94)
-    p = Permutation.random(64, rng)
-    vals = rand_vec(64, rng)
-    ch = collapse_benes(benes_decompose(p))
-    obj = ch.to_json()
-    assert set(obj) == {"n", "depth", "factors"}
-    back = DecompositionChain.from_json(obj)
-    assert back.depth == ch.depth
-    out = back.evaluate(SlotVector.from_list(vals), tag="loaded")
-    assert out.to_list() == p.apply(vals)
-
-
-def test_save_matches_chain_save(tmp_path):
-    ch = benes_decompose(rand_perm(16, 95))
-    path = tmp_path / "benes.json"
-    ch.save(path)
-    assert DecompositionChain.load(path).product() == ch.product()

@@ -1,5 +1,12 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
+import pytest
+
+from permdec import chain as chain_mod
 from permdec.chain import DecompositionChain
 from permdec.diag import DiagMatrix, perm_to_diag, plan_bsgs, to_permutation
 from permdec.ledger import CostLedger
@@ -51,28 +58,48 @@ def test_evaluate_with_bsgs_plans(rng):
     assert led.rotation_count <= budget
 
 
-def test_json_roundtrip(tmp_path, rng):
-    n = 8
-    chain = random_chain(n, rng, nfactors=2)
-    # a non-unit entry exercises the [row, value] serialization form
-    m = DiagMatrix(n)
-    m.set_entry(0, 0, 2)
-    m.set_entry(1, 1, 1)
-    chain = DecompositionChain(n, chain.factors + [m])
-    path = tmp_path / "chain.json"
-    chain.save(path)
-    again = DecompositionChain.load(path)
-    assert again.n == chain.n
-    assert again.factors == chain.factors
-    assert path.read_text() == again_text(again, path)
-
-
-def again_text(chain, path):
-    p2 = path.parent / "again.json"
-    chain.save(p2)
-    return p2.read_text()
-
-
 def test_depth_counts_factors(rng):
     chain = random_chain(8, rng, nfactors=4)
     assert chain.depth == 4
+
+
+# ------------------------------------------------------------- typed errors
+
+# each builds a bad chain or call and must raise ValueError matching the text
+BAD_CHAINS = {
+    "plans for": lambda: DecompositionChain(8, [DiagMatrix.identity(8)],
+                                            [None, None]),
+    "factor 1 has n=4": lambda: DecompositionChain(
+        8, [DiagMatrix.identity(8), DiagMatrix.identity(4)]),
+    "slot length mismatch": lambda: DecompositionChain(
+        8, [DiagMatrix.identity(8)]).evaluate(SlotVector.zeros(4)),
+    "key paths need": lambda: DecompositionChain(
+        8, [DiagMatrix.identity(8)], key_paths={}),
+}
+
+
+def test_bad_chains_raise_value_error():
+    for match, make in BAD_CHAINS.items():
+        with pytest.raises(ValueError, match=match):
+            make()
+
+
+def test_bad_chains_raise_without_asserts():
+    # the checks must not vanish under python -O
+    src = str(Path(chain_mod.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src, str(Path(__file__).parent)]
+        + [p for p in [env.get("PYTHONPATH")] if p])
+    script = ("from test_chain import BAD_CHAINS\n"
+              "for match, make in BAD_CHAINS.items():\n"
+              "    try:\n"
+              "        make()\n"
+              "    except ValueError as e:\n"
+              "        if match not in str(e):\n"
+              "            raise SystemExit(f'{match!r} not in {e}')\n"
+              "    else:\n"
+              "        raise SystemExit('accepted: ' + match)\n")
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr

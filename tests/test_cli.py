@@ -115,6 +115,16 @@ def test_net_profile_matches_reference_row(capsys):
     assert abs(rep["total_mean"] - 34.5) <= 0.10 * 34.5
 
 
+def test_net_profile_is_the_bench_aggregate(capsys):
+    _, prof = run_json(capsys, "net", "profile", "--n", "256",
+                       "--samples", "5", "--seed", "7")
+    _, bench = run_json(capsys, "bench", "--n", "256", "--samples", "5",
+                        "--seed", "7", "--format", "json")
+    res = bench["results"][0]
+    assert prof["total_mean"] == res["total_mean"]
+    assert prof["per_level_mean"] == res["per_level_mean"]
+
+
 def test_net_build_report_roundtrips(capsys):
     rc, rep = run_json(capsys, "net", "build", "--n", "64", "--seed", "3")
     assert rc == 0
@@ -216,6 +226,18 @@ def test_usage_errors_exit_two(capsys, tmp_path):
     assert main(["net", "eval", "--perm-file", str(tmp_path / "absent.json")]) == 2
     assert main(["decompose", "ut", "--d", "4", "--l", "9"]) == 2
     capsys.readouterr()
+
+
+def test_net_build_collapsed_report_declares_collapse(capsys):
+    # the printed network must not pass for the uncollapsed graph, whose
+    # rotations differ from the report's per_level and keys
+    rc, rep = run_json(capsys, "net", "build", "--n", "256", "--seed", "5",
+                       "--collapse", "2,3")
+    assert rc == 0
+    assert rep["network"]["collapse"] == {"top": 2, "bottom": 3, "arity": 4}
+    assert 3 in rep["keys"]
+    with pytest.raises(ValueError, match="collapsed network"):
+        MultiGroupNetwork.from_json(rep["network"])
 
 
 def test_duplicate_targets_exit_two(capsys, tmp_path):

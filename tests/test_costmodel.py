@@ -157,7 +157,8 @@ def test_single_rotation_chain_frozen_breakdown():
 
 def test_chain_rotations_match_replay(rng):
     p = Permutation.random(256, rng)
-    ch = collapse_benes(benes_decompose(p)).to_chain()
+    bc = collapse_benes(benes_decompose(p))
+    ch = DecompositionChain(bc.n, bc.factors, bc.plans)
     rep = chain_cost(ch)
     with CostLedger() as led:
         ch.evaluate(SlotVector.zeros(256))
@@ -173,7 +174,8 @@ def test_chain_additivity():
     # splitting a chain and costing the parts at their true start levels
     # reproduces the whole-chain report entry by entry
     p = Permutation.random(64, random.Random(41))
-    ch = collapse_benes(benes_decompose(p)).to_chain()
+    bc = collapse_benes(benes_decompose(p))
+    ch = DecompositionChain(bc.n, bc.factors, bc.plans)
     assert ch.depth == 5
     cut = 2
     head = DecompositionChain(64, ch.factors[:cut], ch.plans[:cut])

@@ -178,6 +178,7 @@ def test_random_products_exact_and_on_budget(d, dp, m):
     assert got == [mat_mul(a, b) for a, b in zip(amats, bmats)]
     budget = hmm_rotation_budget(cfg)
     assert lg.rotation_count == budget.total
+    assert budget.tolerance == 0
     assert lg.mult_count == d // dp
     assert lg.cmult_count == 2 * (d // dp)
     assert lg.rescale_count == 2 * (d // dp) + 1
@@ -377,6 +378,7 @@ def test_layered_budget_parts_nonnegative_and_within_d():
         budget = hmm_rotation_budget(cfg)
         assert min(budget.parts.values()) >= 0, (d, dp, factors)
         assert abs(lg.rotation_count - budget.total) <= d, (d, dp, factors)
+        assert budget.tolerance == d
 
 
 def test_layered_pipeline_depth():
