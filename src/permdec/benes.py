@@ -98,12 +98,6 @@ class BenesChain(DecompositionChain):
         if not len(self.factors) == len(self.allowed) == len(self.groups):
             raise ValueError("factors, allowed and groups differ in length")
 
-    def permutation(self) -> Permutation:
-        out = Permutation.identity(self.n)
-        for f in self.factors:
-            out = out.compose(to_permutation(f))
-        return out
-
     def factor_steps(self, i: int) -> list[int]:
         return self.plans[i].executed_steps()
 

@@ -18,7 +18,6 @@ import json
 import os
 import random
 import sys
-from dataclasses import dataclass, field
 
 from .bench import bench_csv, bench_networks
 from .benes import benes_decompose, collapse_benes, restrict_keys
@@ -38,34 +37,6 @@ from .verify import DEFAULT_SEED, run_suite
 OUTDIR_ENV = "PERMDEC_OUTDIR"
 
 
-@dataclass
-class RunConfig:
-    command: str
-    target: str = ""
-    n: int | None = None
-    d: int = 4
-    dp: int | None = None
-    l: int = 1
-    m: int = 1
-    seed: int = 0
-    samples: int = 20
-    collapse: tuple[int, int, int] | None = None
-    replication: str = "naive"
-    depth: int | None = None
-    budget: int | None = None
-    no_collapse: bool = False
-    no_restrict: bool = False
-    reduce: bool = True
-    verify: bool = False
-    all_checks: bool = False
-    n_max: int = 256
-    perm_file: str = ""
-    sizes: list[int] = field(default_factory=list)
-    workers: int = 1
-    fmt: str = ""
-    out: str = ""
-
-
 # ------------------------------------------------------------- subcommands
 
 _BUILDERS = {"ut": build_ut, "sigma": build_sigma, "tau": build_tau}
@@ -75,7 +46,7 @@ def _signed(n: int, steps) -> list[int]:
     return sorted(signed_rep(s % n, n) for s in steps)
 
 
-def _cmd_search(cfg: RunConfig):
+def _cmd_search(cfg: argparse.Namespace):
     if cfg.perm_file:
         u = perm_to_diag(Permutation.load(cfg.perm_file))
         target = cfg.perm_file
@@ -98,7 +69,7 @@ def _cmd_search(cfg: RunConfig):
     return (0 if rep.ok else 1), report
 
 
-def _ladder_report(chain, u, cfg: RunConfig):
+def _ladder_report(chain, u, cfg: argparse.Namespace):
     names = ["L"] + [f"R_{chain.depth - i}" for i in range(1, chain.depth)]
     report = {
         "command": "decompose", "target": cfg.target, "n": u.n,
@@ -118,7 +89,7 @@ def _ladder_report(chain, u, cfg: RunConfig):
     return status, report
 
 
-def _cmd_decompose(cfg: RunConfig):
+def _cmd_decompose(cfg: argparse.Namespace):
     if cfg.target in ("ut", "sigma", "tau"):
         if cfg.target == "ut":
             n = cfg.n if cfg.n else build_ut(cfg.d).n
@@ -163,7 +134,7 @@ def _parse_replication(text: str):
     return tuple(int(x) for x in text.split(","))
 
 
-def _cmd_hmm(cfg: RunConfig):
+def _cmd_hmm(cfg: argparse.Namespace):
     repl = _parse_replication(cfg.replication)
     hc = HmmConfig(cfg.d, cfg.dp if cfg.dp else cfg.d, cfg.m,
                    replication=repl)
@@ -198,7 +169,7 @@ def _cmd_hmm(cfg: RunConfig):
     return (0 if ok else 1), report
 
 
-def _net_for(cfg: RunConfig):
+def _net_for(cfg: argparse.Namespace):
     if cfg.perm_file:
         p = Permutation.load(cfg.perm_file)
     else:
@@ -212,7 +183,7 @@ def _net_for(cfg: RunConfig):
     return p, net
 
 
-def _cmd_net(cfg: RunConfig):
+def _cmd_net(cfg: argparse.Namespace):
     if cfg.target == "profile":
         n = cfg.n or 256
         res = bench_networks(n, cfg.samples, cfg.seed, reduce=cfg.reduce,
@@ -255,7 +226,7 @@ def _cmd_net(cfg: RunConfig):
     return (0 if ok else 1), report
 
 
-def _cmd_benes(cfg: RunConfig):
+def _cmd_benes(cfg: argparse.Namespace):
     n = cfg.n or 256
     p = (Permutation.load(cfg.perm_file) if cfg.perm_file
          else Permutation.random(n, random.Random(cfg.seed)))
@@ -279,7 +250,7 @@ def _cmd_benes(cfg: RunConfig):
     return (0 if ok else 1), report
 
 
-def _cmd_bench(cfg: RunConfig):
+def _cmd_bench(cfg: argparse.Namespace):
     sizes = cfg.sizes or [1 << 10]
     results = [bench_networks(n, cfg.samples, cfg.seed, cfg.workers)
                for n in sizes]
@@ -290,7 +261,7 @@ def _cmd_bench(cfg: RunConfig):
                "results": [r.to_json() for r in results]}
 
 
-def _cmd_verify(cfg: RunConfig):
+def _cmd_verify(cfg: argparse.Namespace):
     rep = run_suite(n_max=cfg.n_max, seed=cfg.seed, full=cfg.all_checks)
     report = dict(rep.to_json(), command="verify")
     return (0 if rep.ok else 1), report
@@ -303,7 +274,7 @@ _DISPATCH = {
 }
 
 
-def dispatch(cfg: RunConfig):
+def dispatch(cfg: argparse.Namespace):
     """Returns (exit status, report). Report is a dict, or csv text."""
     return _DISPATCH[cfg.command](cfg)
 
@@ -421,20 +392,11 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def config_from_args(ns: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(command=ns.command)
-    for key, val in vars(ns).items():
-        if key != "command" and hasattr(cfg, key) and val is not None:
-            setattr(cfg, key, val)
-    return cfg
-
-
 def main(argv=None) -> int:
     try:
-        ns = build_parser().parse_args(argv)
+        cfg = build_parser().parse_args(argv)
     except SystemExit as e:
         return int(e.code or 0)
-    cfg = config_from_args(ns)
     try:
         status, report = dispatch(cfg)
         _write(_render(report, cfg.fmt), cfg.out)

@@ -15,15 +15,17 @@ elementwise product over both ciphertext components; rotation-only totals are
 kept in the separate breakdown entries so the extension is visible.
 
 Every route is priced from one trace: the structure is evaluated once on an
-all-zero vector under a CostLedger, and that ledger alone supplies the
-rotation counts, the per-level counts, the key set and the mask levels. There
-are two kinds of structure. A network's rotations are grouped by the schedule
-level named in their tags and get the fused form there. Every factor chain,
-Beneš baselines and key-restricted ones included, is a DecompositionChain and
-runs through its own `evaluate`; its rotations are grouped by operand level,
-which puts those of chain position j (counting from the input) on level
-start - j; each gets one rotation at that width, and each factor one
-rescale. Plan-side predictions (BsgsPlan.rotation_count, the BenesChain
+all-zero vector under its own CostLedger, which takes every op of that scope
+(an outer ledger sees none of the replay). That op stream alone supplies the
+rotation counts, the per-level counts, the key set, the mask levels and the
+rescales. There are two kinds of structure. A network's rotations are grouped
+by the schedule level named in their tags and get the fused form there, so
+its rescales are not charged apart. Every factor chain, Beneš baselines and
+key-restricted ones included, is a DecompositionChain and runs through its
+own `evaluate`; its rotations are grouped by operand level, which puts those
+of chain position j (counting from the input) on level start - j, each priced
+at that width, and each recorded rescale is charged for the drop from its
+operand level. Plan-side predictions (BsgsPlan.rotation_count, the BenesChain
 counts, hmm_rotation_budget) stay independent of this and are checked
 against it.
 """
@@ -204,8 +206,8 @@ def _chain_cost(ch: DecompositionChain, cp0: CostParams) -> CostReport:
         ch.evaluate(SlotVector.zeros(ch.n, cp0.level))
     # factor position (input side first) = cp0.level - operand level
     per_level = dict.fromkeys(range(1, depth + 1), 0)
-    for ev in led.rotations:
-        per_level[cp0.level - ev.level + 1] += 1
+    for op in led.rotations:
+        per_level[cp0.level - op.level + 1] += 1
     breakdown = _empty_breakdown()
     for pos in range(depth):
         l = cp0.level - pos
@@ -214,7 +216,8 @@ def _chain_cost(ch: DecompositionChain, cp0: CostParams) -> CostReport:
         breakdown["decompose"] += count * dec
         breakdown["multsum"] += count * ms
         breakdown["moddown"] += count * md
-        breakdown["rescale"] += submodule_cost("rescale", cp0.at(l - 1))
+    for op in led.of_kind("rescale"):
+        breakdown["rescale"] += submodule_cost("rescale", cp0.at(op.level - 1))
     breakdown["mask"] = _mask_charge(led, cp0)
     return CostReport(ch.n, depth, per_level, led.key_set(), breakdown)
 
@@ -224,7 +227,7 @@ def chain_cost(source, cp0: CostParams | None = None) -> CostReport:
 
     Network rotations get the fused rotate-and-drop form on the schedule
     level = cp0.level - network_level; chain rotations are priced at their
-    operand width, plus one rescale per factor.
+    operand width, plus each recorded rescale at the level it drops from.
     """
     if cp0 is None:
         cp0 = CostParams()

@@ -51,10 +51,6 @@ class DiagMatrix:
     def identity(cls, n: int) -> "DiagMatrix":
         return cls(n, {0: {l: 1 for l in range(n)}})
 
-    @classmethod
-    def from_permutation(cls, p: Permutation) -> "DiagMatrix":
-        return perm_to_diag(p)
-
     def set_entry(self, k: int, l: int, val: int) -> None:
         assert val != 0
         self.diags.setdefault(k % self.n, {})[l % self.n] = val
@@ -247,34 +243,42 @@ def _assign_symmetric(offsets: Iterable[int], n1: int) -> dict[int, tuple[int, i
     return assign
 
 
-def _tie_penalty(d1: int, d2: int, ratio: float) -> float:
+# preferred d1/d2 (babies per giant) among n1 that execute equally many
+# rotations
+BSGS_RATIO = 4.0
+
+
+def _tie_penalty(d1: int, d2: int) -> float:
     if d1 <= 0 or d2 <= 0:
         return math.inf
-    return abs(math.log2((d1 / d2) / ratio))
+    return abs(math.log2((d1 / d2) / BSGS_RATIO))
 
 
 def plan_bsgs(offsets: Iterable[int], n: int, stride: int = 1,
               n1: int | None = None, style: str | None = None,
-              ratio: float = 4.0, d1: int | None = None,
-              d2: int | None = None) -> BsgsPlan:
+              d1: int | None = None, d2: int | None = None) -> BsgsPlan:
     """Plan for diagonal offsets given in stride units (k = stride*t mod n).
 
     With d1/d2 given, builds the eager forced-split plan (window [1, d1],
     giants +-[1, d2], all executed). Otherwise picks n1 minimizing executed
-    rotations; ties prefer d1/d2 nearest `ratio`, then smaller n1.
+    rotations; ties prefer d1/d2 nearest BSGS_RATIO, then smaller n1.
+    Raises ValueError for an empty offset set and for a forced split that is
+    incomplete or cannot cover the offsets.
     """
     ts = sorted(set(offsets))
-    assert ts, "empty offset set"
+    if not ts:
+        raise ValueError("empty offset set")
     if d1 is not None or d2 is not None:
-        assert d1 is not None and d2 is not None and d1 >= 1 and d2 >= 0
-        dmax = max(abs(t) for t in ts)
-        assert d1 * max(d2, 1) + d1 >= dmax + 1 or d1 >= dmax, "split cannot cover range"
+        if d1 is None or d2 is None or d1 < 1 or d2 < 0:
+            raise ValueError(f"a forced split needs d1 >= 1 and d2 >= 0, "
+                             f"got d1={d1}, d2={d2}")
         assign = {}
         for t in ts:
             g = t // d1
-            j = t - d1 * g
-            assert abs(g) <= d2, "split cannot cover range"
-            assign[t] = (g, j)
+            if abs(g) > d2:
+                raise ValueError(f"split d1={d1}, d2={d2} cannot cover "
+                                 f"offset {t}")
+            assign[t] = (g, t - d1 * g)
         return BsgsPlan(n, stride, d1, "eager", assign,
                         tuple(range(1, d1 + 1)),
                         tuple(g for g in range(-d2, d2 + 1) if g),
@@ -318,7 +322,7 @@ def plan_bsgs(offsets: Iterable[int], n: int, stride: int = 1,
             pd1, pd2 = len(js), len(gs) // 2
         else:
             pd1, pd2 = len(js), len(gs)
-        candidates.append((count, _tie_penalty(pd1, pd2, ratio), cand,
+        candidates.append((count, _tie_penalty(pd1, pd2), cand,
                            BsgsPlan(n, stride, cand, style, assign, js, gs, pd1, pd2)))
     # pure-baby fallback: every offset its own rotation
     assign = {t: (0, t) for t in ts}

@@ -1,9 +1,14 @@
 """Operation counting for simulated ciphertext evaluation.
 
-Every rotation, scalar multiplication, ciphertext multiplication and rescale
-performed on a SlotVector is recorded in the innermost active CostLedger.
+The ledger is one op stream: every rotation, plaintext-mask multiplication,
+ciphertext multiplication and rescale performed on a SlotVector is appended,
+in execution order, as one Op to the innermost active CostLedger. Counts, key
+sets and per-level tallies are views of that stream, and the cost model
+prices every route, rescales included, from it alone.
+
 Ledgers nest: `with CostLedger() as lg:` captures everything evaluated inside,
-including helper routines that know nothing about the caller.
+including helper routines that know nothing about the caller. An inner ledger
+takes the ops of its scope; its parent sees none of them.
 """
 
 from __future__ import annotations
@@ -14,52 +19,37 @@ from dataclasses import dataclass, field
 
 
 @dataclass(frozen=True)
-class RotEvent:
-    """One executed rotation. step is reduced mod n and never 0.
+class Op:
+    """One recorded operation.
 
-    level is the operand's modulus level at execution time (-1 when the
-    operation happened outside a level-carrying context). It is not a
-    network's schedule level: a network rotation carries that in its tag
-    (net.g{group}.l{level}, net.collapse.top or net.collapse.bot), which
-    network.rotation_profile reads.
+    kind is "rotate", "cmult", "mult" or "rescale". level is the operand's
+    modulus level: a rescale records the level it drops from, a mult the
+    lower of its two operand levels. It is not a network's schedule level: a
+    network rotation carries that in its tag (net.g{group}.l{level},
+    net.collapse.top or net.collapse.bot), which network.rotation_profile
+    reads. step is the rotation step reduced mod n (never 0), and 0 for
+    every other kind.
     """
 
-    step: int
+    kind: str
+    level: int
     tag: str = ""
-    level: int = -1
-
-
-@dataclass(frozen=True)
-class CmultEvent:
-    """One plaintext-mask multiplication."""
-
-    tag: str = ""
-    level: int = -1
+    step: int = 0
 
 
 @dataclass
 class CostLedger:
-    rotations: list[RotEvent] = field(default_factory=list)
-    cmults: list[CmultEvent] = field(default_factory=list)
-    mults: list[str] = field(default_factory=list)
-    rescales: list[str] = field(default_factory=list)
+    ops: list[Op] = field(default_factory=list)
     _token: contextvars.Token | None = None
 
-    # -- recording -----------------------------------------------------------
+    # -- views of the stream -------------------------------------------------
 
-    def add_rotation(self, step: int, tag: str = "", level: int = -1) -> None:
-        self.rotations.append(RotEvent(step, tag, level))
+    def of_kind(self, kind: str) -> list[Op]:
+        return [op for op in self.ops if op.kind == kind]
 
-    def add_cmult(self, tag: str = "", level: int = -1) -> None:
-        self.cmults.append(CmultEvent(tag, level))
-
-    def add_mult(self, tag: str = "") -> None:
-        self.mults.append(tag)
-
-    def add_rescale(self, tag: str = "") -> None:
-        self.rescales.append(tag)
-
-    # -- queries -------------------------------------------------------------
+    @property
+    def rotations(self) -> list[Op]:
+        return self.of_kind("rotate")
 
     @property
     def rotation_count(self) -> int:
@@ -67,29 +57,29 @@ class CostLedger:
 
     @property
     def cmult_count(self) -> int:
-        return len(self.cmults)
+        return len(self.of_kind("cmult"))
 
     @property
     def mult_count(self) -> int:
-        return len(self.mults)
+        return len(self.of_kind("mult"))
 
     @property
     def rescale_count(self) -> int:
-        return len(self.rescales)
+        return len(self.of_kind("rescale"))
 
     def rotation_steps(self) -> Counter:
         """Multiset of executed steps (mod n, nonzero)."""
-        return Counter(ev.step for ev in self.rotations)
+        return Counter(op.step for op in self.rotations)
 
     def key_set(self) -> set[int]:
         """Distinct rotation steps used; the evaluation-key budget."""
-        return {ev.step for ev in self.rotations}
+        return {op.step for op in self.rotations}
 
     def rotations_by_tag(self) -> Counter:
-        return Counter(ev.tag for ev in self.rotations)
+        return Counter(op.tag for op in self.rotations)
 
     def cmults_by_level(self) -> Counter:
-        return Counter(ev.level for ev in self.cmults)
+        return Counter(op.level for op in self.of_kind("cmult"))
 
     # -- scoping -------------------------------------------------------------
 
@@ -108,25 +98,8 @@ _active: contextvars.ContextVar[CostLedger | None] = contextvars.ContextVar(
 )
 
 
-def record_rotation(step: int, tag: str = "", level: int = -1) -> None:
+def record(kind: str, level: int, tag: str = "", step: int = 0) -> None:
+    """Append one op to the innermost active ledger, if there is one."""
     lg = _active.get()
     if lg is not None:
-        lg.add_rotation(step, tag, level)
-
-
-def record_cmult(tag: str = "", level: int = -1) -> None:
-    lg = _active.get()
-    if lg is not None:
-        lg.add_cmult(tag, level)
-
-
-def record_mult(tag: str = "") -> None:
-    lg = _active.get()
-    if lg is not None:
-        lg.add_mult(tag)
-
-
-def record_rescale(tag: str = "") -> None:
-    lg = _active.get()
-    if lg is not None:
-        lg.add_rescale(tag)
+        lg.ops.append(Op(kind, level, tag, step))

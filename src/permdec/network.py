@@ -158,9 +158,6 @@ class MultiGroupNetwork:
         bottom = self.collapse.bottom if self.collapse else 0
         return self.max_level - bottom
 
-    def childless(self) -> list[Node]:
-        return [nd for nd in self.nodes if not self.out_edges[nd.idx]]
-
     def rotation_nodes(self) -> list[Node]:
         return [nd for nd in self.nodes if nd.kind == "rotation"]
 
@@ -210,7 +207,10 @@ class MultiGroupNetwork:
         raw.sort(key=lambda t: t[0]["id"])
         for nd, g, lv in raw:
             node = net.add_node(nd["kind"], g, lv, step=nd.get("step", 0))
-            assert node.idx == nd["id"], "non-contiguous node ids"
+            if node.idx != nd["id"]:
+                raise ValueError(f"network node ids must run 0..{len(raw) - 1} "
+                                 f"without gaps; found id {nd['id']} at "
+                                 f"position {node.idx}")
         for nd, _, _ in raw:
             for e in nd["edges"]:
                 edge = net.edge(nd["id"], e["to"])
@@ -527,7 +527,7 @@ def rotation_profile(net: MultiGroupNetwork, led: CostLedger
     """
     collapsed = {"net.collapse.top": 1, "net.collapse.bot": net.cut + 1}
     per_level = Counter(
-        collapsed.get(ev.tag) or int(ev.tag.rpartition(".l")[2])
-        for ev in led.rotations)
+        collapsed.get(op.tag) or int(op.tag.rpartition(".l")[2])
+        for op in led.rotations)
     return RotationProfile(dict(sorted(per_level.items())), led.key_set(),
                            led.rotation_count)

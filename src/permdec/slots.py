@@ -7,6 +7,10 @@ exact (Python ints), so any two evaluation strategies for the same linear
 map can be compared for bit equality.
 
 Rotation is a left cyclic shift: rotate(v, k)[i] = v[(i + k) mod n].
+
+rotate, cmult, mult and rescale each append one op (kind, operand level, tag,
+step) to the innermost active CostLedger, the one op stream every cost figure
+is read from. add is exact but not recorded.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ import json
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .ledger import record_cmult, record_mult, record_rescale, record_rotation
+from .ledger import record
 
 # 18 moduli -> top level 17, matching the cost model's default chain.
 DEFAULT_LEVEL = 17
@@ -23,6 +27,11 @@ DEFAULT_LEVEL = 17
 
 class DepthExhaustedError(Exception):
     """Raised when a rescale is requested at level 0."""
+
+
+def _check_length(got: int, n: int) -> None:
+    if got != n:
+        raise ValueError(f"slot length mismatch: {got} != {n}")
 
 
 def rotate_tuple(slots: Sequence[int], k: int) -> tuple[int, ...]:
@@ -59,26 +68,26 @@ class SlotVector:
         k %= self.n
         if k == 0:
             return self
-        record_rotation(k, tag, self.level)
+        record("rotate", self.level, tag, k)
         return SlotVector(rotate_tuple(self.slots, k), self.level, self.depth_used)
 
     def cmult(self, mask: Sequence[int], tag: str = "") -> "SlotVector":
         """Multiply by a plaintext vector. No automatic rescale."""
-        assert len(mask) == self.n
-        record_cmult(tag, self.level)
+        _check_length(len(mask), self.n)
+        record("cmult", self.level, tag)
         out = tuple(a * b for a, b in zip(self.slots, mask))
         return SlotVector(out, self.level, self.depth_used)
 
     def mult(self, other: "SlotVector", tag: str = "") -> "SlotVector":
         """Ciphertext-ciphertext product. No automatic rescale."""
-        assert self.n == other.n
-        record_mult(tag)
+        _check_length(other.n, self.n)
+        level = min(self.level, other.level)
+        record("mult", level, tag)
         out = tuple(a * b for a, b in zip(self.slots, other.slots))
-        return SlotVector(out, min(self.level, other.level),
-                          max(self.depth_used, other.depth_used))
+        return SlotVector(out, level, max(self.depth_used, other.depth_used))
 
     def add(self, other: "SlotVector") -> "SlotVector":
-        assert self.n == other.n
+        _check_length(other.n, self.n)
         out = tuple(a + b for a, b in zip(self.slots, other.slots))
         return SlotVector(out, min(self.level, other.level),
                           max(self.depth_used, other.depth_used))
@@ -89,7 +98,7 @@ class SlotVector:
     def rescale(self, tag: str = "") -> "SlotVector":
         if self.level <= 0:
             raise DepthExhaustedError("no moduli left to rescale into")
-        record_rescale(tag)
+        record("rescale", self.level, tag)
         return SlotVector(self.slots, self.level - 1, self.depth_used + 1)
 
     def to_list(self) -> list[int]:
@@ -110,7 +119,7 @@ class Permutation:
 
     def apply(self, vals: Sequence[int]) -> list[int]:
         """Plain (free) application: out[targets[i]] = vals[i]."""
-        assert len(vals) == self.n
+        _check_length(len(vals), self.n)
         out = [0] * self.n
         for i, t in enumerate(self.targets):
             out[t] = vals[i]
@@ -128,7 +137,7 @@ class Permutation:
 
     def compose(self, first: "Permutation") -> "Permutation":
         """self after first: (self . first)(v) = self(first(v))."""
-        assert self.n == first.n
+        _check_length(first.n, self.n)
         return Permutation([self.targets[first.targets[i]] for i in range(self.n)])
 
     def __eq__(self, other) -> bool:

@@ -21,7 +21,8 @@ from permdec.diag import (
 from permdec.ledger import CostLedger
 from permdec.slots import Permutation, SlotVector
 
-from util import transpose_perm
+from util import (assert_value_errors, assert_value_errors_without_asserts,
+                  transpose_perm)
 
 
 def test_signed_rep():
@@ -166,6 +167,28 @@ def test_plan_onesided():
 def test_plan_single_offset_one_rotation():
     plan = plan_bsgs([5], n=32, stride=1, n1=1)
     assert plan.rotation_count() == 1
+
+
+# each bad plan request must raise ValueError matching the text, also under
+# python -O
+BAD_PLANS = {
+    "empty offset set": lambda: plan_bsgs([], n=16),
+    "got d1=2, d2=None": lambda: plan_bsgs([0, 1], n=16, d1=2),
+    "got d1=0, d2=1": lambda: plan_bsgs([0, 1], n=16, d1=0, d2=1),
+    "got d1=3, d2=-1": lambda: plan_bsgs([0, 1], n=16, d1=3, d2=-1),
+    "split d1=2, d2=2 cannot cover offset -9":
+        lambda: plan_bsgs(range(-9, 10), n=64, d1=2, d2=2),
+    "split d1=4, d2=0 cannot cover offset 5":
+        lambda: plan_bsgs([0, 3, 5], n=64, d1=4, d2=0),
+}
+
+
+def test_bad_plans_raise_value_error():
+    assert_value_errors(BAD_PLANS)
+
+
+def test_bad_plans_raise_without_asserts():
+    assert_value_errors_without_asserts("test_diag", "BAD_PLANS")
 
 
 def full_range_matrix(n, stride, dmax, rng):

@@ -16,7 +16,8 @@ from permdec.ledger import CostLedger
 from permdec.network import (MultiGroupNetwork, build_network, collapse_levels,
                              evaluate_network, reduce_masks)
 from permdec.slots import Permutation, SlotVector
-from util import zero_profile
+from util import (assert_value_errors, assert_value_errors_without_asserts,
+                  zero_profile)
 
 
 def log2(x: int) -> int:
@@ -470,6 +471,33 @@ def test_reduced_json_roundtrip():
     assert back.reduced
     out = evaluate_network(back, SlotVector.from_list(vals))
     assert out.to_list() == p.apply(vals)
+
+
+def _json_with_ids(ids):
+    obj = build_network(Permutation.rotation(8, 3)).to_json()
+    nodes = [nd for grp in obj["groups"] for lvl in grp["levels"]
+             for nd in lvl["nodes"]]
+    for nd, new in zip(nodes, ids):
+        nd["id"] = new
+    return obj
+
+
+# each bad network JSON must raise ValueError matching the text, also under
+# python -O
+BAD_NETWORK_JSON = {
+    "found id 5 at position 2": lambda: MultiGroupNetwork.from_json(
+        _json_with_ids([0, 1, 5])),
+    "found id 0 at position 1": lambda: MultiGroupNetwork.from_json(
+        _json_with_ids([0, 0])),
+}
+
+
+def test_bad_network_json_raises_value_error():
+    assert_value_errors(BAD_NETWORK_JSON)
+
+
+def test_bad_network_json_raises_without_asserts():
+    assert_value_errors_without_asserts("test_network", "BAD_NETWORK_JSON")
 
 
 def test_save_and_load(tmp_path):

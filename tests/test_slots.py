@@ -13,6 +13,8 @@ from permdec.slots import (
     rotate_tuple,
 )
 
+from util import assert_value_errors, assert_value_errors_without_asserts
+
 
 def test_rotate_left_shift():
     v = SlotVector((1, 2, 3, 4))
@@ -73,11 +75,23 @@ def test_ledger_records_ops():
     with CostLedger() as lg:
         v.rotate(1, tag="x").rotate(0).cmult([1, 0, 1, 0]).rescale()
         v.rotate(-1)
+        v.rescale().mult(v, tag="m")
     assert lg.rotation_count == 2  # step-0 rotation is free and unrecorded
     assert lg.rotation_steps() == {1: 1, 3: 1}
     assert lg.cmult_count == 1
-    assert lg.rescale_count == 1
+    assert lg.rescale_count == 2
+    assert lg.mult_count == 1
     assert lg.rotations_by_tag()["x"] == 1
+    # one stream in execution order: a rescale records the level it drops
+    # from, a mult the lower of its operand levels
+    assert [(op.kind, op.level, op.tag, op.step) for op in lg.ops] == [
+        ("rotate", 17, "x", 1),
+        ("cmult", 17, "", 0),
+        ("rescale", 17, "", 0),
+        ("rotate", 17, "", 3),
+        ("rescale", 17, "", 0),
+        ("mult", 16, "m", 0),
+    ]
 
 
 def test_ledger_nesting_inner_wins():
@@ -89,6 +103,29 @@ def test_ledger_nesting_inner_wins():
         v.rotate(3)
     assert inner.rotation_count == 1
     assert outer.rotation_count == 2
+
+
+# each bad call must raise ValueError matching the text, also under python -O
+BAD_SLOT_OPS = {
+    "slot length mismatch: 2 != 4":
+        lambda: SlotVector.zeros(4).cmult([1, 1]),
+    "slot length mismatch: 3 != 4":
+        lambda: SlotVector.zeros(4).mult(SlotVector.zeros(3)),
+    "slot length mismatch: 8 != 4":
+        lambda: SlotVector.zeros(4).add(SlotVector.zeros(8)),
+    "slot length mismatch: 5 != 4":
+        lambda: Permutation.identity(4).apply([0] * 5),
+    "slot length mismatch: 6 != 4":
+        lambda: Permutation.identity(4).compose(Permutation.identity(6)),
+}
+
+
+def test_bad_slot_ops_raise_value_error():
+    assert_value_errors(BAD_SLOT_OPS)
+
+
+def test_bad_slot_ops_raise_without_asserts():
+    assert_value_errors_without_asserts("test_slots", "BAD_SLOT_OPS")
 
 
 def test_permutation_apply_and_inverse():

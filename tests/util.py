@@ -2,10 +2,48 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from permdec import slots
 from permdec.diag import DiagMatrix
 from permdec.ledger import CostLedger
 from permdec.network import evaluate_network, rotation_profile
 from permdec.slots import Permutation, SlotVector
+
+
+def assert_value_errors(table) -> None:
+    """table maps message text to a callable that must raise ValueError
+    with that text."""
+    for match, make in table.items():
+        with pytest.raises(ValueError, match=match):
+            make()
+
+
+def assert_value_errors_without_asserts(module: str, table: str) -> None:
+    """The same check run under python -O, where an assert would vanish:
+    `table` is the name of such a mapping in test module `module`."""
+    src = str(Path(slots.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src, str(Path(__file__).parent)]
+        + [p for p in [env.get("PYTHONPATH")] if p])
+    script = (f"from {module} import {table}\n"
+              f"for match, make in {table}.items():\n"
+              "    try:\n"
+              "        make()\n"
+              "    except ValueError as e:\n"
+              "        if match not in str(e):\n"
+              "            raise SystemExit(f'{match!r} not in {e}')\n"
+              "    else:\n"
+              "        raise SystemExit('accepted: ' + match)\n")
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
 
 
 def zero_profile(net):
