@@ -4,9 +4,9 @@ For each size the bench samples uniform random permutations (per-sample seed
 = base seed + index), builds the routing network (mask-reduced unless asked
 otherwise, optionally level-collapsed), and aggregates the per-level rotation
 profile, the distinct rotation keys and the priced scalar-multiplication
-total; `permdec net profile` reports the same aggregate. Sampling can fan out
-over worker processes; results are keyed by sample index, so the aggregate
-does not depend on completion order.
+total; `permdec net profile` reports the same aggregate. Samples run one
+after another in this process. Each is priced from a slot-free replay
+(costmodel.chain_cost), which takes a small fraction of the network build.
 
 CSV schema (one row per size and level):
 
@@ -22,7 +22,6 @@ import csv
 import io
 import random
 import statistics
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .costmodel import CostParams, CostReport, chain_cost
@@ -33,15 +32,15 @@ CSV_HEADER = ("n,samples,seed,level,mean_rotations,"
               "std_total,mean_total,mean_scalar_mult")
 
 
-def _sample(job) -> tuple[int, CostReport]:
-    """One permutation: (index, priced network)."""
-    idx, n, seed, reduce, collapse = job
+def _sample(n: int, seed: int, reduce: bool,
+            collapse: tuple[int, int, int] | None) -> CostReport:
+    """One permutation's priced network."""
     net = build_network(Permutation.random(n, random.Random(seed)))
     if reduce:
         net = reduce_masks(net)
     if collapse:
         net = collapse_levels(net, *collapse)
-    return idx, chain_cost(net, CostParams())
+    return chain_cost(net, CostParams())
 
 
 @dataclass
@@ -66,18 +65,12 @@ class BenchResult:
 
 
 def bench_networks(n: int, samples: int = 20, seed: int = 0,
-                   workers: int = 1, reduce: bool = True,
+                   reduce: bool = True,
                    collapse: tuple[int, int, int] | None = None
                    ) -> BenchResult:
     """Aggregate over `samples` networks; `collapse` is (top, bottom,
     arity) for collapse_levels."""
-    jobs = [(i, n, seed + i, reduce, collapse) for i in range(samples)]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            raw = list(pool.map(_sample, jobs))
-    else:
-        raw = [_sample(j) for j in jobs]
-    reps = [rep for _, rep in sorted(raw, key=lambda r: r[0])]
+    reps = [_sample(n, seed + i, reduce, collapse) for i in range(samples)]
 
     levels = sorted({lv for rep in reps for lv in rep.per_level})
     per_mean = {lv: sum(rep.per_level.get(lv, 0) for rep in reps) / samples

@@ -252,8 +252,7 @@ def _cmd_benes(cfg: argparse.Namespace):
 
 def _cmd_bench(cfg: argparse.Namespace):
     sizes = cfg.sizes or [1 << 10]
-    results = [bench_networks(n, cfg.samples, cfg.seed, cfg.workers)
-               for n in sizes]
+    results = [bench_networks(n, cfg.samples, cfg.seed) for n in sizes]
     if (cfg.fmt or "csv") == "csv":
         return 0, bench_csv(results)
     return 0, {"command": "bench", "seed": cfg.seed,
@@ -382,7 +381,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n", dest="sizes", type=int, action="append",
                     default=None)
     sp.add_argument("--samples", type=int, default=20)
-    sp.add_argument("--workers", type=int, default=1)
     common(sp, seed=5000)
 
     sp = sub.add_parser("verify", help="oracle equivalence suite")

@@ -14,18 +14,19 @@ Masks (plaintext multiplications) are priced at 2*N*(level+1) each, an
 elementwise product over both ciphertext components; rotation-only totals are
 kept in the separate breakdown entries so the extension is visible.
 
-Every route is priced from one trace: the structure is evaluated once on an
-all-zero vector under its own CostLedger, which takes every op of that scope
-(an outer ledger sees none of the replay). That op stream alone supplies the
-rotation counts, the per-level counts, the key set, the mask levels and the
-rescales. There are two kinds of structure. A network's rotations are grouped
-by the schedule level named in their tags and get the fused form there, so
-its rescales are not charged apart. Every factor chain, Beneš baselines and
-key-restricted ones included, is a DecompositionChain and runs through its
-own `evaluate`; its rotations are grouped by operand level, which puts those
-of chain position j (counting from the input) on level start - j, each priced
-at that width, and each recorded rescale is charged for the drop from its
-operand level. Plan-side predictions (BsgsPlan.rotation_count, the BenesChain
+Every route is priced from one trace: `_replay` evaluates the structure once
+on a slot-free vector (SlotVector.slot_free) under its own CostLedger, which
+takes every op of that scope (an outer ledger sees none of the replay). The
+slot-free run records the ops of a run on real slots and does no slot
+arithmetic. That op stream alone supplies the rotation counts, the per-level
+counts, the key set, the mask levels and the rescales. There are two kinds of
+structure. A network's rotations are grouped by the schedule level named in
+their tags and get the fused form there, so its rescales are not charged
+apart. Every factor chain, Beneš baselines and key-restricted ones included,
+is a DecompositionChain and runs through its own `evaluate`; its rotations
+are grouped by operand level, which puts those of chain position j (counting
+from the input) on level start - j, each priced at that width, and each
+recorded rescale is charged for the drop from its operand level. Plan-side predictions (BsgsPlan.rotation_count, the BenesChain
 counts, hmm_rotation_budget) stay independent of this and are checked
 against it.
 """
@@ -177,9 +178,20 @@ def _mask_charge(led: CostLedger, cp0: CostParams) -> int:
     return out
 
 
-def _network_cost(net: MultiGroupNetwork, cp0: CostParams) -> CostReport:
+def _replay(source, level: int = DEFAULT_LEVEL) -> CostLedger:
+    """The op stream of one run of a network or chain on a slot-free vector
+    at `level`: the ops a real run records, without the slot arithmetic."""
+    v = SlotVector.slot_free(source.n, level)
     with CostLedger() as led:
-        evaluate_network(net, SlotVector.zeros(net.n, cp0.level))
+        if isinstance(source, MultiGroupNetwork):
+            evaluate_network(source, v)
+        else:
+            source.evaluate(v)
+    return led
+
+
+def _network_cost(net: MultiGroupNetwork, cp0: CostParams) -> CostReport:
+    led = _replay(net, cp0.level)
     prof = rotation_profile(net, led)
     breakdown = _empty_breakdown()
     for lv, count in prof.per_level.items():
@@ -202,8 +214,7 @@ def _chain_cost(ch: DecompositionChain, cp0: CostParams) -> CostReport:
     if depth > cp0.level:
         raise DepthExhaustedError(f"factor {depth - 1 - cp0.level} underflows "
                                   f"the modulus chain at {cp0.level}")
-    with CostLedger() as led:
-        ch.evaluate(SlotVector.zeros(ch.n, cp0.level))
+    led = _replay(ch, cp0.level)
     # factor position (input side first) = cp0.level - operand level
     per_level = dict.fromkeys(range(1, depth + 1), 0)
     for op in led.rotations:

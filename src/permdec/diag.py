@@ -161,13 +161,15 @@ def matvec(m: DiagMatrix, vals: Sequence[int]) -> list[int]:
 
 def apply_hlt_direct(m: DiagMatrix, v: SlotVector, tag: str = "") -> SlotVector:
     """One rotation per non-zero off diagonal, one rescale at the end."""
-    assert m.n == v.n, "dimension mismatch"
+    if m.n != v.n:
+        raise ValueError(f"dimension mismatch: matrix n={m.n}, vector "
+                         f"n={v.n}")
     acc = None
     for k in sorted(m.diags):
         term = v.rotate(k, tag).cmult(m.mask(k), tag)
         acc = term if acc is None else acc + term
     if acc is None:
-        acc = SlotVector.zeros(v.n, v.level)
+        acc = v.zeros_like()
     return acc.rescale(tag)
 
 
@@ -342,7 +344,9 @@ def apply_hlt_bsgs(m: DiagMatrix, plan: BsgsPlan, v: SlotVector,
     out (a caller with a restricted key set chains several smaller rotations);
     it must still shift by exactly `step`.
     """
-    assert m.n == v.n == plan.n, "dimension mismatch"
+    if not m.n == v.n == plan.n:
+        raise ValueError(f"dimension mismatch: matrix n={m.n}, vector "
+                         f"n={v.n}, plan n={plan.n}")
     if rot is None:
         rot = lambda vec, step, t: vec.rotate(step, t)
     n = m.n
@@ -380,11 +384,11 @@ def apply_hlt_bsgs(m: DiagMatrix, plan: BsgsPlan, v: SlotVector,
         if inner is None:
             if not eager:
                 continue
-            inner = SlotVector.zeros(n, v.level)
+            inner = v.zeros_like()
         out_g = rot(inner, gstep, tag) if gstep else inner
         acc = out_g if acc is None else acc + out_g
     if acc is None:
-        acc = SlotVector.zeros(n, v.level)
+        acc = v.zeros_like()
     return acc.rescale(tag)
 
 

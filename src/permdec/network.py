@@ -213,8 +213,15 @@ class MultiGroupNetwork:
                                  f"position {node.idx}")
         for nd, _, _ in raw:
             for e in nd["edges"]:
-                edge = net.edge(nd["id"], e["to"])
-                edge.mask = None if e.get("copy") else set(e["mask"])
+                if not 0 <= e["to"] < len(raw):
+                    raise ValueError(f"edge from node {nd['id']} to unknown "
+                                     f"node {e['to']}")
+                mask = None if e.get("copy") else set(e["mask"])
+                bad = sorted(p for p in mask or () if not 0 <= p < net.n)
+                if bad:
+                    raise ValueError(f"edge {nd['id']}->{e['to']} masks slot "
+                                     f"{bad[0]}, outside 0..{net.n - 1}")
+                net.edge(nd["id"], e["to"]).mask = mask
         return net
 
     def save(self, path):
@@ -426,7 +433,7 @@ def evaluate_network(net: MultiGroupNetwork, v: SlotVector) -> SlotVector:
         for r in sorted(by_r):
             part = _masked(rotant(r), by_r[r], "net.collapse.top")
             acc = part if acc is None else acc + part
-        return acc if acc is not None else SlotVector.zeros(net.n, v.level)
+        return acc if acc is not None else v.zeros_like()
 
     outputs = {}
     terms = []
@@ -446,8 +453,7 @@ def evaluate_network(net: MultiGroupNetwork, v: SlotVector) -> SlotVector:
         else:
             ine = net.in_edges[nd.idx]
             if not ine:
-                outputs[nd.idx] = v if nd.level == 0 \
-                    else SlotVector.zeros(net.n, v.level)
+                outputs[nd.idx] = v if nd.level == 0 else v.zeros_like()
                 if nd.level == 0 and not net.out_edges[nd.idx] \
                         and nd.level < cut:
                     terms.append(v)

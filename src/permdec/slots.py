@@ -11,11 +11,20 @@ Rotation is a left cyclic shift: rotate(v, k)[i] = v[(i + k) mod n].
 rotate, cmult, mult and rescale each append one op (kind, operand level, tag,
 step) to the innermost active CostLedger, the one op stream every cost figure
 is read from. add is exact but not recorded.
+
+A slot-free vector (SlotVector.slot_free) carries n, level and depth_used but
+no slot values. Every op on it does the same level, depth and ledger
+bookkeeping as on a real vector and skips the arithmetic, so a run of an
+evaluator on one records exactly the ops of a real run. The cost model prices
+every route from such a run. Reading its values (to_list, iterating or
+indexing .slots) raises SlotFreeError, and so does an add or mult that mixes
+it with a real vector.
 """
 
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -27,6 +36,31 @@ DEFAULT_LEVEL = 17
 
 class DepthExhaustedError(Exception):
     """Raised when a rescale is requested at level 0."""
+
+
+class SlotFreeError(TypeError):
+    """Slot values were read from, or mixed with, a slot-free vector."""
+
+
+class _NoSlots:
+    """The slots of a slot-free vector: it has a length, no values."""
+
+    __slots__ = ("n",)
+
+    def __init__(self, n: int):
+        self.n = n
+
+    def __len__(self) -> int:
+        return self.n
+
+    def __repr__(self) -> str:
+        return f"<{self.n} slot-free slots>"
+
+    def _refuse(self, *args):
+        raise SlotFreeError("a slot-free vector has no slot values")
+
+    __iter__ = __getitem__ = __contains__ = __eq__ = _refuse
+    __hash__ = None
 
 
 def _check_length(got: int, n: int) -> None:
@@ -43,16 +77,21 @@ def rotate_tuple(slots: Sequence[int], k: int) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class SlotVector:
-    slots: tuple[int, ...]
+    slots: tuple[int, ...] | _NoSlots
     level: int = DEFAULT_LEVEL
     depth_used: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "slots", tuple(self.slots))
+        if not isinstance(self.slots, _NoSlots):
+            object.__setattr__(self, "slots", tuple(self.slots))
 
     @property
     def n(self) -> int:
         return len(self.slots)
+
+    @property
+    def has_slots(self) -> bool:
+        return not isinstance(self.slots, _NoSlots)
 
     @classmethod
     def from_list(cls, vals: Iterable[int], level: int = DEFAULT_LEVEL) -> "SlotVector":
@@ -62,6 +101,28 @@ class SlotVector:
     def zeros(cls, n: int, level: int = DEFAULT_LEVEL) -> "SlotVector":
         return cls((0,) * n, level)
 
+    @classmethod
+    def slot_free(cls, n: int, level: int = DEFAULT_LEVEL) -> "SlotVector":
+        return cls(_NoSlots(n), level)
+
+    def zeros_like(self) -> "SlotVector":
+        """All zeros at this vector's level, slot-free if this one is."""
+        if self.has_slots:
+            return SlotVector.zeros(self.n, self.level)
+        return SlotVector.slot_free(self.n, self.level)
+
+    def _check_operand(self, other: "SlotVector") -> None:
+        _check_length(other.n, self.n)
+        if self.has_slots != other.has_slots:
+            raise SlotFreeError("cannot combine a slot-free vector with a "
+                                "real one")
+
+    def _map(self, op, values: Sequence[int]) -> tuple[int, ...] | _NoSlots:
+        """op slot by slot with values; a slot-free vector stays slot-free."""
+        if not self.has_slots:
+            return self.slots
+        return tuple(map(op, self.slots, values))
+
     # -- homomorphic ops (all exact, all recorded) ---------------------------
 
     def rotate(self, k: int, tag: str = "") -> "SlotVector":
@@ -69,27 +130,28 @@ class SlotVector:
         if k == 0:
             return self
         record("rotate", self.level, tag, k)
-        return SlotVector(rotate_tuple(self.slots, k), self.level, self.depth_used)
+        out = rotate_tuple(self.slots, k) if self.has_slots else self.slots
+        return SlotVector(out, self.level, self.depth_used)
 
     def cmult(self, mask: Sequence[int], tag: str = "") -> "SlotVector":
         """Multiply by a plaintext vector. No automatic rescale."""
         _check_length(len(mask), self.n)
         record("cmult", self.level, tag)
-        out = tuple(a * b for a, b in zip(self.slots, mask))
-        return SlotVector(out, self.level, self.depth_used)
+        return SlotVector(self._map(operator.mul, mask), self.level,
+                          self.depth_used)
 
     def mult(self, other: "SlotVector", tag: str = "") -> "SlotVector":
         """Ciphertext-ciphertext product. No automatic rescale."""
-        _check_length(other.n, self.n)
+        self._check_operand(other)
         level = min(self.level, other.level)
         record("mult", level, tag)
-        out = tuple(a * b for a, b in zip(self.slots, other.slots))
-        return SlotVector(out, level, max(self.depth_used, other.depth_used))
+        return SlotVector(self._map(operator.mul, other.slots), level,
+                          max(self.depth_used, other.depth_used))
 
     def add(self, other: "SlotVector") -> "SlotVector":
-        _check_length(other.n, self.n)
-        out = tuple(a + b for a, b in zip(self.slots, other.slots))
-        return SlotVector(out, min(self.level, other.level),
+        self._check_operand(other)
+        return SlotVector(self._map(operator.add, other.slots),
+                          min(self.level, other.level),
                           max(self.depth_used, other.depth_used))
 
     def __add__(self, other: "SlotVector") -> "SlotVector":

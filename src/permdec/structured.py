@@ -398,7 +398,9 @@ class PaddedChain:
         return len(self.r_steps) + len(self.l_steps)
 
     def evaluate(self, v: SlotVector, tag: str = "") -> SlotVector:
-        assert v.n == self.n, "dimension mismatch"
+        if v.n != self.n:
+            raise ValueError(f"dimension mismatch: chain n={self.n}, vector "
+                             f"n={v.n}")
         for s in self.r_steps:
             v = v + v.rotate(s, tag)
         acc = v

@@ -20,6 +20,7 @@ from permdec.diag import (
 )
 from permdec.ledger import CostLedger
 from permdec.slots import Permutation, SlotVector
+from permdec.structured import PaddedChain
 
 from util import (assert_value_errors, assert_value_errors_without_asserts,
                   transpose_perm)
@@ -189,6 +190,33 @@ def test_bad_plans_raise_value_error():
 
 def test_bad_plans_raise_without_asserts():
     assert_value_errors_without_asserts("test_diag", "BAD_PLANS")
+
+
+# each evaluator the cost model replays through must refuse an operand of
+# another slot count with ValueError, also under python -O
+BAD_DIMENSIONS = {
+    "matrix n=8, vector n=4": lambda: apply_hlt_direct(
+        DiagMatrix.identity(8), SlotVector.zeros(4)),
+    "matrix n=16, vector n=8, plan n=16": lambda: apply_hlt_bsgs(
+        DiagMatrix.identity(16), plan_bsgs([0, 1], n=16),
+        SlotVector.zeros(8)),
+    "matrix n=8, vector n=16, plan n=16": lambda: apply_hlt_bsgs(
+        DiagMatrix.identity(8), plan_bsgs([0, 1], n=16),
+        SlotVector.zeros(16)),
+    "matrix n=16, vector n=16, plan n=8": lambda: apply_hlt_bsgs(
+        DiagMatrix.identity(16), plan_bsgs([0, 1], n=8),
+        SlotVector.zeros(16)),
+    "chain n=8, vector n=4": lambda: PaddedChain(
+        8, [1], [], (1,) * 8).evaluate(SlotVector.zeros(4)),
+}
+
+
+def test_bad_dimensions_raise_value_error():
+    assert_value_errors(BAD_DIMENSIONS)
+
+
+def test_bad_dimensions_raise_without_asserts():
+    assert_value_errors_without_asserts("test_diag", "BAD_DIMENSIONS")
 
 
 def full_range_matrix(n, stride, dmax, rng):

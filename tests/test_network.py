@@ -419,13 +419,11 @@ def test_profile_reference_rows(n):
     sums = [0] * (log2(n) + 1)
     totals = []
     for seed in range(20):
-        # an uncollapsed network runs one rotation per rotation node
-        # (test_properties checks it), so the nodes give the profile
         p, _ = build_random(n, 5000 + seed)
-        rots = build_network(p).rotation_nodes()
-        totals.append(len(rots))
-        for nd in rots:
-            sums[nd.level] += 1
+        prof = zero_profile(build_network(p))
+        totals.append(prof.total)
+        for lv, c in prof.per_level.items():
+            sums[lv] += c
     means = [s / 20 for s in sums[1:]]
     assert len(means) == len(row)
     for got, want in zip(means, row):
@@ -438,7 +436,7 @@ def test_profile_total_spread_grows_with_n():
         out = []
         for seed in range(20):
             p, _ = build_random(n, base + seed)
-            out.append(len(build_network(p).rotation_nodes()))
+            out.append(zero_profile(build_network(p)).total)
         return out
 
     small = statistics.pstdev(totals(1 << 10, 6000))
@@ -482,6 +480,16 @@ def _json_with_ids(ids):
     return obj
 
 
+def _json_with_edge(field, value):
+    """The rotation-by-3 network at n = 8 with one field of the first masked
+    edge replaced."""
+    obj = build_network(Permutation.rotation(8, 3)).to_json()
+    edge = next(e for grp in obj["groups"] for lvl in grp["levels"]
+                for nd in lvl["nodes"] for e in nd["edges"] if "mask" in e)
+    edge[field] = value
+    return obj
+
+
 # each bad network JSON must raise ValueError matching the text, also under
 # python -O
 BAD_NETWORK_JSON = {
@@ -489,6 +497,14 @@ BAD_NETWORK_JSON = {
         _json_with_ids([0, 1, 5])),
     "found id 0 at position 1": lambda: MultiGroupNetwork.from_json(
         _json_with_ids([0, 0])),
+    "to unknown node 9": lambda: MultiGroupNetwork.from_json(
+        _json_with_edge("to", 9)),
+    "to unknown node -1": lambda: MultiGroupNetwork.from_json(
+        _json_with_edge("to", -1)),
+    "masks slot 8, outside 0..7": lambda: MultiGroupNetwork.from_json(
+        _json_with_edge("mask", [0, 8])),
+    "masks slot -1, outside 0..7": lambda: MultiGroupNetwork.from_json(
+        _json_with_edge("mask", [-1, 2])),
 }
 
 

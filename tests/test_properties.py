@@ -3,7 +3,10 @@
 Rotation networks, raw and mask-reduced, under every collapse spec that
 collapse_levels accepts, must reproduce Permutation.apply, and the cost
 model's report must match what a real-vector run executes. The plan-side
-rotation predictions of Benes chains must match the priced replay.
+rotation predictions of Benes chains must match the priced replay. For every
+route the cost model prices (networks, Benes chains, ladders, searched
+chains), its slot-free replay must record the real-vector run's ops, Op for
+Op.
 """
 
 from collections import Counter
@@ -12,17 +15,35 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from permdec.benes import benes_decompose, collapse_benes, restrict_keys
-from permdec.costmodel import chain_cost
+from permdec.costmodel import _replay, chain_cost
 from permdec.ledger import CostLedger
-from permdec.network import (build_network, collapse_levels, evaluate_network,
-                             reduce_masks)
+from permdec.network import (MultiGroupNetwork, build_network,
+                             collapse_levels, evaluate_network, reduce_masks)
+from permdec.search import max_ideal_depth
 from permdec.slots import Permutation, SlotVector
+from permdec.structured import (HmtSpec, _max_rounds, build_sigma, build_tau,
+                                build_ut, decompose_sigma, decompose_tau,
+                                decompose_ut)
 
 
 @st.composite
 def permutations(draw, lo: int, hi: int):
     n = 1 << draw(st.integers(lo, hi))
     return Permutation(draw(st.permutations(range(n))))
+
+
+def run_replay_exact(source, vals):
+    """A real-vector run of a network or chain under a CostLedger, checked to
+    record exactly the ops of the cost model's slot-free replay. Returns the
+    output vector and the ledger."""
+    v = SlotVector.from_list(vals)
+    with CostLedger() as led:
+        if isinstance(source, MultiGroupNetwork):
+            out = evaluate_network(source, v)
+        else:
+            out = source.evaluate(v)
+    assert _replay(source).ops == led.ops
+    return out, led
 
 
 @settings(max_examples=30, deadline=None)
@@ -40,8 +61,7 @@ def test_network_collapses_exact_and_priced_as_executed(p, reduced, arity,
     for top in range(lmax):
         for bottom in range(lmax - top):
             col = collapse_levels(net, top, bottom, arity)
-            with CostLedger() as led:
-                out = evaluate_network(col, SlotVector.from_list(vals))
+            out, led = run_replay_exact(col, vals)
             assert out.to_list() == p.apply(vals)
             rep = chain_cost(col)
             assert sum(rep.per_level.values()) == led.rotation_count
@@ -56,13 +76,50 @@ def test_network_collapses_exact_and_priced_as_executed(p, reduced, arity,
 
 
 @settings(max_examples=20, deadline=None)
-@given(p=permutations(2, 6), restricted=st.booleans())
-def test_benes_plan_counts_match_priced_replay(p, restricted):
+@given(p=permutations(2, 6), restricted=st.booleans(), data=st.data())
+def test_benes_plan_counts_match_priced_replay(p, restricted, data):
     bc = collapse_benes(benes_decompose(p))
     if restricted:
         bc = restrict_keys(bc)
+    vals = data.draw(st.lists(st.integers(-99, 99), min_size=p.n,
+                              max_size=p.n))
+    out, _ = run_replay_exact(bc, vals)
+    assert out.to_list() == p.apply(vals)
     rep = chain_cost(bc)
     # factors apply right to left, so position 1 is the last factor
     assert [rep.per_level[pos] for pos in range(bc.depth, 0, -1)] == \
         bc.rotation_counts()
     assert rep.key_set <= bc.key_set()
+
+
+LADDERS = {
+    "ut": lambda d, l: decompose_ut(HmtSpec(d, d * d, l)),
+    "sigma": decompose_sigma,
+    "tau": decompose_tau,
+}
+
+
+@settings(max_examples=20, deadline=None)
+@given(kind=st.sampled_from(sorted(LADDERS)), d=st.integers(3, 16),
+       data=st.data())
+def test_ladder_replay_exact_at_every_legal_depth(kind, d, data):
+    vals = data.draw(st.lists(st.integers(-99, 99), min_size=d * d,
+                              max_size=d * d))
+    for l in range(1, _max_rounds(d) + 1):
+        run_replay_exact(LADDERS[kind](d, l), vals)
+
+
+SEARCHED = {"ut": build_ut, "sigma": build_sigma, "tau": build_tau}
+
+
+@settings(max_examples=10, deadline=None)
+@given(target=st.sampled_from([("ut", 4), ("ut", 8), ("ut", 16),
+                               ("sigma", 4), ("sigma", 8), ("sigma", 16),
+                               ("tau", 4)]),
+       data=st.data())
+def test_searched_chain_replay_exact(target, data):
+    kind, d = target
+    _, chain = max_ideal_depth(SEARCHED[kind](d))
+    vals = data.draw(st.lists(st.integers(-99, 99), min_size=d * d,
+                              max_size=d * d))
+    run_replay_exact(chain, vals)

@@ -9,6 +9,7 @@ from permdec.slots import (
     DEFAULT_LEVEL,
     DepthExhaustedError,
     Permutation,
+    SlotFreeError,
     SlotVector,
     rotate_tuple,
 )
@@ -103,6 +104,37 @@ def test_ledger_nesting_inner_wins():
         v.rotate(3)
     assert inner.rotation_count == 1
     assert outer.rotation_count == 2
+
+
+def test_slot_free_ops_keep_bookkeeping_and_record_like_real_ones():
+    def run(v):
+        with CostLedger() as lg:
+            w = v.rotate(1, "a").cmult([1, 0, 1, 0], "b").rescale("c")
+            w = (w + v.zeros_like().rescale()).mult(w, "d").rotate(4, "e")
+        return w, lg.ops
+
+    real, real_ops = run(SlotVector((1, 2, 3, 4), level=5))
+    free, free_ops = run(SlotVector.slot_free(4, level=5))
+    assert free_ops == real_ops
+    assert (free.n, free.level, free.depth_used) == \
+        (real.n, real.level, real.depth_used) == (4, 4, 1)
+    assert real.has_slots and not free.has_slots
+    assert not SlotVector.slot_free(4).zeros_like().has_slots
+    assert SlotVector.zeros(4).zeros_like().to_list() == [0] * 4
+
+
+def test_slot_free_values_cannot_be_read_or_mixed():
+    free = SlotVector.slot_free(4)
+    real = SlotVector.zeros(4)
+    reads = [free.to_list, lambda: free.slots[0], lambda: tuple(free.slots),
+             lambda: Permutation.identity(4).apply_vector(free)]
+    mixes = [lambda: free.add(real), lambda: real + free,
+             lambda: free.mult(real), lambda: real.mult(free)]
+    for make in reads + mixes:
+        with pytest.raises(SlotFreeError):
+            make()
+    with pytest.raises(ValueError, match="slot length mismatch: 2 != 4"):
+        free.cmult([1, 1])
 
 
 # each bad call must raise ValueError matching the text, also under python -O

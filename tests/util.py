@@ -10,10 +10,10 @@ from pathlib import Path
 import pytest
 
 from permdec import slots
+from permdec.costmodel import _replay
 from permdec.diag import DiagMatrix
-from permdec.ledger import CostLedger
-from permdec.network import evaluate_network, rotation_profile
-from permdec.slots import Permutation, SlotVector
+from permdec.network import rotation_profile
+from permdec.slots import Permutation
 
 
 def assert_value_errors(table) -> None:
@@ -47,10 +47,8 @@ def assert_value_errors_without_asserts(module: str, table: str) -> None:
 
 
 def zero_profile(net):
-    """rotation_profile of one evaluation of net on an all-zero vector."""
-    with CostLedger() as led:
-        evaluate_network(net, SlotVector.zeros(net.n))
-    return rotation_profile(net, led)
+    """rotation_profile of the cost model's slot-free replay of net."""
+    return rotation_profile(net, _replay(net))
 
 
 def depth1_oracle(u: DiagMatrix, a: int, r: int, rc: int,
