@@ -14,31 +14,33 @@ Masks (plaintext multiplications) are priced at 2*N*(level+1) each, an
 elementwise product over both ciphertext components; rotation-only totals are
 kept in the separate breakdown entries so the extension is visible.
 
-Every route is priced from one trace: `_replay` evaluates the structure once
-on a slot-free vector (SlotVector.slot_free) under its own CostLedger, which
-takes every op of that scope (an outer ledger sees none of the replay). The
-slot-free run records the ops of a run on real slots and does no slot
-arithmetic. That op stream alone supplies the rotation counts, the per-level
-counts, the key set, the mask levels and the rescales. There are two kinds of
-structure. A network's rotations are grouped by the schedule level named in
-their tags and get the fused form there, so its rescales are not charged
-apart. Every factor chain, Beneš baselines and key-restricted ones included,
-is a DecompositionChain and runs through its own `evaluate`; its rotations
-are grouped by operand level, which puts those of chain position j (counting
-from the input) on level start - j, each priced at that width, and each
-recorded rescale is charged for the drop from its operand level. Plan-side predictions (BsgsPlan.rotation_count, the BenesChain
-counts, hmm_rotation_budget) stay independent of this and are checked
-against it.
+Every route is priced from one trace and by one loop. `_replay` evaluates
+the structure once on a slot-free vector (SlotVector.slot_free) under its own
+CostLedger, which takes every op of that scope (an outer ledger sees none of
+the replay). The slot-free run records the ops of a run on real slots and
+does no slot arithmetic. `chain_cost` then puts each rotation at a position
+p, 1 for the input side, and charges it at width start - p + 2 (start =
+cp0.level). For a factor chain, a padded chain or anything else with `.n`
+and `.evaluate(v)`, p = start - operand level + 1, so the rotations of chain
+factor j (counting from the input) sit on position j; they take the plain
+ModDown, and every recorded rescale is charged for the drop from its operand
+level. A network's rotations sit on the schedule level their tags name
+(network.rotation_profile) and take the fused ModDown onto level start - p,
+so its rescales are not charged apart. Networks keep the tag schedule because
+the simulator rescales only at non-bottom rotation nodes: a value that
+reaches a rotation through standby columns or the collapsed top has dropped
+fewer levels than the schedule counts (12 of the 69 rotations of the raw
+benchmark network at n = 2^14, seed 1, instance 0, run one or more levels
+higher), and pricing those by operand level would change the network
+reports. Masks are charged at their recorded level in both cases. Plan-side
+predictions (BsgsPlan.rotation_count, the BenesChain counts,
+hmm_rotation_budget) stay independent of this and are checked against it.
 """
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 from dataclasses import dataclass, field, replace
 
-from .chain import DecompositionChain
 from .ledger import CostLedger
 from .network import MultiGroupNetwork, evaluate_network, rotation_profile
 from .slots import DEFAULT_LEVEL, DepthExhaustedError, SlotVector
@@ -147,103 +149,66 @@ class CostReport:
             "total": self.total,
         }
 
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        levels = sorted(self.per_level)
-        w.writerow(["n", "depth", "keys"]
-                   + [f"rot_l{lv}" for lv in levels] + ["total"])
-        w.writerow([self.n, self.depth, len(self.key_set)]
-                   + [self.per_level[lv] for lv in levels] + [self.total])
-        return buf.getvalue()
 
-    def save(self, path, fmt: str = "json") -> None:
-        with open(path, "w") as fh:
-            if fmt == "json":
-                json.dump(self.to_json(), fh, sort_keys=True)
-                fh.write("\n")
-            else:
-                fh.write(self.to_csv())
-
-
-def _empty_breakdown() -> dict[str, int]:
-    return dict.fromkeys(("rescale", "decompose", "multsum", "moddown",
-                          "mask"), 0)
-
-
-def _mask_charge(led: CostLedger, cp0: CostParams) -> int:
-    out = 0
-    for level, count in led.cmults_by_level().items():
-        out += count * submodule_cost("mask", cp0.at(level))
-    return out
-
-
-def _replay(source, level: int = DEFAULT_LEVEL) -> CostLedger:
-    """The op stream of one run of a network or chain on a slot-free vector
-    at `level`: the ops a real run records, without the slot arithmetic."""
+def _replay(source, level: int = DEFAULT_LEVEL
+            ) -> tuple[CostLedger, SlotVector]:
+    """One run of a network or chain on a slot-free vector at `level`: the
+    ledger of the ops a real run records, and the output vector."""
     v = SlotVector.slot_free(source.n, level)
     with CostLedger() as led:
         if isinstance(source, MultiGroupNetwork):
-            evaluate_network(source, v)
+            out = evaluate_network(source, v)
         else:
-            source.evaluate(v)
-    return led
-
-
-def _network_cost(net: MultiGroupNetwork, cp0: CostParams) -> CostReport:
-    led = _replay(net, cp0.level)
-    prof = rotation_profile(net, led)
-    breakdown = _empty_breakdown()
-    for lv, count in prof.per_level.items():
-        l = cp0.level - lv
-        if l < 0:
-            raise DepthExhaustedError(f"network level {lv} underflows "
-                                      f"the modulus chain at {cp0.level}")
-        cp = cp0.at(l)
-        dec, ms, _ = _rot_parts(l + 2, cp)
-        breakdown["decompose"] += count * dec
-        breakdown["multsum"] += count * ms
-        breakdown["moddown"] += count * _fused_moddown(cp)
-    breakdown["mask"] = _mask_charge(led, cp0)
-    depth = max(prof.per_level, default=0)
-    return CostReport(net.n, depth, prof.per_level, prof.key_set, breakdown)
-
-
-def _chain_cost(ch: DecompositionChain, cp0: CostParams) -> CostReport:
-    depth = ch.depth
-    if depth > cp0.level:
-        raise DepthExhaustedError(f"factor {depth - 1 - cp0.level} underflows "
-                                  f"the modulus chain at {cp0.level}")
-    led = _replay(ch, cp0.level)
-    # factor position (input side first) = cp0.level - operand level
-    per_level = dict.fromkeys(range(1, depth + 1), 0)
-    for op in led.rotations:
-        per_level[cp0.level - op.level + 1] += 1
-    breakdown = _empty_breakdown()
-    for pos in range(depth):
-        l = cp0.level - pos
-        count = per_level[pos + 1]
-        dec, ms, md = _rot_parts(l + 1, cp0.at(l))
-        breakdown["decompose"] += count * dec
-        breakdown["multsum"] += count * ms
-        breakdown["moddown"] += count * md
-    for op in led.of_kind("rescale"):
-        breakdown["rescale"] += submodule_cost("rescale", cp0.at(op.level - 1))
-    breakdown["mask"] = _mask_charge(led, cp0)
-    return CostReport(ch.n, depth, per_level, led.key_set(), breakdown)
+            out = source.evaluate(v)
+    return led, out
 
 
 def chain_cost(source, cp0: CostParams | None = None) -> CostReport:
-    """Price a network or factor chain starting from level cp0.level.
+    """Price a network, or anything with .n and .evaluate(v), starting from
+    level cp0.level.
 
-    Network rotations get the fused rotate-and-drop form on the schedule
-    level = cp0.level - network_level; chain rotations are priced at their
-    operand width, plus each recorded rescale at the level it drops from.
+    A rotation at position p is priced at width cp0.level - p + 2. Network
+    rotations take the fused ModDown onto level cp0.level - p, and the
+    network's rescales are not charged apart; every other structure's
+    rotations take the plain ModDown, plus each recorded rescale at the
+    level it drops from. Masks are charged at their recorded level. depth is
+    a network's deepest schedule level, and otherwise the levels the output
+    consumed (the factor count of a DecompositionChain). A structure deeper
+    than cp0.level raises DepthExhaustedError.
     """
     if cp0 is None:
         cp0 = CostParams()
-    if isinstance(source, MultiGroupNetwork):
-        return _network_cost(source, cp0)
-    if isinstance(source, DecompositionChain):
-        return _chain_cost(source, cp0)
-    raise TypeError(f"cannot cost a {type(source).__name__}")
+    network = isinstance(source, MultiGroupNetwork)
+    if not network and not (hasattr(source, "n")
+                            and callable(getattr(source, "evaluate", None))):
+        raise TypeError(f"cannot cost a {type(source).__name__}")
+    led, out = _replay(source, cp0.level)
+    if network:
+        per_level = rotation_profile(source, led).per_level
+        depth = max(per_level, default=0)
+    else:
+        depth = out.depth_used
+        per_level = dict.fromkeys(range(1, depth + 1), 0)
+        for op in led.rotations:
+            p = cp0.level - op.level + 1
+            per_level[p] = per_level.get(p, 0) + 1
+    breakdown = dict.fromkeys(("rescale", "decompose", "multsum", "moddown",
+                               "mask"), 0)
+    for p, count in per_level.items():
+        l = cp0.level - p
+        dec, ms, md = _rot_parts(l + 2, cp0)
+        if network:
+            if l < 0:
+                raise DepthExhaustedError(f"network level {p} underflows "
+                                          f"the modulus chain at {cp0.level}")
+            md = _fused_moddown(cp0.at(l))
+        breakdown["decompose"] += count * dec
+        breakdown["multsum"] += count * ms
+        breakdown["moddown"] += count * md
+    for op in led.ops:
+        if op.kind == "cmult":
+            breakdown["mask"] += submodule_cost("mask", cp0.at(op.level))
+        elif op.kind == "rescale" and not network:
+            breakdown["rescale"] += submodule_cost("rescale",
+                                                   cp0.at(op.level - 1))
+    return CostReport(source.n, depth, per_level, led.key_set(), breakdown)

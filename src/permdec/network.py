@@ -34,6 +34,7 @@ permutation.
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import asdict, dataclass
 
@@ -48,7 +49,8 @@ SOLVED = "solved"
 class Entry:
     """Routing state of one vector entry during construction."""
 
-    __slots__ = ("i", "r_org", "r_rem", "tag", "node", "steps", "trace")
+    __slots__ = ("i", "r_org", "r_rem", "tag", "node", "levels", "traveled",
+                 "trace")
 
     def __init__(self, i: int, r_org: int):
         self.i = i
@@ -56,30 +58,35 @@ class Entry:
         self.r_rem = r_org
         self.tag = UNSOLVED
         self.node = 0
-        self.steps = []  # (level, step) pairs actually applied
+        self.levels = []  # levels of the rotations applied, ascending
+        self.traveled = [0]  # traveled[k]: distance of the first k rotations
         self.trace = [0]  # node index per level, 0 .. final bottom
 
     def pos(self, n: int) -> int:
         return (self.i - (self.r_org - self.r_rem)) % n
 
+    def rotate(self, level: int, step: int) -> None:
+        self.levels.append(level)
+        self.traveled.append(self.traveled[-1] + step)
+        self.r_rem -= step
+
     def r_rem_at(self, level: int) -> int:
         """Remaining distance after the rotations at levels <= level."""
-        return self.r_org - sum(s for lv, s in self.steps if lv <= level)
+        return self.r_org - self.traveled[bisect_right(self.levels, level)]
 
     def pos_at(self, level: int, n: int) -> int:
         return (self.i - (self.r_org - self.r_rem_at(level))) % n
 
 
 class Node:
-    __slots__ = ("idx", "kind", "group", "level", "step", "col", "occ")
+    __slots__ = ("idx", "kind", "group", "level", "step", "occ")
 
-    def __init__(self, idx, kind, group, level, step=0, col=0):
+    def __init__(self, idx, kind, group, level, step=0):
         self.idx = idx
         self.kind = kind  # "rotation" | "standby"
         self.group = group
         self.level = level
         self.step = step
-        self.col = col
         self.occ = {}  # slot position -> entry index (live set)
 
 
@@ -119,8 +126,8 @@ class MultiGroupNetwork:
         self.filtered: set[int] = set()  # nodes narrowed by reduce_masks
         self.collapse: CollapseSpec | None = None
 
-    def add_node(self, kind, group, level, step=0, col=0) -> Node:
-        node = Node(len(self.nodes), kind, group, level, step, col)
+    def add_node(self, kind, group, level, step=0) -> Node:
+        node = Node(len(self.nodes), kind, group, level, step)
         self.nodes.append(node)
         self.out_edges[node.idx] = []
         self.in_edges[node.idx] = []
@@ -195,33 +202,44 @@ class MultiGroupNetwork:
             raise ValueError("cannot load a collapsed network: its JSON "
                              "carries the collapse spec but not the routing "
                              "state that evaluates it")
-        net = cls(obj["n"])
+        net = cls(_json_int(obj["n"], "n"))
         net.reduced = obj.get("reduced", False)
         raw = []
         for g, grp in enumerate(obj["groups"]):
-            start = grp["start"]
+            start = _json_int(grp["start"], f"group {g} start")
             net.group_spans.append((start, start + len(grp["levels"]) - 1))
             for off, lvl in enumerate(grp["levels"]):
                 for nd in lvl["nodes"]:
                     raw.append((nd, g, start + off))
+        for nd, _, _ in raw:
+            _json_int(nd["id"], "node id")
         raw.sort(key=lambda t: t[0]["id"])
         for nd, g, lv in raw:
-            node = net.add_node(nd["kind"], g, lv, step=nd.get("step", 0))
+            step = 0
+            if nd["kind"] == "rotation":
+                step = _json_int(nd.get("step"), f"node {nd['id']} step")
+            elif nd["kind"] != "standby":
+                raise ValueError(f"node {nd['id']} has kind {nd['kind']!r}, "
+                                 f"not 'rotation' or 'standby'")
+            node = net.add_node(nd["kind"], g, lv, step=step)
             if node.idx != nd["id"]:
                 raise ValueError(f"network node ids must run 0..{len(raw) - 1} "
                                  f"without gaps; found id {nd['id']} at "
                                  f"position {node.idx}")
         for nd, _, _ in raw:
             for e in nd["edges"]:
-                if not 0 <= e["to"] < len(raw):
+                to = _json_int(e["to"], f"edge target of node {nd['id']}")
+                if not 0 <= to < len(raw):
                     raise ValueError(f"edge from node {nd['id']} to unknown "
-                                     f"node {e['to']}")
-                mask = None if e.get("copy") else set(e["mask"])
+                                     f"node {to}")
+                mask = None if e.get("copy") else {
+                    _json_int(p, f"mask slot of edge {nd['id']}->{to}")
+                    for p in e["mask"]}
                 bad = sorted(p for p in mask or () if not 0 <= p < net.n)
                 if bad:
-                    raise ValueError(f"edge {nd['id']}->{e['to']} masks slot "
+                    raise ValueError(f"edge {nd['id']}->{to} masks slot "
                                      f"{bad[0]}, outside 0..{net.n - 1}")
-                net.edge(nd["id"], e["to"]).mask = mask
+                net.edge(nd["id"], to).mask = mask
         return net
 
     def save(self, path):
@@ -233,6 +251,12 @@ class MultiGroupNetwork:
     def load(cls, path):
         with open(path) as fh:
             return cls.from_json(json.load(fh))
+
+
+def _json_int(value, what: str) -> int:
+    if type(value) is not int:
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
 
 
 def build_network(p: Permutation) -> MultiGroupNetwork:
@@ -264,7 +288,6 @@ def build_network(p: Permutation) -> MultiGroupNetwork:
             rot = 1 << (rot_max.bit_length() - 1) if rot_max else 0
             rot_node = None
             col_map = {}  # source node -> standby column node at lvl+1
-            next_col = 0
             moved = []
             for ei in active:
                 e = entries[ei]
@@ -279,15 +302,13 @@ def build_network(p: Permutation) -> MultiGroupNetwork:
                         continue
                     rot_node.occ[pos] = ei
                     net.edge(src.idx, rot_node.idx).mask.add(pos)
-                    e.steps.append((lvl + 1, rot))
-                    e.r_rem -= rot
+                    e.rotate(lvl + 1, rot)
                     e.node = rot_node.idx
                 else:
                     dst = col_map.get(src.idx)
                     if dst is None:
                         # one column per source node keeps positions disjoint
-                        dst = net.add_node("standby", g, lvl + 1, col=next_col)
-                        next_col += 1
+                        dst = net.add_node("standby", g, lvl + 1)
                         col_map[src.idx] = dst
                     assert pos not in dst.occ, "standby slot collision"
                     dst.occ[pos] = ei
@@ -313,7 +334,7 @@ def build_network(p: Permutation) -> MultiGroupNetwork:
 def _clone(net: MultiGroupNetwork) -> MultiGroupNetwork:
     out = MultiGroupNetwork(net.n)
     for nd in net.nodes:
-        c = out.add_node(nd.kind, nd.group, nd.level, nd.step, nd.col)
+        c = out.add_node(nd.kind, nd.group, nd.level, nd.step)
         c.occ = dict(nd.occ)
     for e in net.edges.values():
         out.edge(e.src, e.dst).mask = None if e.mask is None else set(e.mask)

@@ -8,7 +8,10 @@ published per-permutation ScalarMult totals.
 
 import json
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +23,7 @@ from permdec.diag import perm_to_diag
 from permdec.ledger import CostLedger
 from permdec.network import build_network, reduce_masks
 from permdec.slots import DepthExhaustedError, Permutation, SlotVector
+from permdec.structured import decompose_gamma_xi_pad
 
 N = 1 << 15
 LOGN = 15
@@ -253,26 +257,48 @@ def test_network_total_matches_reference_mean():
 
 # ---------------------------------------------------------------- report
 
-def test_report_serialization(tmp_path):
+def test_report_serialization():
     rep = chain_cost(_reduced_net(64, 3))
     obj = rep.to_json()
     assert obj["total"] == rep.total == sum(obj["breakdown"].values())
     assert obj["key_set"] == sorted(rep.key_set)
     assert list(obj["per_level"]) == sorted(obj["per_level"], key=int)
-    csv_text = rep.to_csv()
-    header, row = csv_text.strip().splitlines()
-    assert header.startswith("n,depth,keys")
-    assert header.endswith("total")
-    assert row.split(",")[0] == "64"
-    assert row.split(",")[-1] == str(rep.total)
-
-    jp, cs = tmp_path / "r.json", tmp_path / "r.csv"
-    rep.save(jp)
-    rep.save(cs, fmt="csv")
-    assert json.loads(jp.read_text()) == obj
-    assert cs.read_text() == csv_text
+    assert json.loads(json.dumps(obj)) == obj
 
 
 def test_unsupported_source_rejected():
     with pytest.raises(TypeError, match="cannot cost"):
         chain_cost([1, 2, 3])
+
+
+# ------------------------------------------------ other evaluable sources
+
+def test_padded_chain_priced_by_hand_count():
+    # gamma at d = 8, l = 1, d' = 4: one doubling rotation and one fan-out
+    # rotation of the fresh operand (level 17), one mask there, then the
+    # rescale from 17 down to 16
+    gamma, _, _ = decompose_gamma_xi_pad(8, 1, 4)
+    cp = CostParams()
+    rep = chain_cost(gamma)
+    assert rep.per_level == {1: 2}
+    assert rep.depth == 1
+    assert rep.key_set == set(gamma.r_steps + gamma.l_steps)
+    assert len(rep.key_set) == 2
+    assert rep.breakdown == {
+        "rescale": submodule_cost("rescale", cp.at(16)),
+        "decompose": 2 * submodule_cost("decompose", cp),
+        "multsum": 2 * submodule_cost("multsum", cp),
+        "moddown": 2 * submodule_cost("moddown", cp),
+        "mask": submodule_cost("mask", cp),
+    }
+
+
+def test_benchmark_tracer_still_wraps_the_pricer():
+    # the benchmark's tracer rebinds costmodel's evaluate_network and
+    # expects chain_cost(network) to run rotation_profile; run its own check
+    bench = Path(__file__).resolve().parents[1] / "perfbench"
+    script = ("import sys; sys.path.insert(0, sys.argv[1]); "
+              "import selftest; selftest.check_wrapping()")
+    proc = subprocess.run([sys.executable, "-B", "-c", script, str(bench)],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

@@ -83,7 +83,7 @@ def test_binary_path_property():
         p, _ = build_random(256, 20 + seed)
         net = build_network(p)
         for e in net.entries:
-            steps = [s for _, s in e.steps]
+            steps = [b - a for a, b in zip(e.traveled, e.traveled[1:])]
             assert sum(steps) == e.r_org
             assert len(set(steps)) == len(steps)  # each power at most once
             assert all(s & (s - 1) == 0 for s in steps)
@@ -490,6 +490,16 @@ def _json_with_edge(field, value):
     return obj
 
 
+def _json_with_rotation(field, value):
+    """The rotation-by-3 network at n = 8 with one field of its first
+    rotation node replaced."""
+    obj = build_network(Permutation.rotation(8, 3)).to_json()
+    node = next(nd for grp in obj["groups"] for lvl in grp["levels"]
+                for nd in lvl["nodes"] if nd["kind"] == "rotation")
+    node[field] = value
+    return obj
+
+
 # each bad network JSON must raise ValueError matching the text, also under
 # python -O
 BAD_NETWORK_JSON = {
@@ -505,6 +515,20 @@ BAD_NETWORK_JSON = {
         _json_with_edge("mask", [0, 8])),
     "masks slot -1, outside 0..7": lambda: MultiGroupNetwork.from_json(
         _json_with_edge("mask", [-1, 2])),
+    "has kind 'bogus', not 'rotation' or 'standby'":
+        lambda: MultiGroupNetwork.from_json(_json_with_rotation("kind",
+                                                                "bogus")),
+    "node 1 step must be an integer, got '2'":
+        lambda: MultiGroupNetwork.from_json(_json_with_rotation("step", "2")),
+    "node 1 step must be an integer, got None":
+        lambda: MultiGroupNetwork.from_json(_json_with_rotation("step", None)),
+    "edge target of node 0 must be an integer, got '1'":
+        lambda: MultiGroupNetwork.from_json(_json_with_edge("to", "1")),
+    "mask slot of edge 0->1 must be an integer, got '3'":
+        lambda: MultiGroupNetwork.from_json(_json_with_edge("mask",
+                                                            [0, "3"])),
+    "node id must be an integer, got '0'":
+        lambda: MultiGroupNetwork.from_json(_json_with_ids(["0"])),
 }
 
 

@@ -42,7 +42,7 @@ def run_replay_exact(source, vals):
             out = evaluate_network(source, v)
         else:
             out = source.evaluate(v)
-    assert _replay(source).ops == led.ops
+    assert _replay(source)[0].ops == led.ops
     return out, led
 
 

@@ -48,7 +48,7 @@ def assert_value_errors_without_asserts(module: str, table: str) -> None:
 
 def zero_profile(net):
     """rotation_profile of the cost model's slot-free replay of net."""
-    return rotation_profile(net, _replay(net))
+    return rotation_profile(net, _replay(net)[0])
 
 
 def depth1_oracle(u: DiagMatrix, a: int, r: int, rc: int,
