@@ -143,7 +143,7 @@ def _cmd_hmm(cfg: argparse.Namespace):
                    for _ in range(hc.d)] for _ in range(hc.m)]
     products_ok = True
     rotations = None
-    for _ in range(max(1, cfg.samples)):
+    for _ in range(cfg.samples):
         a, b = mk(), mk()
         with CostLedger() as led:
             got = hmm_multiply(a, b, hc)
@@ -159,7 +159,7 @@ def _cmd_hmm(cfg: argparse.Namespace):
     report = {
         "command": "hmm", "d": hc.d, "dp": hc.d_prime, "m": hc.m,
         "replication": list(repl) if repl else "naive",
-        "samples": max(1, cfg.samples), "rotations": rotations,
+        "samples": cfg.samples, "rotations": rotations,
         "budget": {"total": bud.total, "parts": dict(bud.parts),
                    "amortized": [bud.amortized.numerator,
                                  bud.amortized.denominator]},
@@ -173,7 +173,7 @@ def _net_for(cfg: argparse.Namespace):
     if cfg.perm_file:
         p = Permutation.load(cfg.perm_file)
     else:
-        p = Permutation.random(cfg.n or 256, random.Random(cfg.seed))
+        p = Permutation.random(cfg.n, random.Random(cfg.seed))
     net = build_network(p)
     if cfg.reduce:
         net = reduce_masks(net)
@@ -185,11 +185,10 @@ def _net_for(cfg: argparse.Namespace):
 
 def _cmd_net(cfg: argparse.Namespace):
     if cfg.target == "profile":
-        n = cfg.n or 256
-        res = bench_networks(n, cfg.samples, cfg.seed, reduce=cfg.reduce,
+        res = bench_networks(cfg.n, cfg.samples, cfg.seed, reduce=cfg.reduce,
                              collapse=cfg.collapse)
         report = {
-            "command": "net", "action": "profile", "n": n,
+            "command": "net", "action": "profile", "n": cfg.n,
             "samples": cfg.samples, "seed": cfg.seed,
             "per_level_mean": {str(lv): v for lv, v in
                                sorted(res.per_level_mean.items())},
@@ -226,9 +225,8 @@ def _cmd_net(cfg: argparse.Namespace):
 
 
 def _cmd_benes(cfg: argparse.Namespace):
-    n = cfg.n or 256
     p = (Permutation.load(cfg.perm_file) if cfg.perm_file
-         else Permutation.random(n, random.Random(cfg.seed)))
+         else Permutation.random(cfg.n, random.Random(cfg.seed)))
     bc = benes_decompose(p)
     if not cfg.no_collapse:
         bc = collapse_benes(bc, cfg.depth)
@@ -320,6 +318,17 @@ def _int_pair(text: str) -> tuple[int, int, int]:
     return tuple(parts)
 
 
+def _positive(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected a positive integer, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="permdec",
@@ -336,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--target", default="", choices=["ut", "sigma", "tau", ""])
     sp.add_argument("--perm-file", default="")
     sp.add_argument("--d", type=int, default=4)
-    sp.add_argument("--n", type=int)
+    sp.add_argument("--n", type=_positive)
     common(sp)
 
     sp = sub.add_parser("decompose", help="structured decompositions")
@@ -344,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--d", type=int, default=4)
     sp.add_argument("--dp", type=int)
     sp.add_argument("--l", type=int, default=1)
-    sp.add_argument("--n", type=int)
+    sp.add_argument("--n", type=_positive)
     sp.add_argument("--verify", action="store_true")
     common(sp)
 
@@ -354,13 +363,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--m", type=int, default=1)
     sp.add_argument("--replication", default="naive",
                     help="'naive' or factors like '4,4'")
-    sp.add_argument("--samples", type=int, default=3)
+    sp.add_argument("--samples", type=_positive, default=3)
     common(sp)
 
     sp = sub.add_parser("net", help="routing networks")
     sp.add_argument("target", choices=["build", "eval", "profile"])
-    sp.add_argument("--n", type=int, default=256)
-    sp.add_argument("--samples", type=int, default=20)
+    sp.add_argument("--n", type=_positive, default=256)
+    sp.add_argument("--samples", type=_positive, default=20)
     sp.add_argument("--collapse", type=_int_pair, default=None,
                     metavar="T,B[,ARITY]")
     sp.add_argument("--no-reduce", dest="reduce", action="store_false")
@@ -368,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp)
 
     sp = sub.add_parser("benes", help="key-routed baseline")
-    sp.add_argument("--n", type=int, default=256)
+    sp.add_argument("--n", type=_positive, default=256)
     sp.add_argument("--depth", type=int, default=None)
     sp.add_argument("--budget", type=int, default=None)
     sp.add_argument("--no-collapse", action="store_true")
@@ -377,14 +386,14 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp)
 
     sp = sub.add_parser("bench", help="profile and cost statistics")
-    sp.add_argument("--n", dest="sizes", type=int, action="append",
+    sp.add_argument("--n", dest="sizes", type=_positive, action="append",
                     default=None)
-    sp.add_argument("--samples", type=int, default=20)
+    sp.add_argument("--samples", type=_positive, default=20)
     common(sp, seed=5000)
 
     sp = sub.add_parser("verify", help="oracle equivalence suite")
     sp.add_argument("--all", dest="all_checks", action="store_true")
-    sp.add_argument("--n-max", type=int, default=256)
+    sp.add_argument("--n-max", type=_positive, default=256)
     common(sp, seed=DEFAULT_SEED)
     return ap
 

@@ -95,10 +95,6 @@ def _fused_moddown(cp: CostParams) -> int:
     return 2 * N * (cp.level * ((a + 1) + lg + 1) + (a + 1) * (lg + 1))
 
 
-SUBMODULES = ("rescale", "decompose", "multsum", "moddown",
-              "rotation_separate", "rotation_merged", "mask")
-
-
 def submodule_cost(kind: str, cp: CostParams) -> int:
     """Scalar multiplications of one submodule at cp.level.
 
@@ -184,7 +180,7 @@ def chain_cost(source, cp0: CostParams | None = None) -> CostReport:
         raise TypeError(f"cannot cost a {type(source).__name__}")
     led, out = _replay(source, cp0.level)
     if network:
-        per_level = rotation_profile(source, led).per_level
+        per_level = rotation_profile(source, led)
         depth = max(per_level, default=0)
     else:
         depth = out.depth_used

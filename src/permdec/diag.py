@@ -131,7 +131,8 @@ def to_permutation(m: DiagMatrix) -> Permutation:
 
 def matmul(a: DiagMatrix, b: DiagMatrix) -> DiagMatrix:
     """C = A B in diagonal form; sparse in both factors."""
-    assert a.n == b.n
+    if a.n != b.n:
+        raise ValueError(f"matmul of matrices n={a.n} and n={b.n}")
     n = a.n
     out = DiagMatrix(n)
     acc: dict[int, dict[int, int]] = {}

@@ -41,22 +41,16 @@ from dataclasses import asdict, dataclass
 from .ledger import CostLedger
 from .slots import Permutation, SlotVector
 
-UNSOLVED = "unsolved"
-DEFERRED = "deferred"
-SOLVED = "solved"
-
 
 class Entry:
     """Routing state of one vector entry during construction."""
 
-    __slots__ = ("i", "r_org", "r_rem", "tag", "node", "levels", "traveled",
-                 "trace")
+    __slots__ = ("i", "r_org", "r_rem", "node", "levels", "traveled", "trace")
 
     def __init__(self, i: int, r_org: int):
         self.i = i
         self.r_org = r_org
         self.r_rem = r_org
-        self.tag = UNSOLVED
         self.node = 0
         self.levels = []  # levels of the rotations applied, ascending
         self.traveled = [0]  # traveled[k]: distance of the first k rotations
@@ -104,13 +98,6 @@ class CollapseSpec:
     top: int
     bottom: int
     arity: int = 4
-
-
-@dataclass
-class RotationProfile:
-    per_level: dict
-    key_set: set
-    total: int
 
 
 class MultiGroupNetwork:
@@ -272,10 +259,7 @@ def build_network(p: Permutation) -> MultiGroupNetwork:
     g = 0
     while unsolved:
         if all(entries[ei].r_rem == 0 for ei in unsolved):
-            # nothing left to rotate: no nodes, entries are already home
-            for ei in unsolved:
-                entries[ei].tag = SOLVED
-            break
+            break  # nothing left to rotate: entries are already home
         by_level: dict[int, list[int]] = {}
         for ei in unsolved:
             by_level.setdefault(net.nodes[entries[ei].node].level, []).append(ei)
@@ -297,7 +281,6 @@ def build_network(p: Permutation) -> MultiGroupNetwork:
                     if rot_node is None:
                         rot_node = net.add_node("rotation", g, lvl + 1, step=rot)
                     if pos in rot_node.occ:
-                        e.tag = DEFERRED
                         deferred.append(ei)
                         continue
                     rot_node.occ[pos] = ei
@@ -320,12 +303,8 @@ def build_network(p: Permutation) -> MultiGroupNetwork:
                 by_level.setdefault(lvl + 1, []).extend(moved)
             remaining = [ei for lst in by_level.values() for ei in lst]
             if all(entries[ei].r_rem == 0 for ei in remaining):
-                for ei in remaining:
-                    entries[ei].tag = SOLVED
                 net.group_spans.append((start, lvl + 1 if moved else lvl))
                 break
-        for ei in deferred:
-            entries[ei].tag = UNSOLVED
         unsolved = deferred
         g += 1
     return net
@@ -544,9 +523,9 @@ def evaluate_network(net: MultiGroupNetwork, v: SlotVector) -> SlotVector:
 
 
 def rotation_profile(net: MultiGroupNetwork, led: CostLedger
-                     ) -> RotationProfile:
-    """Executed rotations per schedule level, plus the key set, reduced from
-    the CostLedger of one evaluate_network run of net.
+                     ) -> dict[int, int]:
+    """Executed rotations per schedule level, reduced from the CostLedger of
+    one evaluate_network run of net.
 
     The schedule level comes from each rotation's tag: net.g{g}.l{lv} sits on
     level lv, the collapsed top's pre-rotations on level 1 and the collapsed
@@ -556,5 +535,4 @@ def rotation_profile(net: MultiGroupNetwork, led: CostLedger
     per_level = Counter(
         collapsed.get(op.tag) or int(op.tag.rpartition(".l")[2])
         for op in led.rotations)
-    return RotationProfile(dict(sorted(per_level.items())), led.key_set(),
-                           led.rotation_count)
+    return dict(sorted(per_level.items()))

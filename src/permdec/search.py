@@ -9,6 +9,13 @@ conflicts in U_R, depth-first, each entry moved at most once. Entries with
 |k| = r_c exactly may take either their natural diagonal or, when the range
 permits, k_R = 0; those choices branch.
 
+The depth-first search runs on an explicit stack of generators, so its
+depth is bounded by memory, not by Python's recursion limit. Each step
+places one entry (or moves one conflicted entry), yields the step below
+it or a finished placement, and undoes its move once the search loop has
+run that step to exhaustion. search_depth1 takes the first placement and
+enumerate_depth1 all distinct ones, in the same order.
+
 All diagonal arithmetic uses stride-aligned signed representatives: every
 non-zero diagonal index is a multiple of a common difference `a`, bounded
 by |k| <= r.
@@ -17,11 +24,20 @@ by |k| <= r.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .chain import DecompositionChain
 from .diag import DiagMatrix, convert_r, perm_to_diag, to_permutation
 from .slots import Permutation
+
+
+def _readings(k: int, n: int, a: int, onesided: bool) -> list[int]:
+    """Stride-aligned signed readings of diagonal k (0 <= k < n), min-abs
+    first and, on a tie, positive first."""
+    if onesided:
+        return [k] if k % a == 0 else []
+    return sorted((c for c in (k, k - n) if c % a == 0),
+                  key=lambda c: (abs(c), -c))
 
 
 @dataclass(frozen=True)
@@ -32,8 +48,12 @@ class SearchParams:
     onesided: bool = False
 
     def __post_init__(self):
-        assert self.a >= 1 and 0 <= self.r < self.n
-        assert self.r % self.a == 0
+        if self.a < 1 or not 0 <= self.r < self.n:
+            raise ValueError(f"search needs a >= 1 and 0 <= r < n, got "
+                             f"n={self.n}, a={self.a}, r={self.r}")
+        if self.r % self.a:
+            raise ValueError(f"radius r={self.r} is not a multiple of "
+                             f"stride a={self.a}")
 
     @property
     def rho(self) -> int:
@@ -48,15 +68,10 @@ class SearchParams:
 
     def aligned_rep(self, k: int) -> int:
         """Signed representative of diagonal k divisible by a."""
-        k %= self.n
-        if self.onesided:
-            if k % self.a != 0:
-                raise ValueError(f"diagonal {k} not on stride {self.a}")
-            return k
-        cands = [c for c in (k, k - self.n) if c % self.a == 0]
+        cands = _readings(k % self.n, self.n, self.a, self.onesided)
         if not cands:
-            raise ValueError(f"diagonal {k} not on stride {self.a}")
-        return min(cands, key=lambda c: (abs(c), -c))
+            raise ValueError(f"diagonal {k % self.n} not on stride {self.a}")
+        return cands[0]
 
 
 def diag_profile(m: DiagMatrix, onesided: bool = False) -> SearchParams:
@@ -70,45 +85,41 @@ def diag_profile(m: DiagMatrix, onesided: bool = False) -> SearchParams:
     best = None
     for a in range(1, n):
         r_a = 0
-        ok = True
         for k in ks:
-            if onesided:
-                cands = [k] if k % a == 0 else []
-            else:
-                cands = [c for c in (k, k - n) if c % a == 0]
+            cands = _readings(k, n, a, onesided)
             if not cands:
-                ok = False
                 break
-            r_a = max(r_a, min(abs(c) for c in cands))
-        if ok and r_a % a == 0:
-            key = (-(-r_a // a), r_a, -a)
-            if best is None or key < best[0]:
-                best = (key, a, r_a)
+            r_a = max(r_a, abs(cands[0]))
+        else:
+            if r_a % a == 0:
+                key = (-(-r_a // a), r_a, -a)
+                if best is None or key < best[0]:
+                    best = (key, a, r_a)
     assert best is not None  # a=1 is always feasible
     return SearchParams(n, best[1], best[2], onesided)
 
 
-@dataclass
-class DiagTables:
-    """Right-factor state during the search: row -> source diagonal."""
-
-    rc: int
-    m_pos: dict[int, int] = field(default_factory=dict)
-    m_neg: dict[int, int] = field(default_factory=dict)
-    m_zero: dict[int, int] = field(default_factory=dict)
-
-
 class _Searcher:
-    def __init__(self, u: DiagMatrix, params: SearchParams, rc: int,
-                 r_bound: int):
+    """One depth-1 search of u; solutions() yields its placements.
+
+    The right factor's rows are kept per routing: m_pos, m_neg and m_zero
+    map a row of U_R on diagonal +rc, -rc or 0 to the signed diagonal
+    (kappa) of the entry of U routed through it."""
+
+    def __init__(self, u: DiagMatrix, params: SearchParams,
+                 rc: int | None = None, r_bound: int | None = None):
+        if u.nnz() != u.n or not u.is_permutation():
+            raise ValueError("search requires a permutation matrix")
         self.u = u
         self.n = u.n
         self.p = params
-        self.rc = rc
-        self.r_bound = r_bound
+        self.rc = rc = params.rc(1) if rc is None else rc
+        self.r_bound = params.r if r_bound is None else r_bound
         # +rc and -rc coincide as diagonals when 2*rc = 0 mod n
         self.merged_pm = (2 * rc) % u.n == 0
-        self.t = DiagTables(rc)
+        self.m_pos: dict[int, int] = {}
+        self.m_neg: dict[int, int] = {}
+        self.m_zero: dict[int, int] = {}
         self.infeasible = False
         forced = []      # single-option entries on +-rc
         interior = []    # single-option entries on 0
@@ -130,14 +141,6 @@ class _Searcher:
         self.interior = interior
         self.choices = choices
 
-    def _candidates(self, k: int) -> list[int]:
-        """Stride-aligned signed readings of diagonal k, min-abs first."""
-        if self.p.onesided:
-            return [k] if k % self.p.a == 0 else []
-        cands = [c for c in (k, k - self.n) if c % self.p.a == 0]
-        cands.sort(key=lambda c: (abs(c), -c))
-        return cands
-
     def _options(self, k: int, l: int, c: int) -> list[tuple[int, int, int]]:
         """Legal (k_R, row, kappa) routings for the entry at (diagonal k,
         row l, column c), natural routing first."""
@@ -153,7 +156,7 @@ class _Searcher:
                 seen.add(key)
                 opts.append((kr, row, kappa))
 
-        for kappa in self._candidates(k):
+        for kappa in _readings(k, n, self.p.a, self.p.onesided):
             def ok(kr):
                 v = kappa - kr
                 return 0 <= v <= r_left if self.p.onesided else abs(v) <= r_left
@@ -176,32 +179,44 @@ class _Searcher:
 
     def _bucket(self, kr: int) -> dict[int, int]:
         if kr % self.n == 0:
-            return self.t.m_zero
+            return self.m_zero
         if self.merged_pm or kr > 0:
-            return self.t.m_pos
-        return self.t.m_neg
+            return self.m_pos
+        return self.m_neg
 
     def _opposite(self, kr: int) -> dict[int, int]:
         if self.merged_pm:
             return {}
-        return self.t.m_neg if kr > 0 else self.t.m_pos
+        return self.m_neg if kr > 0 else self.m_pos
 
-    def run(self, emit) -> bool:
-        """Depth-first over routing choices, then conflict resolution.
-        emit() -> True stops the search; returns the stop flag."""
+    # -- the search ----------------------------------------------------------
+
+    def solutions(self):
+        """Snapshot of every placement the DFS reaches, in search order. A
+        step that yields a sub-step is resumed only once the sub-step is
+        exhausted."""
         if self.infeasible:
-            return False
+            return
         for kr, row, kappa in self.forced:
             if row in self._opposite(kr):
-                return False  # two immovable entries share a row
+                return  # two immovable entries share a row
             bucket = self._bucket(kr)
             assert row not in bucket  # same column twice is impossible
             bucket[row] = kappa
-        return self._place_choice(0, emit)
+        stack = [self._place_choice(0)]
+        while stack:
+            step = next(stack[-1], None)
+            if step is None:
+                stack.pop()
+            elif isinstance(step, frozenset):
+                yield step
+            else:
+                stack.append(step)
 
-    def _place_choice(self, idx: int, emit) -> bool:
+    def _place_choice(self, idx: int):
         if idx == len(self.choices):
-            return self._place_interior(emit)
+            yield self._place_interior()
+            return
         for kr, row, kappa in self.choices[idx]:
             bucket = self._bucket(kr)
             if kr % self.n != 0:
@@ -210,61 +225,53 @@ class _Searcher:
             else:
                 assert row not in bucket
             bucket[row] = kappa
-            if self._place_choice(idx + 1, emit):
-                return True
+            yield self._place_choice(idx + 1)
             del bucket[row]
-        return False
 
-    def _place_interior(self, emit) -> bool:
-        m0 = self.t.m_zero
-        placed = []
-        for kr, c, kappa in self.interior:
+    def _place_interior(self):
+        m0 = self.m_zero
+        for _, c, kappa in self.interior:
             assert c not in m0
             m0[c] = kappa
-            placed.append(c)
-        q = sorted(row for row in m0
-                   if row in self.t.m_pos or row in self.t.m_neg)
-        stop = self._resolve(None, q, 0, emit)
-        for c in placed:
+        q = sorted(row for row in m0 if row in self.m_pos or row in self.m_neg)
+        yield self._resolve(None, q, 0)
+        for _, c, _ in self.interior:
             del m0[c]
-        return stop
 
-    def _resolve(self, row: int | None, q: list[int], i: int, emit) -> bool:
+    def _resolve(self, row: int | None, q: list[int], i: int):
         """Alg.-2 style conflict resolution; `row` is a freshly conflicted
         row to fix first, else scan q from i. Undoes only its own moves."""
-        t = self.t
-        if row is None or row not in t.m_zero:
-            while i < len(q) and q[i] not in t.m_zero:
+        if row is None or row not in self.m_zero:
+            while i < len(q) and q[i] not in self.m_zero:
                 i += 1
             if i == len(q):
-                return emit()
+                yield self.snapshot()
+                return
             row, i = q[i], i + 1
-        b = t.m_zero.pop(row)
-        stop = False
+        b = self.m_zero.pop(row)
         # move the 0-diagonal entry at this row to +rc
         if b >= 2 * self.rc - self.r_bound and (not self.p.onesided
                                                 or b >= self.rc):
             r2 = (row - self.rc) % self.n
             if r2 not in self._opposite(self.rc):
-                assert r2 not in t.m_pos
-                t.m_pos[r2] = b
-                stop = self._resolve(r2, q, i, emit)
-                del t.m_pos[r2]
+                assert r2 not in self.m_pos
+                self.m_pos[r2] = b
+                yield self._resolve(r2, q, i)
+                del self.m_pos[r2]
         # otherwise to -rc
-        if (not stop and not self.p.onesided and not self.merged_pm
+        if (not self.p.onesided and not self.merged_pm
                 and -b >= 2 * self.rc - self.r_bound):
             r2 = (row + self.rc) % self.n
-            if r2 not in t.m_pos:
-                t.m_neg[r2] = b
-                stop = self._resolve(r2, q, i, emit)
-                del t.m_neg[r2]
-        t.m_zero[row] = b
-        return stop
+            if r2 not in self.m_pos:
+                self.m_neg[r2] = b
+                yield self._resolve(r2, q, i)
+                del self.m_neg[r2]
+        self.m_zero[row] = b
 
     def snapshot(self) -> frozenset:
-        items = [(row, self.rc) for row in self.t.m_pos]
-        items += [(row, (-self.rc) % self.n) for row in self.t.m_neg]
-        items += [(row, 0) for row in self.t.m_zero]
+        items = [(row, self.rc) for row in self.m_pos]
+        items += [(row, (-self.rc) % self.n) for row in self.m_neg]
+        items += [(row, 0) for row in self.m_zero]
         return frozenset(items)
 
 
@@ -280,39 +287,21 @@ def _build_factors(u: DiagMatrix, placements: frozenset
     return ul, ur
 
 
-def _run_search(u: DiagMatrix, params: SearchParams, rc: int, r_bound: int,
-                first_only: bool) -> list[tuple[DiagMatrix, DiagMatrix]]:
-    if u.nnz() != u.n or not u.is_permutation():
-        raise ValueError("search requires a permutation matrix")
-    searcher = _Searcher(u, params, rc, r_bound)
-    seen: dict[frozenset, None] = {}
-
-    def emit() -> bool:
-        seen.setdefault(searcher.snapshot())
-        return first_only
-
-    searcher.run(emit)
-    return [_build_factors(u, snap) for snap in seen]
-
-
 def search_depth1(u: DiagMatrix, params: SearchParams, rc: int | None = None,
                   r_bound: int | None = None
                   ) -> tuple[DiagMatrix, DiagMatrix] | None:
     """First (U_L, U_R) with U = U_L U_R, U_R supported on {0, +-rc} and
     U_L within [-(r - rc), r - rc]; None when no such factorization exists."""
-    rc = params.rc(1) if rc is None else rc
-    r_bound = params.r if r_bound is None else r_bound
-    found = _run_search(u, params, rc, r_bound, first_only=True)
-    return found[0] if found else None
+    snap = next(_Searcher(u, params, rc, r_bound).solutions(), None)
+    return None if snap is None else _build_factors(u, snap)
 
 
 def enumerate_depth1(u: DiagMatrix, params: SearchParams, rc: int | None = None,
                      r_bound: int | None = None
                      ) -> list[tuple[DiagMatrix, DiagMatrix]]:
     """All distinct factor pairs reachable by the conflict-resolution DFS."""
-    rc = params.rc(1) if rc is None else rc
-    r_bound = params.r if r_bound is None else r_bound
-    return _run_search(u, params, rc, r_bound, first_only=False)
+    snaps = dict.fromkeys(_Searcher(u, params, rc, r_bound).solutions())
+    return [_build_factors(u, snap) for snap in snaps]
 
 
 def max_ideal_depth(u: DiagMatrix, params: SearchParams | None = None

@@ -12,7 +12,7 @@ from permdec.diag import perm_to_diag
 from permdec.ledger import CostLedger
 from permdec.network import build_network
 from permdec.slots import Permutation, SlotVector
-from util import zero_profile
+from util import zero_ledger
 
 
 def log2(x: int) -> int:
@@ -263,6 +263,6 @@ def test_restricted_totals_exceed_network_totals():
     for n, count in ((1 << 10, 4), (1 << 11, 3)):
         for seed in range(count):
             p = Permutation.random(n, random.Random(9000 + seed))
-            net_total = zero_profile(build_network(p)).total
+            net_total = zero_ledger(build_network(p)).rotation_count
             res = restrict_keys(collapse_benes(benes_decompose(p)))
             assert res.total_rotations() > net_total

@@ -70,6 +70,13 @@ def test_search_named_target(capsys):
     assert rep["factors"][0]["name"] == "L"
 
 
+def test_search_named_target_d64(capsys):
+    # deeper than Python's recursion limit when the DFS recursed
+    rc, rep = run_json(capsys, "search", "--target", "ut", "--d", "64")
+    assert rc == 0 and rep["ok"] is True
+    assert rep["depth"] == rep["depth_cap"] == 5
+
+
 def test_search_perm_file(capsys, tmp_path):
     path = tmp_path / "p.json"
     Permutation.rotation(32, 5).save(path)
@@ -225,7 +232,16 @@ def test_usage_errors_exit_two(capsys, tmp_path):
     assert main(["decompose", "ut", "--format", "csv"]) == 2  # csv is bench-only
     assert main(["net", "eval", "--perm-file", str(tmp_path / "absent.json")]) == 2
     assert main(["decompose", "ut", "--d", "4", "--l", "9"]) == 2
+    assert main(["search", "--d", "0"]) == 2
     capsys.readouterr()
+    for argv in (["net", "eval", "--n", "-4"], ["bench", "--n", "-8"],
+                 ["hmm", "--samples", "-2"], ["benes", "--n", "-4"],
+                 ["net", "profile", "--samples", "-1"],
+                 ["verify", "--n-max", "0"], ["decompose", "ut", "--n", "0"],
+                 ["search", "--n", "x"]):
+        assert main(argv) == 2, argv
+        cap = capsys.readouterr()
+        assert "expected a positive integer" in cap.err and not cap.out
 
 
 def test_net_build_collapsed_report_declares_collapse(capsys):

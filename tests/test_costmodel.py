@@ -21,7 +21,7 @@ from permdec.costmodel import (CostParams, CostReport, chain_cost,
                                submodule_cost)
 from permdec.diag import perm_to_diag
 from permdec.ledger import CostLedger
-from permdec.network import build_network, reduce_masks
+from permdec.network import build_network, reduce_masks, rotation_profile
 from permdec.slots import DepthExhaustedError, Permutation, SlotVector
 from permdec.structured import decompose_gamma_xi_pad
 
@@ -224,13 +224,13 @@ def test_identity_network_costs_nothing():
 
 
 def test_network_report_matches_profile(rng):
-    from util import zero_profile
+    from util import zero_ledger
     net = _reduced_net(256, 123)
     rep = chain_cost(net)
-    prof = zero_profile(net)
-    assert rep.per_level == prof.per_level
-    assert rep.key_set == prof.key_set
-    assert rep.depth == max(prof.per_level)
+    led = zero_ledger(net)
+    assert rep.per_level == rotation_profile(net, led)
+    assert rep.key_set == led.key_set()
+    assert rep.depth == max(rep.per_level)
     assert rep.breakdown["rescale"] == 0  # drops ride the fused moddown
     assert rep.breakdown["mask"] > 0
     with CostLedger() as led:
@@ -299,6 +299,18 @@ def test_benchmark_tracer_still_wraps_the_pricer():
     bench = Path(__file__).resolve().parents[1] / "perfbench"
     script = ("import sys; sys.path.insert(0, sys.argv[1]); "
               "import selftest; selftest.check_wrapping()")
+    proc = subprocess.run([sys.executable, "-B", "-c", script, str(bench)],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_benchmark_still_counts_known_failures():
+    # the benchmark's failure-counting check needs a route that times out
+    # (today the tau search at d = 8); a search change that removes the
+    # timeout must fail here, not only in the benchmark's own self-test
+    bench = Path(__file__).resolve().parents[1] / "perfbench"
+    script = ("import sys; sys.path.insert(0, sys.argv[1]); "
+              "import selftest; selftest.check_known_failures_counted()")
     proc = subprocess.run([sys.executable, "-B", "-c", script, str(bench)],
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr

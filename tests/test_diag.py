@@ -192,8 +192,9 @@ def test_bad_plans_raise_without_asserts():
     assert_value_errors_without_asserts("test_diag", "BAD_PLANS")
 
 
-# each evaluator the cost model replays through must refuse an operand of
-# another slot count with ValueError, also under python -O
+# each evaluator the cost model replays through, and the matrix product,
+# must refuse an operand of another slot count with ValueError, also under
+# python -O
 BAD_DIMENSIONS = {
     "matrix n=8, vector n=4": lambda: apply_hlt_direct(
         DiagMatrix.identity(8), SlotVector.zeros(4)),
@@ -208,6 +209,8 @@ BAD_DIMENSIONS = {
         SlotVector.zeros(16)),
     "chain n=8, vector n=4": lambda: PaddedChain(
         8, [1], [], (1,) * 8).evaluate(SlotVector.zeros(4)),
+    "matmul of matrices n=4 and n=8": lambda: matmul(
+        DiagMatrix.identity(4), DiagMatrix.identity(8)),
 }
 
 

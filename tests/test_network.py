@@ -14,10 +14,10 @@ import pytest
 
 from permdec.ledger import CostLedger
 from permdec.network import (MultiGroupNetwork, build_network, collapse_levels,
-                             evaluate_network, reduce_masks)
+                             evaluate_network, reduce_masks, rotation_profile)
 from permdec.slots import Permutation, SlotVector
 from util import (assert_value_errors, assert_value_errors_without_asserts,
-                  zero_profile)
+                  zero_ledger, zero_profile)
 
 
 def log2(x: int) -> int:
@@ -58,7 +58,7 @@ def test_identity_builds_no_nodes():
     net = build_network(Permutation.identity(16))
     assert net.rotation_nodes() == []
     assert len(net.nodes) == 1  # just the input holder
-    assert all(e.tag == "solved" for e in net.entries)
+    assert all(e.r_rem == 0 for e in net.entries)
 
 
 def test_power_of_two_rotation_is_single_level():
@@ -72,7 +72,6 @@ def test_all_entries_solved_and_traced():
     p, _ = build_random(256, 11)
     net = build_network(p)
     for e in net.entries:
-        assert e.tag == "solved"
         assert e.r_rem == 0
         # the trace covers every level from the input down to a group bottom
         assert len(e.trace) - 1 == net.nodes[e.trace[-1]].level
@@ -104,9 +103,9 @@ def test_distinct_steps_at_most_log_n():
     for seed in range(20):
         for n in (256, 1024):
             p, _ = build_random(n, 300 + seed)
-            prof = zero_profile(build_network(p))
-            assert len(prof.key_set) <= log2(n)
-            assert all(k & (k - 1) == 0 for k in prof.key_set)
+            keys = zero_ledger(build_network(p)).key_set()
+            assert len(keys) <= log2(n)
+            assert all(k & (k - 1) == 0 for k in keys)
 
 
 def test_group_level_counts_within_bound():
@@ -203,7 +202,7 @@ def test_evaluation_rotations_match_profile():
         net = build_network(p)
         with CostLedger() as led:
             evaluate_network(net, SlotVector.from_list(rand_vec(256, rng)))
-        assert led.rotation_count == zero_profile(net).total
+        assert led.rotation_count == zero_ledger(net).rotation_count
 
 
 # --------------------------------------------------------- mask reduction
@@ -328,13 +327,13 @@ def test_collapse_key_increase_within_budget():
     for seed in range(10):
         p, rng = build_random(1024, 4400 + seed)
         net = build_network(p)
-        base = zero_profile(net).key_set
+        base = zero_ledger(net).key_set()
         assert len(base) <= log2(1024)
         for top, bottom, m in ((2, 3, 4), (0, 4, 4), (2, 2, 2), (1, 3, 8)):
             if top + bottom >= net.max_level:
                 continue
             col = collapse_levels(net, top, bottom, arity=m)
-            keys = zero_profile(col).key_set
+            keys = zero_ledger(col).key_set()
             extra = len(keys - base)
             budget = Fraction(m - 1, log2(m)) - 1
             assert extra <= budget * (top + bottom)
@@ -346,7 +345,7 @@ def test_collapsed_rotations_match_profile():
         col = collapse_levels(build_network(p), 2, 3)
         with CostLedger() as led:
             evaluate_network(col, SlotVector.from_list(rand_vec(256, rng)))
-        assert led.rotation_count == zero_profile(col).total
+        assert led.rotation_count == zero_ledger(col).rotation_count
 
 
 def test_collapse_single_bottom_level_on_reduced():
@@ -403,14 +402,17 @@ def test_collapse_refuses_network_loaded_from_json():
 
 
 def test_profile_identity_all_zero():
-    prof = zero_profile(build_network(Permutation.identity(64)))
-    assert prof.per_level == {} and prof.total == 0 and prof.key_set == set()
+    net = build_network(Permutation.identity(64))
+    led = zero_ledger(net)
+    assert rotation_profile(net, led) == {}
+    assert led.rotation_count == 0 and led.key_set() == set()
 
 
 def test_profile_rotation_by_three():
-    prof = zero_profile(build_network(Permutation.rotation(8, 3)))
-    assert prof.per_level == {1: 1, 2: 1}
-    assert prof.key_set == {1, 2} and prof.total == 2
+    net = build_network(Permutation.rotation(8, 3))
+    led = zero_ledger(net)
+    assert rotation_profile(net, led) == {1: 1, 2: 1}
+    assert led.key_set() == {1, 2} and led.rotation_count == 2
 
 
 @pytest.mark.parametrize("n", sorted(REFERENCE_ROWS))
@@ -421,8 +423,8 @@ def test_profile_reference_rows(n):
     for seed in range(20):
         p, _ = build_random(n, 5000 + seed)
         prof = zero_profile(build_network(p))
-        totals.append(prof.total)
-        for lv, c in prof.per_level.items():
+        totals.append(sum(prof.values()))
+        for lv, c in prof.items():
             sums[lv] += c
     means = [s / 20 for s in sums[1:]]
     assert len(means) == len(row)
@@ -436,7 +438,7 @@ def test_profile_total_spread_grows_with_n():
         out = []
         for seed in range(20):
             p, _ = build_random(n, base + seed)
-            out.append(zero_profile(build_network(p)).total)
+            out.append(zero_ledger(build_network(p)).rotation_count)
         return out
 
     small = statistics.pstdev(totals(1 << 10, 6000))
@@ -457,8 +459,7 @@ def test_json_roundtrip_evaluates_identically():
             json.loads(json.dumps(net.to_json())))
         v = SlotVector.from_list(vals)
         assert evaluate_network(back, v).to_list() == p.apply(vals)
-        assert zero_profile(back).per_level == \
-            zero_profile(net).per_level
+        assert zero_profile(back) == zero_profile(net)
 
 
 def test_reduced_json_roundtrip():

@@ -1,4 +1,6 @@
 import random
+import signal
+from contextlib import contextmanager
 from itertools import permutations
 
 import pytest
@@ -14,8 +16,10 @@ from permdec.search import (
     validate_ideal_chain,
 )
 from permdec.slots import Permutation
+from permdec.structured import _max_rounds, build_sigma, build_tau, build_ut
 
-from util import depth1_oracle, random_perm_with_diags, transpose_perm
+from util import (assert_value_errors, assert_value_errors_without_asserts,
+                  depth1_oracle, random_perm_with_diags, transpose_perm)
 
 
 def a1_params(u):
@@ -23,6 +27,11 @@ def a1_params(u):
     n = u.n
     reps = [min((k, k - n), key=lambda c: (abs(c), -c)) for k in u.diag_set()]
     return SearchParams(n, 1, max(abs(x) for x in reps))
+
+
+def a1_case(p):
+    u = perm_to_diag(p)
+    return u, a1_params(u)
 
 
 def test_params_rc_sequence():
@@ -42,6 +51,26 @@ def test_params_aligned_rep():
     q = SearchParams(16, 1, 8)
     assert q.aligned_rep(9) == -7
     assert q.aligned_rep(8) == 8       # tie between +-8 goes positive
+
+
+# each bad parameter set must raise ValueError matching the text, also under
+# python -O
+BAD_SEARCH_PARAMS = {
+    "got n=0, a=1, r=0": lambda: SearchParams(0, 1, 0),
+    "got n=16, a=0, r=0": lambda: SearchParams(16, 0, 0),
+    "got n=16, a=1, r=16": lambda: SearchParams(16, 1, 16),
+    "got n=16, a=1, r=-1": lambda: SearchParams(16, 1, -1),
+    "radius r=4 is not a multiple of stride a=3":
+        lambda: SearchParams(16, 3, 4),
+}
+
+
+def test_bad_search_params_raise_value_error():
+    assert_value_errors(BAD_SEARCH_PARAMS)
+
+
+def test_bad_search_params_raise_without_asserts():
+    assert_value_errors_without_asserts("test_search", "BAD_SEARCH_PARAMS")
 
 
 def test_profile_even_diag_window():
@@ -248,3 +277,66 @@ def test_validator_rejects_bad_chains():
     rep = validate_ideal_chain(u, DecompositionChain(16, [ur, ul]), params)
     assert not rep.right_factors_ok
     assert not rep.ok and rep.details
+
+
+def test_search_is_first_enumerated_solution(rng):
+    # the first snapshot of the one DFS is the enumeration's first pair
+    cases = [a1_case(Permutation(list(tg)))
+             for n in range(2, 7) for tg in permutations(range(n))]
+    cases += [a1_case(Permutation.random(8, rng)) for _ in range(100)]
+    for build in (build_ut, build_sigma, build_tau):
+        for d in (2, 4):
+            u = build(d)
+            cases.append((u, diag_profile(u)))
+    for d in (4, 8):
+        u = perm_to_diag(transpose_perm(d))
+        cases.append((u, diag_profile(u)))
+    u = perm_to_diag(random_perm_with_diags(16, {0, 4, 8, 12}, rng))
+    cases.append((u, diag_profile(u, onesided=True)))
+    found = 0
+    for u, params in cases:
+        sols = enumerate_depth1(u, params)
+        first = search_depth1(u, params)
+        assert first == (sols[0] if sols else None)
+        found += bool(sols)
+    assert 0 < found < len(cases)
+
+
+def test_search_checks_permutation_at_call_time():
+    m = DiagMatrix(4)
+    m.set_entry(0, 0, 2)
+    with pytest.raises(ValueError, match="permutation matrix"):
+        search_depth1(m, SearchParams(4, 1, 0))
+    with pytest.raises(ValueError, match="permutation matrix"):
+        enumerate_depth1(m, SearchParams(4, 1, 0))
+
+
+@contextmanager
+def deadline(seconds):
+    def expire(signum, frame):
+        raise TimeoutError(f"no result within {seconds} s")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+
+
+@pytest.mark.parametrize("target,d", [
+    (t, d) for t in ("ut", "sigma") for d in (4, 8, 16, 32, 64)
+] + [("tau", 4), pytest.param("tau", 8, marks=pytest.mark.xfail(
+    strict=True, raises=TimeoutError,
+    reason="the tau search does not finish from d = 8 on"))])
+def test_search_reaches_full_depth(target, d):
+    # d = 64 runs the DFS thousands of steps deep, past Python's default
+    # recursion limit of 1,000 frames
+    u = {"ut": build_ut, "sigma": build_sigma, "tau": build_tau}[target](d)
+    params = diag_profile(u)
+    with deadline(2):
+        depth, chain = max_ideal_depth(u, params)
+    assert depth == params.max_depth_cap() == _max_rounds(d)
+    rep = validate_ideal_chain(u, chain, params)
+    assert rep.ok, rep.details

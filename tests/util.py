@@ -46,9 +46,14 @@ def assert_value_errors_without_asserts(module: str, table: str) -> None:
     assert proc.returncode == 0, proc.stderr
 
 
+def zero_ledger(net):
+    """CostLedger of the cost model's slot-free replay of net."""
+    return _replay(net)[0]
+
+
 def zero_profile(net):
-    """rotation_profile of the cost model's slot-free replay of net."""
-    return rotation_profile(net, _replay(net)[0])
+    """rotation_profile (rotations per schedule level) of that replay."""
+    return rotation_profile(net, zero_ledger(net))
 
 
 def depth1_oracle(u: DiagMatrix, a: int, r: int, rc: int,
