@@ -20,11 +20,12 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field, replace
-from typing import ClassVar
+from functools import reduce
+from typing import ClassVar, Sequence
 
 from .chain import DecompositionChain
-from .diag import (BsgsPlan, DiagMatrix, perm_to_diag, plan_bsgs, signed_rep,
-                   to_permutation)
+from .diag import (BsgsPlan, _window_sizes, perm_to_diag, plan_bsgs,
+                   signed_rep, to_permutation)
 from .slots import Permutation, SlotVector
 
 
@@ -55,8 +56,8 @@ def _two_color(dest):
     return color
 
 
-def _plan_for(f: DiagMatrix) -> BsgsPlan:
-    offs = f.signed_diag_set()
+def _plan_for(offs: Sequence[int], n: int) -> BsgsPlan:
+    """BSGS plan for a factor whose signed diagonals are offs."""
     stride = 0
     for o in offs:
         stride = math.gcd(stride, abs(o))
@@ -64,15 +65,15 @@ def _plan_for(f: DiagMatrix) -> BsgsPlan:
     ts = [o // stride for o in offs]
     dmax = max(abs(t) for t in ts)
     if dmax <= 64:
-        return plan_bsgs(ts, f.n, stride=stride)
-    # wide spreads: full n1 sweep is wasteful, try small splits and powers
-    cands = list(range(1, 65)) + [1 << b for b in range(7, dmax.bit_length())]
-    best = None
-    for n1 in sorted(set(cands)):
-        plan = plan_bsgs(ts, f.n, stride=stride, n1=n1, style="sparse")
-        if best is None or plan.rotation_count() < best.rotation_count():
-            best = plan
-    return best
+        return plan_bsgs(ts, n, stride=stride)
+    # wide spreads: full n1 sweep is wasteful, try small splits and powers;
+    # the first with the fewest rotations is planned (plan_bsgs swaps in the
+    # pure-baby plan only when that is strictly fewer)
+    cands = sorted(set(range(1, 65))
+                   | {1 << b for b in range(7, dmax.bit_length())})
+    counts = [sum(_window_sizes(ts, n1, "sparse", dmax)) for n1 in cands]
+    return plan_bsgs(ts, n, stride=stride,
+                     n1=cands[counts.index(min(counts))], style="sparse")
 
 
 @dataclass
@@ -93,7 +94,8 @@ class BenesChain(DecompositionChain):
 
     def __post_init__(self):
         if not self.plans:
-            self.plans = [_plan_for(f) for f in self.factors]
+            self.plans = [_plan_for(f.signed_diag_set(), f.n)
+                          for f in self.factors]
         super().__post_init__()
         if not len(self.factors) == len(self.allowed) == len(self.groups):
             raise ValueError("factors, allowed and groups differ in length")
@@ -194,14 +196,19 @@ def collapse_benes(chain: BenesChain, target_depth: int | None = None
 
     span_max = nf - target_depth + 1
     cost: dict[tuple[int, int], int] = {}
-    merged: dict[tuple[int, int], Permutation] = {}
+    # spans often share an offset set; only its count is kept, as holding
+    # every span's plan or product would grow the peak memory several MB
+    by_offsets: dict[tuple[int, ...], int] = {}
     for a in range(nf):
         q = perms[a]
         for b in range(a + 1, min(a + span_max, nf) + 1):
             if b > a + 1:
                 q = q.compose(perms[b - 1])
-            merged[a, b] = q
-            cost[a, b] = len(_plan_for(perm_to_diag(q)).executed_steps())
+            ks = {(s - t) % n for s, t in enumerate(q.targets)}
+            offs = tuple(sorted(signed_rep(k, n) for k in ks))
+            if offs not in by_offsets:
+                by_offsets[offs] = len(_plan_for(offs, n).executed_steps())
+            cost[a, b] = by_offsets[offs]
 
     INF = float("inf")
     best = [[INF] * (target_depth + 1) for _ in range(nf + 1)]
@@ -231,7 +238,8 @@ def collapse_benes(chain: BenesChain, target_depth: int | None = None
 
     factors, allowed, groups = [], [], []
     for a, b in zip(bounds, bounds[1:]):
-        factors.append(perm_to_diag(merged[a, b]))
+        factors.append(perm_to_diag(reduce(Permutation.compose,
+                                           perms[a + 1:b], perms[a])))
         allowed.append(_sum_set(chain.allowed[a:b], n))
         groups.append((chain.groups[a][0], chain.groups[b - 1][1]))
     return BenesChain(n, factors, allowed=allowed, groups=groups)

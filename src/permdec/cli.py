@@ -344,13 +344,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("search", help="ideal-form chain search")
     sp.add_argument("--target", default="", choices=["ut", "sigma", "tau", ""])
     sp.add_argument("--perm-file", default="")
-    sp.add_argument("--d", type=int, default=4)
+    sp.add_argument("--d", type=_positive, default=4)
     sp.add_argument("--n", type=_positive)
     common(sp)
 
     sp = sub.add_parser("decompose", help="structured decompositions")
     sp.add_argument("target", choices=["ut", "sigma", "tau", "gamma", "xi"])
-    sp.add_argument("--d", type=int, default=4)
+    sp.add_argument("--d", type=_positive, default=4)
     sp.add_argument("--dp", type=int)
     sp.add_argument("--l", type=int, default=1)
     sp.add_argument("--n", type=_positive)

@@ -119,14 +119,19 @@ def perm_to_diag(p: Permutation) -> DiagMatrix:
 
 
 def to_permutation(m: DiagMatrix) -> Permutation:
+    """The permutation p with perm_to_diag(p) == m; raises ValueError when m
+    is not a permutation matrix."""
     targets = [-1] * m.n
     for k, l, val in m.entries():
-        assert val == 1, "not a permutation matrix"
         src = (l + k) % m.n
-        assert targets[src] == -1, "column conflict"
+        if val != 1:
+            raise ValueError(f"not a permutation matrix: entry {val} at row "
+                             f"{l}, column {src}")
+        if targets[src] != -1:
+            raise ValueError(f"not a permutation matrix: column {src} has "
+                             f"entries in rows {targets[src]} and {l}")
         targets[src] = l
-    assert -1 not in targets, "missing columns"
-    return Permutation(targets)
+    return Permutation(targets)  # refuses an empty column or a repeated row
 
 
 def matmul(a: DiagMatrix, b: DiagMatrix) -> DiagMatrix:
@@ -224,26 +229,31 @@ class BsgsPlan:
         return [s for s in steps if s]
 
 
-def _window_union(assign: dict[int, tuple[int, int]]):
-    js = sorted({j for g, j in assign.values() if j != 0})
-    gs = sorted({g for g, j in assign.values() if g != 0})
-    return tuple(js), tuple(gs)
+def _giants(ts: Sequence[int], n1: int, style: str, dmax: int) -> list[int]:
+    """Giant index g of each offset t under the style's split t = n1*g + j.
+
+    symmetric: plain floor division for t >= 0 (j in [0, n1)) and floor
+    shifted by s = dmax mod n1 for t < 0 (j in [-s, n1-s)), so the union of
+    both sides is exactly the window [-s, n1), every value used; onesided:
+    |t| is split and both parts carry t's sign; sparse: the nearest g.
+    """
+    if style == "symmetric":
+        s = dmax % n1
+        return [t // n1 if t >= 0 else (t + s) // n1 for t in ts]
+    if style == "onesided":
+        return [t // n1 if t >= 0 else -(-t // n1) for t in ts]
+    h = n1 // 2
+    return [(t + h) // n1 for t in ts]
 
 
-def _assign_symmetric(offsets: Iterable[int], n1: int) -> dict[int, tuple[int, int]]:
-    # positive offsets: plain floor division, j in [0, n1)
-    # negative offsets: floor shifted by s, j in [-s, n1-s) -- the union of
-    # both sides is exactly the window [-s, n1), every value used
-    dmax = max(abs(t) for t in offsets)
-    q, s = divmod(dmax, n1)
-    assign = {}
-    for t in offsets:
-        if t >= 0:
-            g = t // n1
-        else:
-            g = (t + s) // n1
-        assign[t] = (g, t - n1 * g)
-    return assign
+def _window_sizes(ts: Sequence[int], n1: int, style: str,
+                  dmax: int) -> tuple[int, int]:
+    """Baby and giant window sizes (distinct nonzero j and g) of the split
+    at n1, counted without building its assignment."""
+    giants = _giants(ts, n1, style, dmax)
+    js = {t - n1 * g for t, g in zip(ts, giants)}
+    gs = set(giants)
+    return len(js) - (0 in js), len(gs) - (0 in gs)
 
 
 # preferred d1/d2 (babies per giant) among n1 that execute equally many
@@ -264,7 +274,10 @@ def plan_bsgs(offsets: Iterable[int], n: int, stride: int = 1,
 
     With d1/d2 given, builds the eager forced-split plan (window [1, d1],
     giants +-[1, d2], all executed). Otherwise picks n1 minimizing executed
-    rotations; ties prefer d1/d2 nearest BSGS_RATIO, then smaller n1.
+    rotations; ties prefer d1/d2 nearest BSGS_RATIO, then smaller n1. The
+    pure-baby plan (every offset its own rotation, n1 = dmax + 1) competes
+    too and loses full ties. Each candidate split is only counted; the
+    assignment and windows are built for the winner alone.
     Raises ValueError for an empty offset set and for a forced split that is
     incomplete or cannot cover the offsets.
     """
@@ -287,7 +300,7 @@ def plan_bsgs(offsets: Iterable[int], n: int, stride: int = 1,
                         tuple(g for g in range(-d2, d2 + 1) if g),
                         d1, d2)
 
-    dmax = max(abs(t) for t in ts)
+    dmax = max(-ts[0], ts[-1])
     if dmax == 0:
         return BsgsPlan(n, stride, 1, "trivial", {0: (0, 0)}, (), (), 0, 0)
 
@@ -302,39 +315,28 @@ def plan_bsgs(offsets: Iterable[int], n: int, stride: int = 1,
             style = "onesided"
         else:
             style = "sparse"
+    halve = style == "symmetric"  # d2 counts the giants of one side
 
-    candidates = []
-    if n1 is not None:
-        n1_range = [n1]
-    else:
-        n1_range = list(range(1, dmax + 1))
-    for cand in n1_range:
-        if style == "symmetric":
-            if cand >= dmax + 1:
-                continue
-            assign = _assign_symmetric(ts, cand)
-        elif style == "onesided":
-            assign = {t: ((abs(t) // cand) * (1 if t >= 0 else -1),
-                          (abs(t) % cand) * (1 if t >= 0 else -1)) for t in ts}
-        else:
-            assign = {t: ((t + cand // 2) // cand,
-                          t - cand * ((t + cand // 2) // cand)) for t in ts}
-        js, gs = _window_union(assign)
-        count = len(js) + len(gs)
-        if style == "symmetric":
-            pd1, pd2 = len(js), len(gs) // 2
-        else:
-            pd1, pd2 = len(js), len(gs)
-        candidates.append((count, _tie_penalty(pd1, pd2), cand,
-                           BsgsPlan(n, stride, cand, style, assign, js, gs, pd1, pd2)))
-    # pure-baby fallback: every offset its own rotation
-    assign = {t: (0, t) for t in ts}
-    js, gs = _window_union(assign)
-    candidates.append((len(js), math.inf, dmax + 1,
-                       BsgsPlan(n, stride, dmax + 1, style, assign, js, gs,
-                                len(js), 0)))
-    candidates.sort(key=lambda c: (c[0], c[1], c[2]))
-    return candidates[0][3]
+    babies = tuple(t for t in ts if t)
+    # (rotations, tie penalty, n1, pure baby): on a full tie min takes the
+    # split over the pure-baby plan
+    keys = [(len(babies), math.inf, dmax + 1, True)]
+    for cand in [n1] if n1 is not None else range(1, dmax + 1):
+        if halve and cand > dmax:
+            continue
+        nj, ng = _window_sizes(ts, cand, style, dmax)
+        keys.append((nj + ng, _tie_penalty(nj, ng // 2 if halve else ng),
+                     cand, False))
+    _, _, best, pure_baby = min(keys)
+    if pure_baby:
+        return BsgsPlan(n, stride, best, style, {t: (0, t) for t in ts},
+                        babies, (), len(babies), 0)
+    gs = _giants(ts, best, style, dmax)
+    assign = {t: (g, t - best * g) for t, g in zip(ts, gs)}
+    js = tuple(sorted({j for _, j in assign.values()} - {0}))
+    gw = tuple(sorted(set(gs) - {0}))
+    return BsgsPlan(n, stride, best, style, assign, js, gw, len(js),
+                    len(gw) // 2 if halve else len(gw))
 
 
 def apply_hlt_bsgs(m: DiagMatrix, plan: BsgsPlan, v: SlotVector,

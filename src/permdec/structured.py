@@ -187,6 +187,8 @@ def _max_rounds(d: int) -> int:
 
 
 def _embedding(d: int, n: int | None) -> int:
+    if d < 1:
+        raise ValueError(f"matrix dimension must be >= 1, got d={d}")
     n = d * d if n is None else n
     if d * d > n:
         raise ValueError(f"a {d}x{d} matrix does not fit {n} slots")

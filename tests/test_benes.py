@@ -1,18 +1,20 @@
 """Switching-network baseline: routing, stage constraints, collapse, keys."""
 
+import itertools
 import random
 import statistics
 
 import pytest
 
+from permdec import benes
 from permdec.benes import (BenesChain, benes_decompose, collapse_benes,
                            evaluate_benes, restrict_keys)
 from permdec.chain import DecompositionChain
-from permdec.diag import perm_to_diag
+from permdec.diag import perm_to_diag, to_permutation
 from permdec.ledger import CostLedger
 from permdec.network import build_network
 from permdec.slots import Permutation, SlotVector
-from util import zero_ledger
+from util import reference_plan_for, zero_ledger
 
 
 def log2(x: int) -> int:
@@ -190,6 +192,105 @@ def test_collapsed_diag_count_band():
             col = collapse_benes(benes_decompose(rand_perm(n, 60 + seed)))
             avg = statistics.mean(col.diag_counts())
             assert 3 <= avg <= 10
+
+
+def test_factor_plans_match_per_n1_reference():
+    # seeded offset sets on both sides of the dmax <= 64 shortcut, strided
+    # and not: the count-only n1 sweep must plan what one full plan per
+    # candidate n1 planned
+    rng = random.Random(77)
+    for _ in range(300):
+        n = 1 << rng.randint(4, 12)
+        stride = rng.choice([1, 1, 2, 4])
+        spread = rng.randint(1, n // (2 * stride))
+        ts = rng.sample(range(-spread, spread + 1),
+                        rng.randint(1, min(2 * spread + 1, 200)))
+        offs = sorted({stride * t for t in ts})
+        assert benes._plan_for(offs, n) == reference_plan_for(offs, n), offs
+
+
+def planned_collapse(monkeypatch, chain):
+    """collapse_benes(chain) with every _plan_for call recorded as
+    (offsets, plan): first the scored spans, then the collapsed chain's
+    factors."""
+    calls = []
+    real = benes._plan_for
+
+    def record(offs, n):
+        plan = real(offs, n)
+        calls.append((tuple(offs), plan))
+        return plan
+
+    monkeypatch.setattr(benes, "_plan_for", record)
+    col = collapse_benes(chain)
+    monkeypatch.setattr(benes, "_plan_for", real)
+    return col, calls
+
+
+def span_offsets(chain):
+    """Signed diagonals of every merged span (a, b) the collapse scores."""
+    nf = chain.depth
+    span_max = nf - max(log2(chain.n) - 1, 1) + 1
+    perms = [to_permutation(f) for f in chain.factors]
+    out = {}
+    for a in range(nf):
+        q = perms[a]
+        for b in range(a + 1, min(a + span_max, nf) + 1):
+            if b > a + 1:
+                q = q.compose(perms[b - 1])
+            out[a, b] = tuple(perm_to_diag(q).signed_diag_set())
+    return out
+
+
+@pytest.mark.parametrize("m", range(4, 11))
+def test_collapse_plans_match_per_n1_reference(monkeypatch, m):
+    # every span the collapse scores and every plan of the collapsed chain
+    # equals the per-n1 reference plan; each distinct offset set is scored
+    # once, and each collapsed factor planned once more
+    n = 1 << m
+    for seed in range(3 if m < 10 else 2):
+        chain = benes_decompose(rand_perm(n, 300 * m + seed))
+        col, calls = planned_collapse(monkeypatch, chain)
+        distinct = set(span_offsets(chain).values())
+        assert len(calls) == len(distinct) + col.depth
+        assert {offs for offs, _ in calls} == distinct
+        ref = {offs: reference_plan_for(offs, n) for offs in distinct}
+        assert all(plan == ref[offs] for offs, plan in calls)
+        assert col.plans == [ref[tuple(f.signed_diag_set())]
+                             for f in col.factors]
+
+
+def test_collapsed_plans_are_the_scored_plans(monkeypatch):
+    # the collapsed chain runs the plans the DP scored, and their executed
+    # steps add up to the cheapest contiguous split
+    for n, seed in ((16, 1), (32, 2), (64, 3), (64, 4)):
+        chain = benes_decompose(rand_perm(n, seed))
+        col, calls = planned_collapse(monkeypatch, chain)
+        scored = dict(calls[:len(calls) - col.depth])
+        assert col.plans == [scored[tuple(f.signed_diag_set())]
+                             for f in col.factors]
+        cost = {ab: len(scored[offs].executed_steps())
+                for ab, offs in span_offsets(chain).items()}
+        nf, depth = chain.depth, col.depth
+        cheapest = min(
+            sum(cost[a, b] for a, b in zip((0,) + cut, cut + (nf,)))
+            for cut in itertools.combinations(range(1, nf), depth - 1))
+        assert sum(len(p.executed_steps()) for p in col.plans) == cheapest
+
+
+def test_chain_given_plans_is_not_planned_again(monkeypatch):
+    col = collapse_benes(benes_decompose(rand_perm(64, 9)))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("planned again")
+
+    monkeypatch.setattr(benes, "plan_bsgs", refuse)
+    again = BenesChain(col.n, col.factors, col.plans, allowed=col.allowed,
+                       groups=col.groups)
+    assert again.plans == col.plans
+    assert restrict_keys(col).plans == col.plans
+    with pytest.raises(AssertionError, match="planned again"):
+        BenesChain(col.n, col.factors, allowed=col.allowed, groups=col.groups)
 
 
 def test_per_level_rotation_counts_reported():

@@ -238,7 +238,8 @@ def test_usage_errors_exit_two(capsys, tmp_path):
                  ["hmm", "--samples", "-2"], ["benes", "--n", "-4"],
                  ["net", "profile", "--samples", "-1"],
                  ["verify", "--n-max", "0"], ["decompose", "ut", "--n", "0"],
-                 ["search", "--n", "x"]):
+                 ["search", "--n", "x"], ["search", "--d", "-2"],
+                 ["decompose", "ut", "--d", "-3"]):
         assert main(argv) == 2, argv
         cap = capsys.readouterr()
         assert "expected a positive integer" in cap.err and not cap.out

@@ -23,7 +23,7 @@ from permdec.slots import Permutation, SlotVector
 from permdec.structured import PaddedChain
 
 from util import (assert_value_errors, assert_value_errors_without_asserts,
-                  transpose_perm)
+                  reference_plan_bsgs, transpose_perm)
 
 
 def test_signed_rep():
@@ -190,6 +190,69 @@ def test_bad_plans_raise_value_error():
 
 def test_bad_plans_raise_without_asserts():
     assert_value_errors_without_asserts("test_diag", "BAD_PLANS")
+
+
+def random_offset_sets(rng, count):
+    """Seeded (offsets, n, n1, style) cases: full symmetric ranges, one-sided
+    ranges of either sign and sparse sets, at n = 2^3..2^12, with n1 free
+    (spread capped so the reference sweep stays quick) or fixed (any spread,
+    sometimes past dmax), and the style detected or forced."""
+    for i in range(count):
+        n = 1 << rng.randint(3, 12)
+        fixed = rng.random() < 0.5
+        dmax = rng.randint(0, n // 2 if fixed else min(n // 2, 96))
+        kind = i % 3
+        if kind == 0:
+            ts = range(-dmax, dmax + 1)
+        elif kind == 1:
+            ts = range(rng.randint(0, min(1, dmax)), dmax + 1)
+            if rng.random() < 0.5:
+                ts = [-t for t in ts]
+        else:
+            ts = rng.sample(range(-dmax, dmax + 1),
+                            rng.randint(1, min(2 * dmax + 1, 300)))
+        n1 = rng.randint(1, dmax + 3) if fixed else None
+        style = rng.choice([None, None, "symmetric", "onesided", "sparse"])
+        yield list(ts), n, n1, style
+
+
+def test_plan_bsgs_matches_per_candidate_reference():
+    # counting the candidates and building only the winner must give the
+    # plan, field for field, that building every candidate gave
+    rng = random.Random(2024)
+    for ts, n, n1, style in random_offset_sets(rng, 1500):
+        stride = rng.choice([1, 1, 3])
+        got = plan_bsgs(ts, n, stride=stride, n1=n1, style=style)
+        want = reference_plan_bsgs(ts, n, stride=stride, n1=n1, style=style)
+        assert got == want, (ts, n, n1, style)
+
+
+# each non-permutation matrix must be refused with ValueError, also under
+# python -O
+def _matrix(n, entries):
+    m = DiagMatrix(n)
+    for k, l, val in entries:
+        m.set_entry(k, l, val)
+    return m
+
+
+BAD_PERMUTATION_MATRICES = {
+    "entry 2 at row 1, column 1": lambda: to_permutation(
+        _matrix(2, [(0, 0, 1), (0, 1, 2)])),
+    "column 0 has entries in rows 0 and 3": lambda: to_permutation(
+        _matrix(4, [(0, 0, 1), (1, 3, 1), (0, 1, 1), (0, 2, 1)])),
+    "every target in 0..3 must appear once": lambda: to_permutation(
+        _matrix(4, [(0, 0, 1), (0, 1, 1), (0, 2, 1)])),
+}
+
+
+def test_bad_permutation_matrices_raise_value_error():
+    assert_value_errors(BAD_PERMUTATION_MATRICES)
+
+
+def test_bad_permutation_matrices_raise_without_asserts():
+    assert_value_errors_without_asserts("test_diag",
+                                        "BAD_PERMUTATION_MATRICES")
 
 
 # each evaluator the cost model replays through, and the matrix product,

@@ -15,7 +15,8 @@ from permdec.structured import (Block, HmtSpec, block_local_perm, block_swap_per
                                 decompose_gamma_xi_pad, decompose_sigma,
                                 decompose_tau, decompose_ut, partition_rounds,
                                 unit_input_slots)
-from util import (gamma_oracle, sigma_oracle, tau_oracle, transpose_perm,
+from util import (assert_value_errors, assert_value_errors_without_asserts,
+                  gamma_oracle, sigma_oracle, tau_oracle, transpose_perm,
                   xi_oracle)
 
 
@@ -73,6 +74,25 @@ def test_build_ut_small_examples():
     assert build_ut(3, 16).is_permutation()
     with pytest.raises(ValueError):
         build_ut(5, 16)
+
+
+# each builder must refuse a matrix dimension below 1 with ValueError, also
+# under python -O (the keys cut one message at different points to stay
+# distinct)
+BAD_BUILDS = {
+    "got d=-2": lambda: build_ut(-2),
+    ">= 1, got d=-2": lambda: build_sigma(-2),
+    "matrix dimension must be >= 1, got d=-2": lambda: build_tau(-2),
+    "got d=0": lambda: build_sigma(0, 16),
+}
+
+
+def test_bad_builds_raise_value_error():
+    assert_value_errors(BAD_BUILDS)
+
+
+def test_bad_builds_raise_without_asserts():
+    assert_value_errors_without_asserts("test_structured", "BAD_BUILDS")
 
 
 def test_build_ut_matches_oracle(rng):

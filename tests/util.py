@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import os
 import subprocess
 import sys
@@ -11,7 +12,7 @@ import pytest
 
 from permdec import slots
 from permdec.costmodel import _replay
-from permdec.diag import DiagMatrix
+from permdec.diag import BsgsPlan, DiagMatrix, _tie_penalty
 from permdec.network import rotation_profile
 from permdec.slots import Permutation
 
@@ -54,6 +55,85 @@ def zero_ledger(net):
 def zero_profile(net):
     """rotation_profile (rotations per schedule level) of that replay."""
     return rotation_profile(net, zero_ledger(net))
+
+
+def reference_plan_bsgs(offsets, n, stride=1, n1=None, style=None):
+    """The per-candidate BSGS planner that plan_bsgs replaced (without the
+    forced split): every n1 candidate builds its full assignment and plan,
+    and the plans are sorted by (rotations, tie penalty, n1)."""
+    ts = sorted(set(offsets))
+    dmax = max(abs(t) for t in ts)
+    if dmax == 0:
+        return BsgsPlan(n, stride, 1, "trivial", {0: (0, 0)}, (), (), 0, 0)
+    if style is None:
+        pos = sorted(t for t in ts if t > 0)
+        neg = sorted(-t for t in ts if t < 0)
+        full_pos = pos == list(range(1, dmax + 1))
+        full_neg = neg == list(range(1, dmax + 1))
+        if full_pos and full_neg and 0 in ts:
+            style = "symmetric"
+        elif (full_pos and not neg) or (full_neg and not pos):
+            style = "onesided"
+        else:
+            style = "sparse"
+
+    def windows(assign):
+        js = sorted({j for g, j in assign.values() if j != 0})
+        gs = sorted({g for g, j in assign.values() if g != 0})
+        return tuple(js), tuple(gs)
+
+    candidates = []
+    for cand in [n1] if n1 is not None else range(1, dmax + 1):
+        if style == "symmetric":
+            if cand >= dmax + 1:
+                continue
+            s = dmax % cand
+            assign = {}
+            for t in ts:
+                g = t // cand if t >= 0 else (t + s) // cand
+                assign[t] = (g, t - cand * g)
+        elif style == "onesided":
+            assign = {t: ((abs(t) // cand) * (1 if t >= 0 else -1),
+                          (abs(t) % cand) * (1 if t >= 0 else -1))
+                      for t in ts}
+        else:
+            assign = {t: ((t + cand // 2) // cand,
+                          t - cand * ((t + cand // 2) // cand)) for t in ts}
+        js, gs = windows(assign)
+        pd1 = len(js)
+        pd2 = len(gs) // 2 if style == "symmetric" else len(gs)
+        candidates.append((len(js) + len(gs), _tie_penalty(pd1, pd2), cand,
+                           BsgsPlan(n, stride, cand, style, assign, js, gs,
+                                    pd1, pd2)))
+    assign = {t: (0, t) for t in ts}
+    js, gs = windows(assign)
+    candidates.append((len(js), math.inf, dmax + 1,
+                       BsgsPlan(n, stride, dmax + 1, style, assign, js, gs,
+                                len(js), 0)))
+    candidates.sort(key=lambda c: (c[0], c[1], c[2]))
+    return candidates[0][3]
+
+
+def reference_plan_for(offs, n):
+    """The Beneš factor planner before the count-only sweep: on wide spreads
+    one full plan per n1 candidate, keeping the first with the fewest
+    rotations."""
+    stride = 0
+    for o in offs:
+        stride = math.gcd(stride, abs(o))
+    stride = stride or 1
+    ts = [o // stride for o in sorted(set(offs))]
+    dmax = max(abs(t) for t in ts)
+    if dmax <= 64:
+        return reference_plan_bsgs(ts, n, stride=stride)
+    cands = list(range(1, 65)) + [1 << b for b in range(7, dmax.bit_length())]
+    best = None
+    for n1 in sorted(set(cands)):
+        plan = reference_plan_bsgs(ts, n, stride=stride, n1=n1,
+                                   style="sparse")
+        if best is None or plan.rotation_count() < best.rotation_count():
+            best = plan
+    return best
 
 
 def depth1_oracle(u: DiagMatrix, a: int, r: int, rc: int,
