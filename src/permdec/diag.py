@@ -78,12 +78,6 @@ class DiagMatrix:
             out[l] = val
         return out
 
-    def to_dense(self) -> list[list[int]]:
-        out = [[0] * self.n for _ in range(self.n)]
-        for k, l, val in self.entries():
-            out[l][(l + k) % self.n] = val
-        return out
-
     def nnz(self) -> int:
         return sum(len(rows) for rows in self.diags.values())
 

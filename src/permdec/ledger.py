@@ -67,10 +67,6 @@ class CostLedger:
     def rescale_count(self) -> int:
         return len(self.of_kind("rescale"))
 
-    def rotation_steps(self) -> Counter:
-        """Multiset of executed steps (mod n, nonzero)."""
-        return Counter(op.step for op in self.rotations)
-
     def key_set(self) -> set[int]:
         """Distinct rotation steps used; the evaluation-key budget."""
         return {op.step for op in self.rotations}

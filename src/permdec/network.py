@@ -24,6 +24,12 @@ optimizations operate on a built network:
   distance, recombined along an m-ary digit tree whose keys are shared across
   buckets.
 
+evaluate_network releases each node's output once the last node reading it
+through an edge has read it (a collapsed bottom reads levels cut - 1 and cut
+again at the end), so a run holds a few levels of vectors, not the whole
+network. Edge masks go to SlotVector.cmult as position sets: their products
+are built by selection and added over their support only.
+
 Rescales are merged into rotations: every non-bottom rotation node rescales
 its summed input before rotating, bottom rotation nodes do not, and the final
 summation is handed back unrescaled for the consumer to fold into its next
@@ -39,7 +45,7 @@ from collections import Counter
 from dataclasses import asdict, dataclass
 
 from .ledger import CostLedger
-from .slots import Permutation, SlotVector
+from .slots import Permutation, PositionMask, SlotVector
 
 
 class Entry:
@@ -396,10 +402,7 @@ def collapse_levels(net: MultiGroupNetwork, top: int = 0, bottom: int = 0,
 
 
 def _masked(v: SlotVector, positions, tag) -> SlotVector:
-    m = [0] * v.n
-    for p in positions:
-        m[p] = 1
-    return v.cmult(m, tag)
+    return v.cmult(PositionMask(v.n, positions), tag)
 
 
 def evaluate_network(net: MultiGroupNetwork, v: SlotVector) -> SlotVector:
@@ -435,6 +438,20 @@ def evaluate_network(net: MultiGroupNetwork, v: SlotVector) -> SlotVector:
             acc = part if acc is None else acc + part
         return acc if acc is not None else v.zeros_like()
 
+    def output(idx) -> SlotVector:
+        """A node's output; a node inside the collapsed top keeps none, so
+        its output is rebuilt. A released output raises KeyError."""
+        node = net.nodes[idx]
+        return rebuilt(node, final=True) if t and node.level <= t \
+            else outputs[idx]
+
+    # a node's output is dropped once the last node reading it through an
+    # edge has. A collapsed bottom reads levels cut - 1 and cut after the
+    # loop; no node in the loop reads level cut, so only cut - 1 is held.
+    first = t + 1 if t else 0
+    reads = Counter(e.src for e in net.edges.values()
+                    if first < net.nodes[e.dst].level <= cut)
+    held = cut - 1 if cs and cs.bottom else None
     outputs = {}
     terms = []
     order = sorted(net.nodes, key=lambda nd: (nd.level, nd.group, nd.idx))
@@ -460,13 +477,13 @@ def evaluate_network(net: MultiGroupNetwork, v: SlotVector) -> SlotVector:
                 continue
             inp = None
             for e in ine:
-                src = outputs.get(e.src)
-                if src is None:
-                    # re-fed edge whose source sits in the collapsed top;
-                    # it carries the source's output, shifted if a rotation
-                    src = rebuilt(net.nodes[e.src], final=True)
+                # a re-fed edge may start inside the collapsed top
+                src = output(e.src)
                 part = src if e.mask is None else _masked(src, e.mask, tag)
                 inp = part if inp is None else inp + part
+                reads[e.src] -= 1
+                if not reads[e.src] and net.nodes[e.src].level != held:
+                    outputs.pop(e.src, None)
         if nd.kind == "rotation":
             if nd.level < bottoms.get(nd.group, nd.level):
                 inp = inp.rescale(tag)
@@ -489,10 +506,7 @@ def evaluate_network(net: MultiGroupNetwork, v: SlotVector) -> SlotVector:
             groups.setdefault((src, r), []).append(pos)
         buckets = {}
         for (src, r), ps in sorted(groups.items()):
-            base = outputs.get(src)
-            if base is None:
-                base = rebuilt(net.nodes[src], final=True)
-            part = _masked(base, ps, "net.collapse.bot")
+            part = _masked(output(src), ps, "net.collapse.bot")
             buckets[r] = buckets[r] + part if r in buckets else part
         buckets = {r: vec.rescale("net.collapse.bot")
                    for r, vec in buckets.items()}

@@ -6,6 +6,14 @@ every rescale burns one level, and running out raises. Slot arithmetic is
 exact (Python ints), so any two evaluation strategies for the same linear
 map can be compared for bit equality.
 
+A 0/1 mask may be given to cmult as a PositionMask, the positions of its
+ones, instead of an n-long list. The product is then built by selection,
+out[p] = v[p], and remembers those positions as its support, a hint that it
+is zero everywhere else: an add with such an operand copies the other one
+and touches only the support. The slots are the same exact Python ints as
+from the dense 0/1 list, and the ledger records the same op. The support is
+not part of a vector's value and is ignored by equality.
+
 Rotation is a left cyclic shift: rotate(v, k)[i] = v[(i + k) mod n].
 
 rotate, cmult, mult and rescale each append one op (kind, operand level, tag,
@@ -25,8 +33,8 @@ from __future__ import annotations
 
 import json
 import operator
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from dataclasses import dataclass, field
+from typing import Collection, Iterable, Sequence
 
 from .ledger import record
 
@@ -63,6 +71,22 @@ class _NoSlots:
     __hash__ = None
 
 
+class PositionMask:
+    """A 0/1 plaintext mask of n slots, given by the positions of its ones.
+
+    Positions index like a list's: one outside -n..n-1 raises IndexError.
+    """
+
+    __slots__ = ("n", "positions")
+
+    def __init__(self, n: int, positions: Collection[int]):
+        self.n = n
+        self.positions = positions
+
+    def __len__(self) -> int:
+        return self.n
+
+
 def _check_length(got: int, n: int) -> None:
     if got != n:
         raise ValueError(f"slot length mismatch: {got} != {n}")
@@ -80,6 +104,9 @@ class SlotVector:
     slots: tuple[int, ...] | _NoSlots
     level: int = DEFAULT_LEVEL
     depth_used: int = 0
+    # positions outside which every slot is zero, when known
+    support: tuple[int, ...] | None = field(default=None, compare=False,
+                                            repr=False)
 
     def __post_init__(self):
         if not isinstance(self.slots, _NoSlots):
@@ -123,6 +150,19 @@ class SlotVector:
             return self.slots
         return tuple(map(op, self.slots, values))
 
+    def _select(self, positions: Collection[int]) -> list[int] | _NoSlots:
+        """The slots at positions, zero elsewhere."""
+        n = self.n
+        if not self.has_slots:
+            if positions and not -n <= min(positions) <= max(positions) < n:
+                raise IndexError("mask position out of range")
+            return self.slots
+        src = self.slots
+        out = [0] * n
+        for p in positions:
+            out[p] = src[p]
+        return out
+
     # -- homomorphic ops (all exact, all recorded) ---------------------------
 
     def rotate(self, k: int, tag: str = "") -> "SlotVector":
@@ -133,12 +173,18 @@ class SlotVector:
         out = rotate_tuple(self.slots, k) if self.has_slots else self.slots
         return SlotVector(out, self.level, self.depth_used)
 
-    def cmult(self, mask: Sequence[int], tag: str = "") -> "SlotVector":
+    def cmult(self, mask: Sequence[int] | PositionMask,
+              tag: str = "") -> "SlotVector":
         """Multiply by a plaintext vector. No automatic rescale."""
         _check_length(len(mask), self.n)
+        if isinstance(mask, PositionMask):
+            support = tuple(mask.positions)
+            out = self._select(support)
+        else:
+            support = None
+            out = self._map(operator.mul, mask)
         record("cmult", self.level, tag)
-        return SlotVector(self._map(operator.mul, mask), self.level,
-                          self.depth_used)
+        return SlotVector(out, self.level, self.depth_used, support)
 
     def mult(self, other: "SlotVector", tag: str = "") -> "SlotVector":
         """Ciphertext-ciphertext product. No automatic rescale."""
@@ -150,8 +196,19 @@ class SlotVector:
 
     def add(self, other: "SlotVector") -> "SlotVector":
         self._check_operand(other)
-        return SlotVector(self._map(operator.add, other.slots),
-                          min(self.level, other.level),
+        a, b = self, other
+        if a.support is None or (b.support is not None
+                                 and len(b.support) < len(a.support)):
+            a, b = b, a
+        if a.support is None or not a.has_slots:
+            out = self._map(operator.add, other.slots)
+        else:
+            # a is zero off its support: start from b, add a's support
+            x, y = a.slots, b.slots
+            out = list(y)
+            for p in a.support:
+                out[p] = x[p] + y[p]
+        return SlotVector(out, min(self.level, other.level),
                           max(self.depth_used, other.depth_used))
 
     def __add__(self, other: "SlotVector") -> "SlotVector":
@@ -161,7 +218,8 @@ class SlotVector:
         if self.level <= 0:
             raise DepthExhaustedError("no moduli left to rescale into")
         record("rescale", self.level, tag)
-        return SlotVector(self.slots, self.level - 1, self.depth_used + 1)
+        return SlotVector(self.slots, self.level - 1, self.depth_used + 1,
+                          self.support)
 
     def to_list(self) -> list[int]:
         return list(self.slots)
@@ -210,9 +268,6 @@ class Permutation:
 
     def __repr__(self) -> str:
         return f"Permutation({list(self.targets)})"
-
-    def is_identity(self) -> bool:
-        return all(t == i for i, t in enumerate(self.targets))
 
     @classmethod
     def identity(cls, n: int) -> "Permutation":

@@ -23,7 +23,7 @@ from permdec.slots import Permutation, SlotVector
 from permdec.structured import PaddedChain
 
 from util import (assert_value_errors, assert_value_errors_without_asserts,
-                  reference_plan_bsgs, transpose_perm)
+                  reference_plan_bsgs, to_dense, transpose_perm)
 
 
 def test_signed_rep():
@@ -100,10 +100,10 @@ def test_matmul_against_dense():
         for m in (a, b):
             for _ in range(12):
                 m.set_entry(rng.randrange(n), rng.randrange(n), rng.randrange(1, 5))
-        da, db = a.to_dense(), b.to_dense()
+        da, db = to_dense(a), to_dense(b)
         expect = [[sum(da[i][k] * db[k][j] for k in range(n)) for j in range(n)]
                   for i in range(n)]
-        assert matmul(a, b).to_dense() == expect
+        assert to_dense(matmul(a, b)) == expect
 
 
 def test_matmul_permutations_compose():

