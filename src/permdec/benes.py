@@ -7,8 +7,8 @@ yields 2m - 1 stage factors whose round-i members only touch diagonals
 {0, +-2^(m-i-1)}. That depth is rarely affordable, so adjacent stages are
 multiplied back together ("collapsed") down to a target depth, each merged
 factor evaluated as one masked-rotation transform. Rotation keys can further
-be restricted to roughly log n steps, with missing steps carried out as short
-chains of available ones.
+be restricted to a budget of steps (log n by default), with missing steps
+carried out as short chains of available ones.
 
 The routing is the classical looping construction: pair constraints (input
 partners and output partners must use different halves) form even cycles, so
@@ -80,15 +80,13 @@ def _plan_for(offs: Sequence[int], n: int) -> BsgsPlan:
 class BenesChain(DecompositionChain):
     """A factor chain of switch stages, planned for BSGS evaluation.
 
-    `allowed[i]` bounds the signed diagonals factor i may occupy, `groups[i]`
-    records which pre-collapse stages it merges, and `key_steps` is the
-    restricted rotation-key set whose compositions `key_paths` lists. The
-    counts below are plan-side predictions, checked against executed runs.
+    `allowed[i]` bounds the signed diagonals factor i may occupy, and
+    `groups[i]` records which pre-collapse stages it merges. Rotation counts
+    and key sets are read from the CostLedger of a run.
     """
 
     allowed: list[set[int]] = field(default_factory=list)
     groups: list[tuple[int, int]] = field(default_factory=list)
-    key_steps: set[int] | None = None
 
     TAG: ClassVar[str] = "benes"
 
@@ -99,30 +97,6 @@ class BenesChain(DecompositionChain):
         super().__post_init__()
         if not len(self.factors) == len(self.allowed) == len(self.groups):
             raise ValueError("factors, allowed and groups differ in length")
-
-    def factor_steps(self, i: int) -> list[int]:
-        return self.plans[i].executed_steps()
-
-    def rotation_counts(self) -> list[int]:
-        out = []
-        for i in range(self.depth):
-            steps = self.factor_steps(i)
-            if self.key_paths is None:
-                out.append(len(steps))
-            else:
-                out.append(sum(len(self.key_paths[s]) for s in steps))
-        return out
-
-    def total_rotations(self) -> int:
-        return sum(self.rotation_counts())
-
-    def key_set(self) -> set[int]:
-        if self.key_steps is not None:
-            return set(self.key_steps)
-        used = set()
-        for i in range(self.depth):
-            used |= set(self.factor_steps(i))
-        return used
 
 
 def benes_decompose(p: Permutation) -> BenesChain:
@@ -283,22 +257,26 @@ def _key_paths(steps, keys, n):
 
 
 def restrict_keys(chain: BenesChain, budget: int | None = None) -> BenesChain:
-    """Cap the rotation-key set at roughly log n steps.
+    """Route every rotation through a key set of `budget` steps (default
+    log2 n, at least 1).
 
     The busiest steps are kept outright unless already a sum of two kept
     keys; whatever budget remains goes to the busiest skipped steps. Steps
-    left out are rotated in several hops, so totals can only grow.
+    left out are rotated in several hops, so totals can only grow. When the
+    kept keys cannot reach every step, power-of-two steps n/2, n/4, ... are
+    added until they do, so the keys can outnumber the budget: a random
+    permutation of n = 32 with the default budget 5 can run on 7 keys.
     """
     n = chain.n
     if budget is None:
-        budget = n.bit_length() - 1
+        budget = max(1, n.bit_length() - 1)
     if budget < 1:
         raise ValueError("key budget must be >= 1")
     counts: Counter = Counter()
-    for i in range(chain.depth):
-        counts.update(chain.factor_steps(i))
+    for plan in chain.plans:
+        counts.update(plan.executed_steps())
     if not counts:
-        return replace(chain, key_steps=set(), key_paths={})
+        return replace(chain, key_paths={})
 
     ordered = sorted(counts, key=lambda s: (-counts[s], s))
     keys: list[int] = []
@@ -320,7 +298,7 @@ def restrict_keys(chain: BenesChain, budget: int | None = None) -> BenesChain:
         pw >>= 1
         paths = _key_paths(counts, kset, n)
     assert paths is not None
-    return replace(chain, key_steps=kset, key_paths=paths)
+    return replace(chain, key_paths=paths)
 
 
 def evaluate_benes(chain: BenesChain, v: SlotVector,

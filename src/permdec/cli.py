@@ -107,12 +107,14 @@ def _cmd_decompose(cfg: argparse.Namespace):
     gamma, xi = build_gamma_xi(cfg.d, cfg.dp, cfg.n)
     cg, cx, _ = decompose_gamma_xi_pad(cfg.d, cfg.l, cfg.dp, cfg.n)
     chain, u = (cg, gamma) if cfg.target == "gamma" else (cx, xi)
+    with CostLedger() as led:  # a slot-free run records the rotations
+        chain.evaluate(SlotVector.slot_free(chain.n))
     report = {
         "command": "decompose", "target": cfg.target, "n": chain.n,
         "d": cfg.d, "dp": cfg.dp or cfg.d, "depth_l": cfg.l,
         "doubling_steps": _signed(chain.n, chain.r_steps),
         "fanout_steps": _signed(chain.n, chain.l_steps),
-        "rotations": chain.rotation_count(),
+        "rotations": led.rotation_count,
         "mask_ones": sum(chain.mask),
     }
     status = 0
@@ -136,8 +138,7 @@ def _parse_replication(text: str):
 
 def _cmd_hmm(cfg: argparse.Namespace):
     repl = _parse_replication(cfg.replication)
-    hc = HmmConfig(cfg.d, cfg.dp if cfg.dp else cfg.d, cfg.m,
-                   replication=repl)
+    hc = HmmConfig(cfg.d, cfg.dp or cfg.d, cfg.m, replication=repl)
     rng = random.Random(cfg.seed)
     mk = lambda: [[[rng.randint(-9, 9) for _ in range(hc.d)]
                    for _ in range(hc.d)] for _ in range(hc.m)]
@@ -234,13 +235,16 @@ def _cmd_benes(cfg: argparse.Namespace):
         bc = restrict_keys(bc, cfg.budget)
     rng = random.Random(cfg.seed + 1)
     vals = [rng.randint(-50, 50) for _ in range(p.n)]
-    out = bc.evaluate(SlotVector.from_list(vals))
+    with CostLedger() as led:
+        out = bc.evaluate(SlotVector.from_list(vals))
     ok = bc.product() == perm_to_diag(p) and out.to_list() == p.apply(vals)
+    by_tag = led.rotations_by_tag()
     report = {
-        "command": "benes", "n": p.n, "seed": cfg.seed,
-        "depth": bc.depth, "rotation_counts": bc.rotation_counts(),
-        "total_rotations": bc.total_rotations(),
-        "keys": _signed(p.n, bc.key_set()),
+        "command": "benes", "n": p.n, "seed": cfg.seed, "depth": bc.depth,
+        "rotation_counts": [by_tag[f"{bc.TAG}.f{i}"]
+                            for i in range(bc.depth)],
+        "total_rotations": led.rotation_count,
+        "keys": _signed(p.n, led.key_set()),
         "diag_counts": bc.diag_counts(),
         "ok": ok,
     }
@@ -351,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("decompose", help="structured decompositions")
     sp.add_argument("target", choices=["ut", "sigma", "tau", "gamma", "xi"])
     sp.add_argument("--d", type=_positive, default=4)
-    sp.add_argument("--dp", type=int)
+    sp.add_argument("--dp", type=_positive)
     sp.add_argument("--l", type=int, default=1)
     sp.add_argument("--n", type=_positive)
     sp.add_argument("--verify", action="store_true")
@@ -359,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("hmm", help="batched matrix products")
     sp.add_argument("--d", type=int, default=4)
-    sp.add_argument("--dp", type=int)
+    sp.add_argument("--dp", type=_positive)
     sp.add_argument("--m", type=int, default=1)
     sp.add_argument("--replication", default="naive",
                     help="'naive' or factors like '4,4'")

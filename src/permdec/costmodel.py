@@ -32,9 +32,11 @@ reaches a rotation through standby columns or the collapsed top has dropped
 fewer levels than the schedule counts (12 of the 69 rotations of the raw
 benchmark network at n = 2^14, seed 1, instance 0, run one or more levels
 higher), and pricing those by operand level would change the network
-reports. Masks are charged at their recorded level in both cases. Plan-side
-predictions (BsgsPlan.rotation_count, the BenesChain counts,
-hmm_rotation_budget) stay independent of this and are checked against it.
+reports. Masks are charged at their recorded level in both cases. The CLI
+reports read their rotation counts and key sets from the ledger of a run,
+apart from the ladder reports' per-factor diagonal counts; the one
+independent count is hmm_rotation_budget's closed form, which `permdec hmm`
+checks against the ledger of its run.
 """
 
 from __future__ import annotations
@@ -70,10 +72,6 @@ class CostParams:
     @property
     def log_n(self) -> int:
         return self.N.bit_length() - 1
-
-    @property
-    def beta(self) -> int:
-        return _ceil_div(self.level + 1, self.alpha)
 
     def at(self, level: int) -> "CostParams":
         return replace(self, level=level)
@@ -130,10 +128,6 @@ class CostReport:
     @property
     def total(self) -> int:
         return sum(self.breakdown.values())
-
-    @property
-    def rotation_total(self) -> int:
-        return self.total - self.breakdown.get("mask", 0)
 
     def to_json(self) -> dict:
         return {

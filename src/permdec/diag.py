@@ -184,35 +184,18 @@ class PlanCoverageError(Exception):
 class BsgsPlan:
     """Grouping t = n1*g + j of diagonal offsets k = a*t mod n.
 
-    d1 counts executed baby rotations, d2 the giants per side (symmetric
-    style) or in total (one-sided); rotation_count() is the exact number of
-    rotations apply_hlt_bsgs records when every covered diagonal is present.
-    In the lazy styles every step in the windows is genuinely used by some
-    offset; the eager style (forced split) executes the full window
-    regardless, matching the d1 + 2*d2 accounting of a plan that
-    precomputes all rotants.
+    Every step in the windows is used by some offset, so a matrix holding
+    every planned diagonal runs one rotation per executed step; the counts a
+    report prints come from the CostLedger of that run.
     """
 
     n: int
     stride: int
     n1: int
-    style: str  # 'symmetric' | 'onesided' | 'sparse' | 'eager'
+    style: str  # 'symmetric' | 'onesided' | 'sparse' | 'trivial'
     assign: dict[int, tuple[int, int]] = field(hash=False)  # t -> (g, j)
     baby_window: tuple[int, ...]  # j values the evaluator rotates by (no 0)
     giant_window: tuple[int, ...]  # g values the evaluator rotates by (no 0)
-    d1: int
-    d2: int
-
-    def offsets(self) -> list[int]:
-        return sorted(self.assign)
-
-    def rotation_count(self) -> int:
-        return len(self.baby_window) + len(self.giant_window)
-
-    def key_steps(self) -> set[int]:
-        babies = {(self.stride * j) % self.n for j in self.baby_window}
-        giants = {(self.stride * self.n1 * g) % self.n for g in self.giant_window}
-        return (babies | giants) - {0}
 
     def executed_steps(self) -> list[int]:
         """One entry per rotation the evaluator performs; a window slot whose
@@ -250,53 +233,33 @@ def _window_sizes(ts: Sequence[int], n1: int, style: str,
     return len(js) - (0 in js), len(gs) - (0 in gs)
 
 
-# preferred d1/d2 (babies per giant) among n1 that execute equally many
-# rotations
+# preferred babies per giant among n1 that execute equally many rotations
 BSGS_RATIO = 4.0
 
 
-def _tie_penalty(d1: int, d2: int) -> float:
-    if d1 <= 0 or d2 <= 0:
+def _tie_penalty(babies: int, giants: int) -> float:
+    if babies <= 0 or giants <= 0:
         return math.inf
-    return abs(math.log2((d1 / d2) / BSGS_RATIO))
+    return abs(math.log2((babies / giants) / BSGS_RATIO))
 
 
 def plan_bsgs(offsets: Iterable[int], n: int, stride: int = 1,
-              n1: int | None = None, style: str | None = None,
-              d1: int | None = None, d2: int | None = None) -> BsgsPlan:
+              n1: int | None = None, style: str | None = None) -> BsgsPlan:
     """Plan for diagonal offsets given in stride units (k = stride*t mod n).
 
-    With d1/d2 given, builds the eager forced-split plan (window [1, d1],
-    giants +-[1, d2], all executed). Otherwise picks n1 minimizing executed
-    rotations; ties prefer d1/d2 nearest BSGS_RATIO, then smaller n1. The
-    pure-baby plan (every offset its own rotation, n1 = dmax + 1) competes
-    too and loses full ties. Each candidate split is only counted; the
-    assignment and windows are built for the winner alone.
-    Raises ValueError for an empty offset set and for a forced split that is
-    incomplete or cannot cover the offsets.
+    Picks n1 minimizing executed rotations; ties prefer babies per giant
+    (giants per side when symmetric) nearest BSGS_RATIO, then smaller n1.
+    The pure-baby plan (every offset its own rotation, n1 = dmax + 1)
+    competes too and loses full ties. Each candidate split is only counted;
+    the assignment and windows are built for the winner alone.
+    Raises ValueError for an empty offset set.
     """
     ts = sorted(set(offsets))
     if not ts:
         raise ValueError("empty offset set")
-    if d1 is not None or d2 is not None:
-        if d1 is None or d2 is None or d1 < 1 or d2 < 0:
-            raise ValueError(f"a forced split needs d1 >= 1 and d2 >= 0, "
-                             f"got d1={d1}, d2={d2}")
-        assign = {}
-        for t in ts:
-            g = t // d1
-            if abs(g) > d2:
-                raise ValueError(f"split d1={d1}, d2={d2} cannot cover "
-                                 f"offset {t}")
-            assign[t] = (g, t - d1 * g)
-        return BsgsPlan(n, stride, d1, "eager", assign,
-                        tuple(range(1, d1 + 1)),
-                        tuple(g for g in range(-d2, d2 + 1) if g),
-                        d1, d2)
-
     dmax = max(-ts[0], ts[-1])
     if dmax == 0:
-        return BsgsPlan(n, stride, 1, "trivial", {0: (0, 0)}, (), (), 0, 0)
+        return BsgsPlan(n, stride, 1, "trivial", {0: (0, 0)}, (), ())
 
     if style is None:
         pos = sorted(t for t in ts if t > 0)
@@ -309,7 +272,7 @@ def plan_bsgs(offsets: Iterable[int], n: int, stride: int = 1,
             style = "onesided"
         else:
             style = "sparse"
-    halve = style == "symmetric"  # d2 counts the giants of one side
+    halve = style == "symmetric"  # ties weigh the giants of one side
 
     babies = tuple(t for t in ts if t)
     # (rotations, tie penalty, n1, pure baby): on a full tie min takes the
@@ -324,13 +287,12 @@ def plan_bsgs(offsets: Iterable[int], n: int, stride: int = 1,
     _, _, best, pure_baby = min(keys)
     if pure_baby:
         return BsgsPlan(n, stride, best, style, {t: (0, t) for t in ts},
-                        babies, (), len(babies), 0)
+                        babies, ())
     gs = _giants(ts, best, style, dmax)
     assign = {t: (g, t - best * g) for t, g in zip(ts, gs)}
     js = tuple(sorted({j for _, j in assign.values()} - {0}))
-    gw = tuple(sorted(set(gs) - {0}))
-    return BsgsPlan(n, stride, best, style, assign, js, gw, len(js),
-                    len(gw) // 2 if halve else len(gw))
+    return BsgsPlan(n, stride, best, style, assign, js,
+                    tuple(sorted(set(gs) - {0})))
 
 
 def apply_hlt_bsgs(m: DiagMatrix, plan: BsgsPlan, v: SlotVector,
@@ -357,7 +319,6 @@ def apply_hlt_bsgs(m: DiagMatrix, plan: BsgsPlan, v: SlotVector,
         g, j = plan.assign[diag_for[k]]
         groups.setdefault(g, []).append((j, k))
 
-    eager = plan.style == "eager"
     babies: dict[int, SlotVector] = {0: v}
 
     def baby(j: int) -> SlotVector:
@@ -365,23 +326,14 @@ def apply_hlt_bsgs(m: DiagMatrix, plan: BsgsPlan, v: SlotVector,
             babies[j] = rot(v, (plan.stride * j) % n, tag)
         return babies[j]
 
-    if eager:
-        for j in plan.baby_window:
-            baby(j)
-
     acc = None
-    giant_gs = sorted(set(plan.giant_window) | {0}) if eager else sorted(groups)
-    for g in giant_gs:
+    for g in sorted(groups):
         gstep = (plan.stride * plan.n1 * g) % n
         inner = None
-        for j, k in sorted(groups.get(g, ())):
+        for j, k in sorted(groups[g]):
             mask = rotate_tuple(m.mask(k), -gstep)
             term = baby(j).cmult(mask, tag)
             inner = term if inner is None else inner + term
-        if inner is None:
-            if not eager:
-                continue
-            inner = v.zeros_like()
         out_g = rot(inner, gstep, tag) if gstep else inner
         acc = out_g if acc is None else acc + out_g
     if acc is None:

@@ -148,15 +148,6 @@ class PackedMatrices:
     vector: SlotVector
     cfg: HmmConfig
 
-    def zero_region_ok(self) -> bool:
-        cfg = self.cfg
-        data = set()
-        for g in range(cfg.m):
-            base = g * cfg.group_span
-            data.update(range(base, base + cfg.data_span))
-        return all(s == 0 for p, s in enumerate(self.vector.slots)
-                   if p not in data)
-
 
 def pack_matrices(mats: Sequence[Matrix], cfg: HmmConfig) -> PackedMatrices:
     if len(mats) != cfg.m:

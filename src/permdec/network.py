@@ -383,16 +383,16 @@ def reduce_masks(net: MultiGroupNetwork) -> MultiGroupNetwork:
 def collapse_levels(net: MultiGroupNetwork, top: int = 0, bottom: int = 0,
                     arity: int = 4) -> MultiGroupNetwork:
     """Attach a collapse descriptor; evaluate_network interprets it."""
-    if top == 0 and bottom == 0:
-        return net
     if top < 0 or bottom < 0:
         raise ValueError("collapse counts must be nonnegative")
+    if arity < 2 or arity & (arity - 1):
+        raise ValueError("tree arity must be a power of two >= 2")
+    if top == 0 and bottom == 0:
+        return net
     if len(net.entries) != net.n:
         raise ValueError("cannot collapse a network without its routing "
                          "state (JSON keeps only the graph); rebuild it "
                          "from the permutation")
-    if arity < 2 or arity & (arity - 1):
-        raise ValueError("tree arity must be a power of two >= 2")
     lmax = net.max_level
     if top + bottom >= lmax:
         raise ValueError(f"cannot collapse {top}+{bottom} of {lmax} levels")

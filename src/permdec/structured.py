@@ -38,14 +38,6 @@ class Block:
     c0: int
     size: int
 
-    @property
-    def row_span(self) -> tuple[int, int]:
-        return (self.r0, self.r0 + self.size)
-
-    @property
-    def col_span(self) -> tuple[int, int]:
-        return (self.c0, self.c0 + self.size)
-
 
 @dataclass(frozen=True)
 class BlockPartition:
@@ -150,23 +142,6 @@ def block_local_perm(d: int, n: int, blocks: Iterable[Block], op: str) -> Permut
     for b in blocks:
         moves.extend(fn(b))
     return _merge_moves(d, n, moves)
-
-
-def block_swap_perm(d: int, n: int, a: Cell, b: Cell, size: int) -> Permutation:
-    """Swap the size x size blocks anchored at cells a and b in place.
-
-    Both directions share one slot displacement, so the result has at most
-    three distinct diagonals: {0, +-(d*(b.r - a.r) + (b.c - a.c))}.
-    """
-    (ar, ac), (br, bc) = a, b
-    assert abs(ar - br) >= size or abs(ac - bc) >= size or a == b, "blocks overlap"
-    targets = list(range(n))
-    for x in range(size):
-        for y in range(size):
-            s = (ar + x) * d + ac + y
-            t = (br + x) * d + bc + y
-            targets[s], targets[t] = t, s
-    return Permutation(targets)
 
 
 # -- telescoping ladders ------------------------------------------------------
@@ -395,9 +370,6 @@ class PaddedChain:
     r_steps: list[int]
     l_steps: list[int]
     mask: tuple[int, ...]
-
-    def rotation_count(self) -> int:
-        return len(self.r_steps) + len(self.l_steps)
 
     def evaluate(self, v: SlotVector, tag: str = "") -> SlotVector:
         if v.n != self.n:

@@ -48,7 +48,7 @@ def test_evaluate_with_bsgs_plans(rng):
     want = to_permutation(chain.product()).apply_vector(v)
     assert out.slots == want.slots
     assert led.rescale_count == chain.depth
-    budget = sum(p.rotation_count() for p in plans)
+    budget = sum(len(p.executed_steps()) for p in plans)
     assert led.rotation_count <= budget
 
 

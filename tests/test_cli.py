@@ -1,5 +1,6 @@
 """Command line round trips: flags, reports, exit codes."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -152,6 +153,37 @@ def test_benes_report(capsys):
     assert len(rep["keys"]) <= 9
 
 
+# first 16 hex digits of the sha256 of `permdec benes ARGS` stdout, all with
+# exit status 0. --budget 3 and --n 32 --seed 28 list only the keys some
+# rotation uses: the power-of-two coverage keys 64 and 8 that no path takes
+# are not reported.
+BENES_REPORTS = {
+    (): "0668297215b96247",
+    ("--n", "16"): "aad4fdf324d00ead",
+    ("--n", "64"): "bd6324a32df1f6cd",
+    ("--n", "1024"): "60a1fd2ec19c7be4",
+    ("--no-collapse",): "c0a1ad7109f1d92f",
+    ("--no-restrict",): "f1b304cbd66130d5",
+    ("--budget", "2"): "4ac4c4d7b94c6339",
+    ("--budget", "3"): "7fbfc1ae55ec396a",
+    ("--n", "32", "--seed", "28"): "c059fca02805656a",
+}
+
+
+def test_benes_reports_pinned(capsys):
+    for args, digest in BENES_REPORTS.items():
+        rc, out = run(capsys, "benes", *args)
+        got = hashlib.sha256(out.encode()).hexdigest()[:16]
+        assert (rc, got) == (0, digest), args
+
+
+def test_benes_single_slot_default_budget(capsys):
+    # the default budget is log2 n but at least 1 (an explicit 0 is a usage
+    # error)
+    rc, rep = run_json(capsys, "benes", "--n", "1")
+    assert rc == 0 and rep["ok"] is True and rep["keys"] == []
+
+
 def test_benes_uncollapsed_depth(capsys):
     rc, rep = run_json(capsys, "benes", "--n", "64", "--seed", "2",
                        "--no-collapse", "--no-restrict")
@@ -233,13 +265,18 @@ def test_usage_errors_exit_two(capsys, tmp_path):
     assert main(["net", "eval", "--perm-file", str(tmp_path / "absent.json")]) == 2
     assert main(["decompose", "ut", "--d", "4", "--l", "9"]) == 2
     assert main(["search", "--d", "0"]) == 2
+    assert main(["net", "eval", "--collapse", "0,0,3"]) == 2
+    assert main(["net", "profile", "--n", "16", "--collapse", "0,0,3"]) == 2
+    assert main(["benes", "--budget", "0"]) == 2
+    assert main(["benes", "--n", "1", "--budget", "0"]) == 2
     capsys.readouterr()
     for argv in (["net", "eval", "--n", "-4"], ["bench", "--n", "-8"],
                  ["hmm", "--samples", "-2"], ["benes", "--n", "-4"],
                  ["net", "profile", "--samples", "-1"],
                  ["verify", "--n-max", "0"], ["decompose", "ut", "--n", "0"],
                  ["search", "--n", "x"], ["search", "--d", "-2"],
-                 ["decompose", "ut", "--d", "-3"]):
+                 ["decompose", "ut", "--d", "-3"], ["hmm", "--dp", "0"],
+                 ["decompose", "gamma", "--dp", "0"]):
         assert main(argv) == 2, argv
         cap = capsys.readouterr()
         assert "expected a positive integer" in cap.err and not cap.out

@@ -153,34 +153,32 @@ def test_plan_symmetric_frozen(dmax, n1, d1, d2):
     plan = plan_bsgs(range(-dmax, dmax + 1), n=4 * (dmax + 1), stride=1)
     assert plan.style == "symmetric"
     assert plan.n1 == n1
-    assert (plan.d1, plan.d2) == (d1, d2)
-    assert plan.rotation_count() == d1 + 2 * d2
+    # d1 babies, d2 giants on each side
+    assert (len(plan.baby_window), len(plan.giant_window) // 2) == (d1, d2)
+    assert len(plan.executed_steps()) == d1 + 2 * d2
     check_assignment(plan)
 
 
 def test_plan_onesided():
     plan = plan_bsgs(range(16), n=64, stride=1)
     assert plan.style == "onesided"
-    assert plan.rotation_count() == plan.d1 + plan.d2
+    m = DiagMatrix(64, {k: {0: 1, 5: 2} for k in range(16)})
+    with CostLedger() as lg:
+        apply_hlt_bsgs(m, plan, SlotVector.zeros(64))
+    assert lg.rotation_count == len(plan.executed_steps()) \
+        == len(plan.baby_window) + len(plan.giant_window)
     check_assignment(plan)
 
 
 def test_plan_single_offset_one_rotation():
     plan = plan_bsgs([5], n=32, stride=1, n1=1)
-    assert plan.rotation_count() == 1
+    assert len(plan.executed_steps()) == 1
 
 
 # each bad plan request must raise ValueError matching the text, also under
 # python -O
 BAD_PLANS = {
     "empty offset set": lambda: plan_bsgs([], n=16),
-    "got d1=2, d2=None": lambda: plan_bsgs([0, 1], n=16, d1=2),
-    "got d1=0, d2=1": lambda: plan_bsgs([0, 1], n=16, d1=0, d2=1),
-    "got d1=3, d2=-1": lambda: plan_bsgs([0, 1], n=16, d1=3, d2=-1),
-    "split d1=2, d2=2 cannot cover offset -9":
-        lambda: plan_bsgs(range(-9, 10), n=64, d1=2, d2=2),
-    "split d1=4, d2=0 cannot cover offset 5":
-        lambda: plan_bsgs([0, 3, 5], n=64, d1=4, d2=0),
 }
 
 
@@ -306,7 +304,8 @@ def test_bsgs_equals_direct_symmetric():
         out = apply_hlt_bsgs(m, plan, v)
     base = apply_hlt_direct(m, v)
     assert out.slots == base.slots
-    assert lg.rotation_count == plan.rotation_count() == plan.d1 + 2 * plan.d2
+    assert lg.rotation_count == len(plan.executed_steps()) \
+        == len(plan.baby_window) + len(plan.giant_window)
     assert lg.rescale_count == 1
 
 
@@ -335,22 +334,23 @@ def test_bsgs_full_16_perm_six_rotations():
     assert lg.rotation_count <= 6
 
 
-def test_bsgs_eager_forced_split_d128():
-    # transpose for d=128: diagonals 127*t, t in [-127, 127]; the fixed
-    # (d1, d2) = (32, 4) split executes exactly d1 + 2*d2 = 40 rotations
+def test_bsgs_transpose_d128():
+    # transpose for d=128: diagonals 127*t, t in [-127, 127]; the planned
+    # split (d1, d2) = (18, 7), as in test_plan_symmetric_frozen, runs one
+    # rotation per executed step
     d = 128
     n = d * d
     p = transpose_perm(d)
     m = perm_to_diag(p)
     assert m.nnz() == n
-    plan = plan_bsgs(range(-(d - 1), d), n=n, stride=d - 1, d1=32, d2=4)
-    assert plan.style == "eager"
+    plan = plan_bsgs(range(-(d - 1), d), n=n, stride=d - 1)
+    assert plan.style == "symmetric"
     rng = random.Random(13)
     v = SlotVector(tuple(rng.randrange(100) for _ in range(n)))
     with CostLedger() as lg:
         out = apply_hlt_bsgs(m, plan, v)
     assert list(out.slots) == p.apply(v.slots)
-    assert lg.rotation_count == 40
+    assert lg.rotation_count == len(plan.executed_steps()) == 18 + 2 * 7
 
 
 def test_bsgs_plan_coverage_error():
@@ -363,6 +363,10 @@ def test_bsgs_plan_coverage_error():
 
 def test_bsgs_key_steps():
     plan = plan_bsgs(range(-7, 8), n=64, stride=3)
-    keys = plan.key_steps()
+    m = full_range_matrix(64, 3, 7, random.Random(14))
+    with CostLedger() as lg:
+        apply_hlt_bsgs(m, plan, SlotVector.zeros(64))
+    keys = lg.key_set()
     assert 0 not in keys
-    assert len(keys) <= plan.rotation_count()
+    assert keys == set(plan.executed_steps())
+    assert len(keys) <= lg.rotation_count

@@ -328,6 +328,31 @@ def test_collapse_validation():
         collapse_levels(net, -1, 2)
 
 
+def _rot8():
+    return build_network(Permutation.rotation(8, 3))  # two levels
+
+
+# each bad collapse request must raise ValueError matching the text, also
+# under python -O, also when it would collapse no level
+BAD_COLLAPSES = {
+    "tree arity must be a power of two": lambda: collapse_levels(
+        _rot8(), 0, 0, arity=3),
+    "arity must be a power": lambda: collapse_levels(_rot8(), 1, 0, arity=1),
+    "collapse counts must be nonnegative": lambda: collapse_levels(
+        _rot8(), -1, 2),
+    "counts must be nonnegative": lambda: collapse_levels(_rot8(), 0, -1),
+    "of 2 levels": lambda: collapse_levels(_rot8(), 1, 1),
+}
+
+
+def test_bad_collapses_raise_value_error():
+    assert_value_errors(BAD_COLLAPSES)
+
+
+def test_bad_collapses_raise_without_asserts():
+    assert_value_errors_without_asserts("test_network", "BAD_COLLAPSES")
+
+
 def test_collapse_top2_bottom3_exact():
     for seed in range(5):
         p, rng = build_random(256, 4000 + seed)

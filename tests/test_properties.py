@@ -2,8 +2,9 @@
 
 Rotation networks, raw and mask-reduced, under every collapse spec that
 collapse_levels accepts, must reproduce Permutation.apply, and the cost
-model's report must match what a real-vector run executes. The plan-side
-rotation predictions of Benes chains must match the priced replay. For every
+model's report must match what a real-vector run executes. The rotation
+counts and keys predicted from a Benes chain's plans must match the priced
+replay. For every
 route the cost model prices (networks, Benes chains, ladders, searched
 chains), its slot-free replay must record the real-vector run's ops, Op for
 Op.
@@ -13,6 +14,7 @@ from collections import Counter
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from util import benes_key_set, benes_rotation_counts
 
 from permdec.benes import benes_decompose, collapse_benes, restrict_keys
 from permdec.costmodel import _replay, chain_cost
@@ -88,8 +90,8 @@ def test_benes_plan_counts_match_priced_replay(p, restricted, data):
     rep = chain_cost(bc)
     # factors apply right to left, so position 1 is the last factor
     assert [rep.per_level[pos] for pos in range(bc.depth, 0, -1)] == \
-        bc.rotation_counts()
-    assert rep.key_set <= bc.key_set()
+        benes_rotation_counts(bc)
+    assert rep.key_set == benes_key_set(bc)
 
 
 LADDERS = {

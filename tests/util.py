@@ -58,13 +58,13 @@ def zero_profile(net):
 
 
 def reference_plan_bsgs(offsets, n, stride=1, n1=None, style=None):
-    """The per-candidate BSGS planner that plan_bsgs replaced (without the
-    forced split): every n1 candidate builds its full assignment and plan,
-    and the plans are sorted by (rotations, tie penalty, n1)."""
+    """The per-candidate BSGS planner that plan_bsgs replaced: every n1
+    candidate builds its full assignment and plan, and the plans are sorted
+    by (rotations, tie penalty, n1)."""
     ts = sorted(set(offsets))
     dmax = max(abs(t) for t in ts)
     if dmax == 0:
-        return BsgsPlan(n, stride, 1, "trivial", {0: (0, 0)}, (), (), 0, 0)
+        return BsgsPlan(n, stride, 1, "trivial", {0: (0, 0)}, (), ())
     if style is None:
         pos = sorted(t for t in ts if t > 0)
         neg = sorted(-t for t in ts if t < 0)
@@ -103,13 +103,11 @@ def reference_plan_bsgs(offsets, n, stride=1, n1=None, style=None):
         pd1 = len(js)
         pd2 = len(gs) // 2 if style == "symmetric" else len(gs)
         candidates.append((len(js) + len(gs), _tie_penalty(pd1, pd2), cand,
-                           BsgsPlan(n, stride, cand, style, assign, js, gs,
-                                    pd1, pd2)))
+                           BsgsPlan(n, stride, cand, style, assign, js, gs)))
     assign = {t: (0, t) for t in ts}
     js, gs = windows(assign)
     candidates.append((len(js), math.inf, dmax + 1,
-                       BsgsPlan(n, stride, dmax + 1, style, assign, js, gs,
-                                len(js), 0)))
+                       BsgsPlan(n, stride, dmax + 1, style, assign, js, gs)))
     candidates.sort(key=lambda c: (c[0], c[1], c[2]))
     return candidates[0][3]
 
@@ -131,9 +129,37 @@ def reference_plan_for(offs, n):
     for n1 in sorted(set(cands)):
         plan = reference_plan_bsgs(ts, n, stride=stride, n1=n1,
                                    style="sparse")
-        if best is None or plan.rotation_count() < best.rotation_count():
-            best = plan
-    return best
+        rotations = len(plan.baby_window) + len(plan.giant_window)
+        if best is None or rotations < best[0]:
+            best = rotations, plan
+    return best[1]
+
+
+def benes_rotation_counts(chain) -> list[int]:
+    """Rotations per factor of a Beneš chain predicted from its plans: one
+    per executed window step, or one per hop of the step's key path."""
+    out = []
+    for plan in chain.plans:
+        steps = plan.executed_steps()
+        if chain.key_paths is None:
+            out.append(len(steps))
+        else:
+            out.append(sum(len(chain.key_paths[s]) for s in steps))
+    return out
+
+
+def benes_total_rotations(chain) -> int:
+    return sum(benes_rotation_counts(chain))
+
+
+def benes_key_set(chain) -> set[int]:
+    """Rotation keys a Beneš chain's run uses, predicted from its plans."""
+    used = set()
+    for plan in chain.plans:
+        for s in plan.executed_steps():
+            used.update(chain.key_paths[s] if chain.key_paths is not None
+                        else (s,))
+    return used
 
 
 def depth1_oracle(u: DiagMatrix, a: int, r: int, rc: int,
@@ -258,6 +284,26 @@ def xi_oracle(d: int, dp: int, vals) -> list:
             for t in range(d):
                 out[base + j * d * dp + t] = vals[base + j * d + t]
     return out
+
+
+def row_span(b) -> tuple[int, int]:
+    """Half-open row range of a partition block."""
+    return (b.r0, b.r0 + b.size)
+
+
+def col_span(b) -> tuple[int, int]:
+    """Half-open column range of a partition block."""
+    return (b.c0, b.c0 + b.size)
+
+
+def zero_region_ok(pk) -> bool:
+    """Every slot of packed matrices outside the matrices' d^2 heads is 0."""
+    cfg = pk.cfg
+    data = set()
+    for g in range(cfg.m):
+        base = g * cfg.group_span
+        data.update(range(base, base + cfg.data_span))
+    return all(s == 0 for p, s in enumerate(pk.vector.slots) if p not in data)
 
 
 def to_dense(m: DiagMatrix) -> list[list[int]]:
