@@ -24,7 +24,7 @@ from functools import reduce
 from typing import ClassVar, Sequence
 
 from .chain import DecompositionChain
-from .diag import (BsgsPlan, _window_sizes, perm_to_diag, plan_bsgs,
+from .diag import (BsgsPlan, _window_counts, perm_to_diag, plan_bsgs,
                    signed_rep, to_permutation)
 from .slots import Permutation, SlotVector
 
@@ -66,12 +66,14 @@ def _plan_for(offs: Sequence[int], n: int) -> BsgsPlan:
     dmax = max(abs(t) for t in ts)
     if dmax <= 64:
         return plan_bsgs(ts, n, stride=stride)
-    # wide spreads: full n1 sweep is wasteful, try small splits and powers;
-    # the first with the fewest rotations is planned (plan_bsgs swaps in the
-    # pure-baby plan only when that is strictly fewer)
+    # wide spreads: full n1 sweep is wasteful, try small splits and powers,
+    # all counted in one bitset sweep; the first with the fewest rotations
+    # is planned (plan_bsgs swaps in the pure-baby plan only when that is
+    # strictly fewer)
     cands = sorted(set(range(1, 65))
                    | {1 << b for b in range(7, dmax.bit_length())})
-    counts = [sum(_window_sizes(ts, n1, "sparse", dmax)) for n1 in cands]
+    counts = [nj + ng
+              for nj, ng in _window_counts(ts, cands, "sparse", dmax)]
     return plan_bsgs(ts, n, stride=stride,
                      n1=cands[counts.index(min(counts))], style="sparse")
 

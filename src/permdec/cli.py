@@ -71,12 +71,15 @@ def _cmd_search(cfg: argparse.Namespace):
 
 def _ladder_report(chain, u, cfg: argparse.Namespace):
     names = ["L"] + [f"R_{chain.depth - i}" for i in range(1, chain.depth)]
+    with CostLedger() as led:  # a slot-free run records the rotations
+        chain.evaluate(SlotVector.slot_free(chain.n))
+    by_tag = led.rotations_by_tag()
     report = {
         "command": "decompose", "target": cfg.target, "n": u.n,
         "d": cfg.d, "depth_l": cfg.l,
         "factors": [{"name": nm, "diagonals": f.signed_diag_set(),
-                     "rotations": len([k for k in f.diag_set() if k])}
-                    for nm, f in zip(names, chain.factors)],
+                     "rotations": by_tag[f"{chain.TAG}.f{i}"]}
+                    for i, (nm, f) in enumerate(zip(names, chain.factors))],
     }
     status = 0
     if cfg.verify:

@@ -52,7 +52,9 @@ class DiagMatrix:
         return cls(n, {0: {l: 1 for l in range(n)}})
 
     def set_entry(self, k: int, l: int, val: int) -> None:
-        assert val != 0
+        """Stores a non-zero entry; a zero would count as a diagonal."""
+        if val == 0:
+            raise ValueError(f"zero entry at diagonal {k}, row {l}")
         self.diags.setdefault(k % self.n, {})[l % self.n] = val
 
     # -- views ---------------------------------------------------------------
@@ -107,8 +109,9 @@ def perm_to_diag(p: Permutation) -> DiagMatrix:
     row targets[s], diagonal (s - targets[s]) mod n."""
     n = p.n
     m = DiagMatrix(n)
+    diags = m.diags  # filled directly: keys are normalized, entries 1
     for src, dst in enumerate(p.targets):
-        m.set_entry((src - dst) % n, dst, 1)
+        diags.setdefault((src - dst) % n, {})[dst] = 1
     return m
 
 
@@ -186,7 +189,9 @@ class BsgsPlan:
 
     Every step in the windows is used by some offset, so a matrix holding
     every planned diagonal runs one rotation per executed step; the counts a
-    report prints come from the CostLedger of that run.
+    report prints come from the CostLedger of that run. plan_bsgs sizes the
+    windows of every candidate n1 on bitsets (_window_counts) and builds
+    `assign` and the windows for the chosen n1 only.
     """
 
     n: int
@@ -223,14 +228,67 @@ def _giants(ts: Sequence[int], n1: int, style: str, dmax: int) -> list[int]:
     return [(t + h) // n1 for t in ts]
 
 
-def _window_sizes(ts: Sequence[int], n1: int, style: str,
-                  dmax: int) -> tuple[int, int]:
+def _fold(x: int, width: int) -> int:
+    """OR of the width-bit fields of x, halving the field count per step."""
+    fields = -(-x.bit_length() // width)
+    while fields > 1:
+        half = (fields + 1) >> 1
+        x = (x & ((1 << half * width) - 1)) | (x >> half * width)
+        fields = half
+    return x
+
+
+def _nonzero_fields(x: int, width: int) -> int:
+    """Number of width-bit fields of x holding a set bit (SWAR: a field's
+    low bits plus all-ones below its top bit carry into the top bit, and no
+    further)."""
+    fields = -(-x.bit_length() // width)
+    ones = ((1 << fields * width) - 1) // ((1 << width) - 1)  # bit 0 each
+    top = ones << (width - 1)
+    low = top - ones
+    return ((((x & low) + low) | x) & top).bit_count()
+
+
+def _window_counts(ts: Sequence[int], cands: Sequence[int], style: str,
+                   dmax: int) -> list[tuple[int, int]]:
     """Baby and giant window sizes (distinct nonzero j and g) of the split
-    at n1, counted without building its assignment."""
-    giants = _giants(ts, n1, style, dmax)
-    js = {t - n1 * g for t, g in zip(ts, giants)}
-    gs = set(giants)
-    return len(js) - (0 in js), len(gs) - (0 in gs)
+    at each n1 in cands, counted without building an assignment.
+
+    Every style's split (see _giants) is g = floor((t + c) / n1) and
+    j = t - n1*g with a shift c per sign of t: n1 // 2 for sparse; 0 for
+    t >= 0 and, for t < 0, dmax mod n1 (symmetric) or n1 - 1 (onesided).
+    The offsets are held as an int with bit t + dmax set, split by sign. For
+    each n1 a side is lifted so that t sits at bit t + c + K*n1, with
+    K = ceil(dmax / n1) keeping every bit index nonnegative: n1-bit field i
+    then holds the offsets with g = i - K, and bit r of a field the ones
+    with j = r - c. So the distinct g are the nonzero fields of both sides
+    together, and the distinct j the set bits of each side's fields OR-ed
+    into one, aligned on c.
+    """
+    buf = bytearray((2 * dmax + 8) >> 3)
+    for t in ts:
+        buf[(t + dmax) >> 3] |= 1 << ((t + dmax) & 7)
+    both = int.from_bytes(buf, "little")
+    neg = both & ((1 << dmax) - 1)
+    pos = both ^ neg
+    out = []
+    for n1 in cands:
+        if style == "sparse":
+            sides = ((both, n1 // 2),)
+        else:
+            sides = ((pos, 0),
+                     (neg, dmax % n1 if style == "symmetric" else n1 - 1))
+        zero = -(-dmax // n1) * n1  # K*n1, the first bit of field g = 0
+        shift = sides[-1][1]  # the largest c; bit j + shift holds j
+        lifted = js = 0
+        for bits, c in sides:
+            x = bits << (zero - dmax + c)
+            lifted |= x
+            js |= _fold(x, n1) << (shift - c)
+        ng = _nonzero_fields(lifted, n1)
+        ng -= (lifted >> zero) & ((1 << n1) - 1) != 0
+        out.append((js.bit_count() - ((js >> shift) & 1), ng))
+    return out
 
 
 # preferred babies per giant among n1 that execute equally many rotations
@@ -250,7 +308,8 @@ def plan_bsgs(offsets: Iterable[int], n: int, stride: int = 1,
     Picks n1 minimizing executed rotations; ties prefer babies per giant
     (giants per side when symmetric) nearest BSGS_RATIO, then smaller n1.
     The pure-baby plan (every offset its own rotation, n1 = dmax + 1)
-    competes too and loses full ties. Each candidate split is only counted;
+    competes too and loses full ties. The window sizes of all candidates
+    come from one _window_counts sweep over the offsets held as bitsets;
     the assignment and windows are built for the winner alone.
     Raises ValueError for an empty offset set.
     """
@@ -278,10 +337,10 @@ def plan_bsgs(offsets: Iterable[int], n: int, stride: int = 1,
     # (rotations, tie penalty, n1, pure baby): on a full tie min takes the
     # split over the pure-baby plan
     keys = [(len(babies), math.inf, dmax + 1, True)]
-    for cand in [n1] if n1 is not None else range(1, dmax + 1):
-        if halve and cand > dmax:
-            continue
-        nj, ng = _window_sizes(ts, cand, style, dmax)
+    cands = [n1] if n1 is not None else range(1, dmax + 1)
+    if halve:
+        cands = [cand for cand in cands if cand <= dmax]
+    for cand, (nj, ng) in zip(cands, _window_counts(ts, cands, style, dmax)):
         keys.append((nj + ng, _tie_penalty(nj, ng // 2 if halve else ng),
                      cand, False))
     _, _, best, pure_baby = min(keys)

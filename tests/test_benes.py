@@ -261,6 +261,19 @@ def test_collapse_plans_match_per_n1_reference(monkeypatch, m):
                              for f in col.factors]
 
 
+def test_wide_span_plans_match_per_n1_reference():
+    # the traffic the bitset sweep is for: the widest spans one collapse at
+    # n = 2^12 scores, >= 2,000 offsets each with dmax near 2,047, planned
+    # as one full plan per candidate n1 planned them
+    n = 1 << 12
+    wide = {offs for offs in span_offsets(benes_decompose(rand_perm(n, 12)))
+            .values() if len(offs) >= 2000}
+    assert len(wide) >= 8
+    assert all(max(-offs[0], offs[-1]) > 2000 for offs in wide)
+    for offs in sorted(wide):
+        assert benes._plan_for(offs, n) == reference_plan_for(offs, n), offs
+
+
 def test_collapsed_plans_are_the_scored_plans(monkeypatch):
     # the collapsed chain runs the plans the DP scored, and their executed
     # steps add up to the cheapest contiguous split

@@ -8,6 +8,7 @@ from permdec.diag import (
     BsgsPlan,
     DiagMatrix,
     PlanCoverageError,
+    _window_counts,
     apply_hlt_bsgs,
     apply_hlt_direct,
     convert_r,
@@ -23,7 +24,8 @@ from permdec.slots import Permutation, SlotVector
 from permdec.structured import PaddedChain
 
 from util import (assert_value_errors, assert_value_errors_without_asserts,
-                  reference_plan_bsgs, to_dense, transpose_perm)
+                  reference_plan_bsgs, reference_window_sizes, to_dense,
+                  transpose_perm)
 
 
 def test_signed_rep():
@@ -225,6 +227,43 @@ def test_plan_bsgs_matches_per_candidate_reference():
         assert got == want, (ts, n, n1, style)
 
 
+def window_offset_sets(rng, count):
+    """Seeded offset lists for the window counter, dmax 0..300: dense and
+    sparse draws from both signs, positive-only and negative-only sides
+    (with and without 0), full ranges, and a few offsets near +-dmax."""
+    for i in range(count):
+        dmax = rng.choice([rng.randint(0, 8), rng.randint(9, 64),
+                           rng.randint(65, 300)])
+        span = range(-dmax, dmax + 1)
+        kind = i % 6
+        if kind == 0:  # dense
+            ts = rng.sample(span, rng.randint(dmax + 1, 2 * dmax + 1))
+        elif kind == 1:  # sparse
+            ts = rng.sample(span, rng.randint(1, max(1, dmax // 8)))
+        elif kind in (2, 3):  # one side only
+            ts = rng.sample(range(rng.randint(0, 1), dmax + 1),
+                            rng.randint(1, max(1, dmax)))
+            ts = ts if kind == 2 else [-t for t in ts]
+        elif kind == 4:
+            ts = list(span)
+        else:
+            ts = [dmax, -dmax, rng.choice(span)]
+        yield ts
+
+
+def test_window_counts_match_set_reference():
+    # the bitset counter must give the set-based counts for every style and
+    # n1 from 1 past dmax, plus powers of two up to 2^11
+    rng = random.Random(13)
+    for ts in window_offset_sets(rng, 240):
+        dmax = max(abs(t) for t in ts)
+        cands = sorted(set(range(1, dmax + 4)) | {1 << b for b in range(12)})
+        for style in ("sparse", "symmetric", "onesided"):
+            want = [reference_window_sizes(ts, n1, style, dmax)
+                    for n1 in cands]
+            assert _window_counts(ts, cands, style, dmax) == want, (ts, style)
+
+
 # each non-permutation matrix must be refused with ValueError, also under
 # python -O
 def _matrix(n, entries):
@@ -251,6 +290,22 @@ def test_bad_permutation_matrices_raise_value_error():
 def test_bad_permutation_matrices_raise_without_asserts():
     assert_value_errors_without_asserts("test_diag",
                                         "BAD_PERMUTATION_MATRICES")
+
+
+# a zero entry must be refused, also under python -O: stored, it would count
+# as a diagonal and cost a rotation and a mask
+BAD_ENTRIES = {
+    "zero entry at diagonal 3, row 1": lambda: DiagMatrix(8).set_entry(
+        3, 1, 0),
+}
+
+
+def test_bad_entries_raise_value_error():
+    assert_value_errors(BAD_ENTRIES)
+
+
+def test_bad_entries_raise_without_asserts():
+    assert_value_errors_without_asserts("test_diag", "BAD_ENTRIES")
 
 
 # each evaluator the cost model replays through, and the matrix product,

@@ -12,7 +12,7 @@ import pytest
 
 from permdec import slots
 from permdec.costmodel import _replay
-from permdec.diag import BsgsPlan, DiagMatrix, _tie_penalty
+from permdec.diag import BsgsPlan, DiagMatrix, _giants, _tie_penalty
 from permdec.network import rotation_profile
 from permdec.slots import Permutation
 
@@ -55,6 +55,15 @@ def zero_ledger(net):
 def zero_profile(net):
     """rotation_profile (rotations per schedule level) of that replay."""
     return rotation_profile(net, zero_ledger(net))
+
+
+def reference_window_sizes(ts, n1, style, dmax):
+    """Baby and giant window sizes (distinct nonzero j and g) of the split
+    at n1, counted on Python sets: the counter before the bitset sweep."""
+    giants = _giants(ts, n1, style, dmax)
+    js = {t - n1 * g for t, g in zip(ts, giants)}
+    gs = set(giants)
+    return len(js) - (0 in js), len(gs) - (0 in gs)
 
 
 def reference_plan_bsgs(offsets, n, stride=1, n1=None, style=None):
