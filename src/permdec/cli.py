@@ -28,7 +28,7 @@ from .ledger import CostLedger
 from .network import (build_network, collapse_levels, evaluate_network,
                       reduce_masks)
 from .search import diag_profile, max_ideal_depth, validate_ideal_chain
-from .slots import Permutation, SlotVector
+from .slots import DEFAULT_LEVEL, Permutation, SlotVector
 from .structured import (HmtSpec, build_gamma_xi, build_sigma, build_tau,
                          build_ut, decompose_gamma_xi_pad, decompose_sigma,
                          decompose_tau, decompose_ut, unit_input_slots)
@@ -234,6 +234,9 @@ def _cmd_benes(cfg: argparse.Namespace):
     bc = benes_decompose(p)
     if not cfg.no_collapse:
         bc = collapse_benes(bc, cfg.depth)
+    if bc.depth > DEFAULT_LEVEL:  # each factor rescales once
+        raise ValueError(f"a chain of {bc.depth} factors needs {bc.depth} "
+                         f"levels; only {DEFAULT_LEVEL} are available")
     if not cfg.no_restrict:
         bc = restrict_keys(bc, cfg.budget)
     rng = random.Random(cfg.seed + 1)

@@ -19,7 +19,10 @@ copies fill exactly one span and never leak into a neighbor. The layered
 variant caches pre-rotations shared across targets, trading masks for
 rotations; `fast_replicate` exposes it standalone in row-wise (one-sided
 windows, for span-periodic inputs) and column-wise (two-sided windows)
-form.
+form. Each of its masked-sum layers rescales once, but its final unit mask
+is never rescaled and shares the product's rescale, so the simulated depth
+is 1 + (number of upper factors): 2 for factors (4, 4), as for one mask,
+and 3 for (2, 2, 4). A real CKKS scheme would spend a level on that mask.
 """
 
 from __future__ import annotations
@@ -96,7 +99,9 @@ class HmmConfig:
     replication=None replicates each column group with one mask and log d
     doubling steps; a factor tuple [f_top, .., f_1, f_0] switches to the
     layered scheme (one masked-sum layer per upper factor, plain doubling
-    for the last), which costs one extra depth level per upper factor.
+    for the last). Measured depth is one level per upper factor plus the
+    product's: the final unit mask is not rescaled on its own, although a
+    real CKKS scheme would need a level for it.
     """
 
     d: int
@@ -190,7 +195,8 @@ def _doubling_spread(v: SlotVector, stride: int, count: int, tag: str) -> SlotVe
 
 def hmm_evaluate(pa: PackedMatrices, pb: PackedMatrices, cfg: HmmConfig) -> SlotVector:
     """Run the multiply and return the collapsed slot vector (depth 2 for
-    single-mask replication, one more per extra replication layer)."""
+    single-mask replication, 1 + the number of upper replication factors
+    for layered replication; see HmmConfig)."""
     d, dp = cfg.d, cfg.d_prime
     va = _doubling_spread(pa.vector, d * d - 1, dp, tag="hmm.a.reorder")
     vb = _doubling_spread(pb.vector, d * (d - 1), dp, tag="hmm.b.reorder")

@@ -11,6 +11,12 @@ to the next group, so the network grows a small number of vertical groups
 whose bottom outputs sum to the permuted vector. Every entry ends up applying
 exactly the binary decomposition of its r_org.
 
+Node occupancy (Node.occ: input position -> entry) is the one routing
+record; only build_network writes it, so derived networks share it. Entry i
+at input position p has travelled (i - p) mod n, since that is at most
+r_org < n. A rotation of step k leaves it at (p - k) mod n, k further along;
+its remaining distance is r_org minus what it has travelled.
+
 Edges carry 0/1 masks selecting the entries they transmit. Two cost
 optimizations operate on a built network:
 
@@ -39,8 +45,8 @@ permutation.
 
 from __future__ import annotations
 
+import copy
 import json
-from bisect import bisect_right
 from collections import Counter
 from dataclasses import asdict, dataclass
 
@@ -51,31 +57,16 @@ from .slots import Permutation, PositionMask, SlotVector
 class Entry:
     """Routing state of one vector entry during construction."""
 
-    __slots__ = ("i", "r_org", "r_rem", "node", "levels", "traveled", "trace")
+    __slots__ = ("i", "r_org", "r_rem", "node")
 
     def __init__(self, i: int, r_org: int):
         self.i = i
         self.r_org = r_org
         self.r_rem = r_org
         self.node = 0
-        self.levels = []  # levels of the rotations applied, ascending
-        self.traveled = [0]  # traveled[k]: distance of the first k rotations
-        self.trace = [0]  # node index per level, 0 .. final bottom
 
     def pos(self, n: int) -> int:
         return (self.i - (self.r_org - self.r_rem)) % n
-
-    def rotate(self, level: int, step: int) -> None:
-        self.levels.append(level)
-        self.traveled.append(self.traveled[-1] + step)
-        self.r_rem -= step
-
-    def r_rem_at(self, level: int) -> int:
-        """Remaining distance after the rotations at levels <= level."""
-        return self.r_org - self.traveled[bisect_right(self.levels, level)]
-
-    def pos_at(self, level: int, n: int) -> int:
-        return (self.i - (self.r_org - self.r_rem_at(level))) % n
 
 
 class Node:
@@ -87,7 +78,7 @@ class Node:
         self.group = group
         self.level = level
         self.step = step
-        self.occ = {}  # slot position -> entry index (live set)
+        self.occ = {}  # input position -> entry index
 
 
 class Edge:
@@ -116,7 +107,8 @@ class MultiGroupNetwork:
         self.group_spans: list[tuple[int, int]] = []  # (start level, bottom)
         self.entries: list[Entry] = []
         self.reduced = False
-        self.filtered: set[int] = set()  # nodes narrowed by reduce_masks
+        # node narrowed by reduce_masks -> the parent re-feeding its entries
+        self.filtered: dict[int, int] = {}
         self.collapse: CollapseSpec | None = None
 
     def add_node(self, kind, group, level, step=0) -> Node:
@@ -157,6 +149,15 @@ class MultiGroupNetwork:
         the levels below it."""
         bottom = self.collapse.bottom if self.collapse else 0
         return self.max_level - bottom
+
+    def held(self, node: Node) -> list[tuple[int, int]]:
+        """(input position, entry) pairs on the node's input, by position; a
+        node narrowed by reduce_masks keeps those of its remaining feed."""
+        items = sorted(node.occ.items())
+        if node.idx in self.filtered:
+            feed = self.edges.get((self.filtered[node.idx], node.idx))
+            items = [(p, ei) for p, ei in items if feed and p in feed.mask]
+        return items
 
     def rotation_nodes(self) -> list[Node]:
         return [nd for nd in self.nodes if nd.kind == "rotation"]
@@ -291,7 +292,7 @@ def build_network(p: Permutation) -> MultiGroupNetwork:
                         continue
                     rot_node.occ[pos] = ei
                     net.edge(src.idx, rot_node.idx).mask.add(pos)
-                    e.rotate(lvl + 1, rot)
+                    e.r_rem -= rot
                     e.node = rot_node.idx
                 else:
                     dst = col_map.get(src.idx)
@@ -303,7 +304,6 @@ def build_network(p: Permutation) -> MultiGroupNetwork:
                     dst.occ[pos] = ei
                     net.edge(src.idx, dst.idx).mask.add(pos)
                     e.node = dst.idx
-                e.trace.append(e.node)
                 moved.append(ei)
             if moved:
                 by_level.setdefault(lvl + 1, []).extend(moved)
@@ -319,14 +319,13 @@ def build_network(p: Permutation) -> MultiGroupNetwork:
 def _clone(net: MultiGroupNetwork) -> MultiGroupNetwork:
     out = MultiGroupNetwork(net.n)
     for nd in net.nodes:
-        c = out.add_node(nd.kind, nd.group, nd.level, nd.step)
-        c.occ = dict(nd.occ)
+        out.add_node(nd.kind, nd.group, nd.level, nd.step).occ = nd.occ
     for e in net.edges.values():
         out.edge(e.src, e.dst).mask = None if e.mask is None else set(e.mask)
     out.group_spans = list(net.group_spans)
     out.entries = net.entries
     out.reduced = net.reduced
-    out.filtered = set(net.filtered)
+    out.filtered = dict(net.filtered)
     out.collapse = net.collapse
     return out
 
@@ -367,8 +366,7 @@ def reduce_masks(net: MultiGroupNetwork) -> MultiGroupNetwork:
                         # entries one level up, where they also sit
                         out.rewire_source(e, feed.src)
                 feed.mask = set(stay.mask) if stay is not None else set()
-                nd.occ = {p: ei for p, ei in nd.occ.items() if p in feed.mask}
-                out.filtered.add(nd.idx)
+                out.filtered[nd.idx] = feed.src
                 if stay is not None:
                     stay.mask = None
                 if not feed.mask:
@@ -396,7 +394,7 @@ def collapse_levels(net: MultiGroupNetwork, top: int = 0, bottom: int = 0,
     lmax = net.max_level
     if top + bottom >= lmax:
         raise ValueError(f"cannot collapse {top}+{bottom} of {lmax} levels")
-    out = _clone(net)
+    out = copy.copy(net)  # a collapse changes no node or edge
     out.collapse = CollapseSpec(top, bottom, arity)
     return out
 
@@ -408,6 +406,7 @@ def _masked(v: SlotVector, positions, tag) -> SlotVector:
 def evaluate_network(net: MultiGroupNetwork, v: SlotVector) -> SlotVector:
     if v.n != net.n:
         raise ValueError(f"vector length {v.n} != network length {net.n}")
+    n = net.n
     bottoms = {g: b for g, (_, b) in enumerate(net.group_spans)}
     cs = net.collapse
     t = cs.top if cs else 0
@@ -426,12 +425,9 @@ def evaluate_network(net: MultiGroupNetwork, v: SlotVector) -> SlotVector:
         """Recreate a node's input (or, with final, its output) from masked
         pre-rotations of v."""
         by_r = {}
-        for p, ei in sorted(node.occ.items()):
-            e = net.entries[ei]
-            lvl = node.level if final else node.level - 1
-            traveled = e.r_org - e.r_rem_at(lvl)
-            by_r.setdefault(traveled, []).append(
-                e.pos_at(lvl, net.n) if final else p)
+        for p, ei in net.held(node):
+            q = (p - node.step) % n if final else p
+            by_r.setdefault((ei - q) % n, []).append(q)
         acc = None
         for r in sorted(by_r):
             part = _masked(rotant(r), by_r[r], "net.collapse.top")
@@ -461,7 +457,7 @@ def evaluate_network(net: MultiGroupNetwork, v: SlotVector) -> SlotVector:
         if t and nd.level <= t:
             # interior of the collapsed top; groups that finish inside it
             # contribute their final values directly
-            if not net.out_edges[nd.idx] and nd.occ:
+            if not net.out_edges[nd.idx] and net.held(nd):
                 terms.append(rebuilt(nd, final=True))
             continue
         tag = f"net.g{nd.group}.l{nd.level}"
@@ -494,16 +490,18 @@ def evaluate_network(net: MultiGroupNetwork, v: SlotVector) -> SlotVector:
 
     if cs and cs.bottom:
         # bucket the values still in flight at the cut by remaining distance
+        # (entries that finished above it are already direct terms)
         groups = {}
-        for e in net.entries:
-            if len(e.trace) - 1 < cut:
-                continue  # finished above the cut, already a direct term
-            src = e.trace[cut]
-            pos = e.pos_at(cut, net.n)
-            if src in net.filtered and pos not in net.nodes[src].occ:
-                src = e.trace[cut - 1]  # re-fed entries sit one level up
-            r = e.r_rem_at(cut)
-            groups.setdefault((src, r), []).append(pos)
+        for nd in net.nodes:
+            if nd.level != cut:
+                continue
+            kept = {p for p, _ in net.held(nd)}
+            for p, ei in nd.occ.items():
+                # re-fed entries sit at the same position one level up
+                src = nd.idx if p in kept else net.filtered[nd.idx]
+                q = (p - nd.step) % n
+                r = net.entries[ei].r_org - (ei - q) % n
+                groups.setdefault((src, r), []).append(q)
         buckets = {}
         for (src, r), ps in sorted(groups.items()):
             part = _masked(output(src), ps, "net.collapse.bot")

@@ -203,7 +203,8 @@ def _net_sizes(n_max: int) -> list[tuple[int, float]]:
 
 
 def _safe_collapse(net, top, bottom):
-    room = net.max_level - 1
+    # a network without levels (the identity) has no room and stays whole
+    room = max(net.max_level - 1, 0)
     b = min(bottom, room)
     t = min(top, room - b)
     return collapse_levels(net, t, b) if t or b else net

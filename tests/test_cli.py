@@ -14,7 +14,7 @@ from permdec.bench import CSV_HEADER
 from permdec.cli import main
 from permdec.network import MultiGroupNetwork, build_network, evaluate_network
 from permdec.slots import Permutation, SlotVector
-from permdec.verify import CheckResult, SuiteReport
+from permdec.verify import CheckResult, SuiteReport, run_suite
 
 REFERENCE_ROW_1024 = {1: 1.0, 2: 2.0, 3: 3.3, 4: 3.7, 5: 4.0,
                       6: 4.1, 7: 4.3, 8: 4.3, 9: 4.0, 10: 3.8}
@@ -224,6 +224,14 @@ def test_verify_quick_suite(capsys):
     }
 
 
+@pytest.mark.parametrize("n_max", [1, 2, 4])
+def test_verify_tiny_sizes(capsys, n_max):
+    # networks this small may be the identity, which has no level to collapse
+    assert run_suite(n_max=n_max, full=False).ok
+    rc, rep = run_json(capsys, "verify", "--n-max", str(n_max))
+    assert rc == 0 and rep["ok"] is True
+
+
 def test_verify_failure_sets_exit_code(capsys, monkeypatch):
     bad = SuiteReport(64, 0, [CheckResult("benes", 1, 1, ["boom"])])
     monkeypatch.setattr("permdec.cli.run_suite",
@@ -270,6 +278,13 @@ def test_usage_errors_exit_two(capsys, tmp_path):
     assert main(["benes", "--budget", "0"]) == 2
     assert main(["benes", "--n", "1", "--budget", "0"]) == 2
     capsys.readouterr()
+    # 19 and 18 factors, deeper than the 17 levels of a fresh vector
+    for argv, depth in ((["benes", "--n", "1024", "--no-collapse"], 19),
+                        (["benes", "--n", "1024", "--depth", "18"], 18)):
+        assert main(argv) == 2, argv
+        cap = capsys.readouterr()
+        assert f"{depth} factors" in cap.err and "17 are available" in cap.err
+        assert not cap.out
     for argv in (["net", "eval", "--n", "-4"], ["bench", "--n", "-8"],
                  ["hmm", "--samples", "-2"], ["benes", "--n", "-4"],
                  ["net", "profile", "--samples", "-1"],
@@ -314,6 +329,19 @@ def test_duplicate_targets_exit_two_without_asserts(tmp_path):
          str(path)], capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 2
     assert "not a permutation" in proc.stderr and not proc.stdout
+
+
+def test_deep_benes_chain_exits_two_without_asserts():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "permdec.cli", "benes", "--n", "1024",
+         "--no-collapse"], capture_output=True, text=True, env=env,
+        timeout=60)
+    assert proc.returncode == 2
+    assert "19 factors" in proc.stderr and not proc.stdout
 
 
 def test_network_file_is_not_a_permutation_file(capsys, tmp_path):

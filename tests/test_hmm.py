@@ -392,6 +392,18 @@ def test_layered_pipeline_depth():
     assert hmm_evaluate(pa, pb, cfg2).depth_used == 3
 
 
+@pytest.mark.parametrize("dp", [16, 4])
+def test_replication_depths_at_d16(dp):
+    # the final unit mask shares the product's rescale, so layered
+    # replication with one upper factor consumes no more than naive
+    rng = random.Random(17)
+    a, b = rand_mat(16, rng), rand_mat(16, rng)
+    for replication, depth in ((None, 2), ((4, 4), 2), ((2, 2, 4), 3)):
+        cfg = HmmConfig(16, dp, replication=replication)
+        pa, pb = pack_matrices([a], cfg), pack_matrices([b], cfg)
+        assert hmm_evaluate(pa, pb, cfg).depth_used == depth, replication
+
+
 def test_layered_pipeline_batched(rng):
     # anchored windows keep every copy inside its own span, so batching m > 1
     # changes neither the results nor the shared rotation count

@@ -18,7 +18,7 @@ from permdec.network import (MultiGroupNetwork, build_network, collapse_levels,
                              evaluate_network, reduce_masks, rotation_profile)
 from permdec.slots import Permutation, SlotVector
 from util import (assert_value_errors, assert_value_errors_without_asserts,
-                  zero_ledger, zero_profile)
+                  entry_routes, zero_ledger, zero_profile)
 
 
 def log2(x: int) -> int:
@@ -72,18 +72,26 @@ def test_power_of_two_rotation_is_single_level():
 def test_all_entries_solved_and_traced():
     p, _ = build_random(256, 11)
     net = build_network(p)
+    routes = entry_routes(net)
     for e in net.entries:
         assert e.r_rem == 0
         # the trace covers every level from the input down to a group bottom
-        assert len(e.trace) - 1 == net.nodes[e.trace[-1]].level
+        trace = [nd.idx for nd, _, _ in routes[e.i]]
+        assert len(trace) - 1 == net.nodes[trace[-1]].level
+        levels = [nd.level for nd, _, _ in routes[e.i]]
+        assert levels == list(range(len(trace)))
+        assert routes[e.i][-1][2] == e.r_org
 
 
 def test_binary_path_property():
     for seed in range(5):
         p, _ = build_random(256, 20 + seed)
         net = build_network(p)
+        routes = entry_routes(net)
         for e in net.entries:
-            steps = [b - a for a, b in zip(e.traveled, e.traveled[1:])]
+            traveled = [0] + [t for nd, _, t in routes[e.i]
+                              if nd.kind == "rotation"]
+            steps = [b - a for a, b in zip(traveled, traveled[1:])]
             assert sum(steps) == e.r_org
             assert len(set(steps)) == len(steps)  # each power at most once
             assert all(s & (s - 1) == 0 for s in steps)
@@ -454,12 +462,42 @@ def test_bottom_collapse_routes_long_remaining_distances():
     p = Permutation([6, 5, 4, 1, 0, 7, 2, 3])
     net = build_network(p)
     cut = net.max_level - 1
-    assert any(e.r_rem_at(cut) >= 2 for e in net.entries
-               if len(e.trace) - 1 >= cut)
+    routes = entry_routes(net)
+    assert any(e.r_org - routes[e.i][cut][2] >= 2 for e in net.entries
+               if len(routes[e.i]) - 1 >= cut)
     vals = list(range(1, 9))
     out = evaluate_network(collapse_levels(net, 0, 1),
                            SlotVector.from_list(vals))
     assert out.to_list() == p.apply(vals)
+
+
+def _routing_state(net):
+    return (json.dumps(net.to_json(), sort_keys=True),
+            [dict(nd.occ) for nd in net.nodes], dict(net.filtered))
+
+
+def test_derived_networks_share_but_never_write_routing_state():
+    for n, seed in ((64, 4900), (256, 4901), (1024, 4902)):
+        p, rng = build_random(n, seed)
+        vals = rand_vec(n, rng)
+        raw = build_network(p)
+        raw_state = _routing_state(raw)
+        red = reduce_masks(raw)
+        red_state = _routing_state(red)
+        assert red.filtered and _routing_state(raw) == raw_state
+        assert all(a.occ is b.occ for a, b in zip(raw.nodes, red.nodes))
+        lmax = raw.max_level
+        for src in (raw, red):
+            for top, bottom in ((2, 3), (0, 2), (3, 0), (lmax - 2, 1)):
+                col = collapse_levels(src, top, bottom)
+                assert col.nodes is src.nodes and col.edges is src.edges
+                assert src.collapse is None
+                out = evaluate_network(col, SlotVector.from_list(vals))
+                assert out.to_list() == p.apply(vals), (n, top, bottom)
+            out = evaluate_network(src, SlotVector.from_list(vals))
+            assert out.to_list() == p.apply(vals)
+        assert _routing_state(raw) == raw_state
+        assert _routing_state(red) == red_state
 
 
 def test_collapse_refuses_network_loaded_from_json():

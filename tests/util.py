@@ -47,6 +47,17 @@ def assert_value_errors_without_asserts(module: str, table: str) -> None:
     assert proc.returncode == 0, proc.stderr
 
 
+def entry_routes(net) -> list[list[tuple]]:
+    """Per entry, one (node, input position, distance travelled after the
+    node) triple per level from the input down, read from node occupancy:
+    entry i at input position p has travelled (i - p) mod n."""
+    routes = [[] for _ in range(net.n)]
+    for nd in sorted(net.nodes, key=lambda nd: nd.level):
+        for p, i in nd.occ.items():
+            routes[i].append((nd, p, (i - p + nd.step) % net.n))
+    return routes
+
+
 def zero_ledger(net):
     """CostLedger of the cost model's slot-free replay of net."""
     return _replay(net)[0]
