@@ -95,7 +95,7 @@ def _ladder_report(chain, u, cfg: argparse.Namespace):
 def _cmd_decompose(cfg: argparse.Namespace):
     if cfg.target in ("ut", "sigma", "tau"):
         if cfg.target == "ut":
-            n = cfg.n if cfg.n else build_ut(cfg.d).n
+            n = cfg.n or cfg.d * cfg.d
             chain = decompose_ut(HmtSpec(cfg.d, n, cfg.l))
             u = build_ut(cfg.d, n)
         elif cfg.target == "sigma":

@@ -146,15 +146,8 @@ class HmmConfig:
         return self.d // self.d_prime
 
 
-@dataclass(frozen=True)
-class PackedMatrices:
+def pack_matrices(mats: Sequence[Matrix], cfg: HmmConfig) -> SlotVector:
     """m matrices, each row-major in the head of its d^2*d' span."""
-
-    vector: SlotVector
-    cfg: HmmConfig
-
-
-def pack_matrices(mats: Sequence[Matrix], cfg: HmmConfig) -> PackedMatrices:
     if len(mats) != cfg.m:
         raise ValueError(f"expected {cfg.m} matrices, got {len(mats)}")
     slots = [0] * cfg.vector_size
@@ -165,7 +158,7 @@ def pack_matrices(mats: Sequence[Matrix], cfg: HmmConfig) -> PackedMatrices:
         for t, row in enumerate(mat):
             for j, val in enumerate(row):
                 slots[base + t * cfg.d + j] = val
-    return PackedMatrices(SlotVector.from_list(slots), cfg)
+    return SlotVector.from_list(slots)
 
 
 def read_products(v: SlotVector, cfg: HmmConfig) -> list[Matrix]:
@@ -193,13 +186,13 @@ def _doubling_spread(v: SlotVector, stride: int, count: int, tag: str) -> SlotVe
     return v
 
 
-def hmm_evaluate(pa: PackedMatrices, pb: PackedMatrices, cfg: HmmConfig) -> SlotVector:
+def hmm_evaluate(pa: SlotVector, pb: SlotVector, cfg: HmmConfig) -> SlotVector:
     """Run the multiply and return the collapsed slot vector (depth 2 for
     single-mask replication, 1 + the number of upper replication factors
     for layered replication; see HmmConfig)."""
     d, dp = cfg.d, cfg.d_prime
-    va = _doubling_spread(pa.vector, d * d - 1, dp, tag="hmm.a.reorder")
-    vb = _doubling_spread(pb.vector, d * (d - 1), dp, tag="hmm.b.reorder")
+    va = _doubling_spread(pa, d * d - 1, dp, tag="hmm.a.reorder")
+    vb = _doubling_spread(pb, d * (d - 1), dp, tag="hmm.b.reorder")
     cols = UnitLayout(d, 1)
     rows = UnitLayout(d, d)
     units = [k * dp for k in range(cfg.groups)]

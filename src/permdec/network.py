@@ -1,21 +1,22 @@
 """Rotation networks for arbitrary slot permutations.
 
 Any permutation can be evaluated by routing each entry through a cascade of
-power-of-two left rotations that sum to its required displacement. The network
-tracks, per entry, the remaining rotation distance r_rem, initialized to
-r_org = (i - targets[i]) mod n, and builds levels top-down: each level picks
-rot = the largest power of two not above the maximum r_rem present, entries
-with r_rem >= rot enter that level's rotation node, the rest ride standby
-columns unchanged. Slot conflicts inside a rotation node defer the newcomer
-to the next group, so the network grows a small number of vertical groups
-whose bottom outputs sum to the permuted vector. Every entry ends up applying
-exactly the binary decomposition of its r_org.
+power-of-two left rotations that sum to its required displacement,
+r_org = (i - targets[i]) mod n for entry i. The network is built level by
+level from the top: each level picks rot = the largest power of two not above
+the largest remaining distance r_rem present, entries with r_rem >= rot enter
+that level's rotation node, the rest ride standby columns unchanged. Slot
+conflicts inside a rotation node defer the newcomer to the next group, so the
+network grows a small number of vertical groups whose bottom outputs sum to
+the permuted vector. Every entry ends up applying exactly the binary
+decomposition of its r_org.
 
-Node occupancy (Node.occ: input position -> entry) is the one routing
-record; only build_network writes it, so derived networks share it. Entry i
-at input position p has travelled (i - p) mod n, since that is at most
-r_org < n. A rotation of step k leaves it at (p - k) mod n, k further along;
-its remaining distance is r_org minus what it has travelled.
+A network keeps two routing records: node occupancy (Node.occ: input
+position -> entry) and the targets of the permutation it routes. Only
+build_network writes them, so derived networks share them. A left rotation of
+step k moves an entry from position p to (p - k) mod n, so entry i at position
+p has travelled (i - p) mod n (exact, as that is at most r_org < n) and has
+(p - targets[i]) mod n still to go; it is home once p == targets[i].
 
 Edges carry 0/1 masks selecting the entries they transmit. Two cost
 optimizations operate on a built network:
@@ -54,21 +55,6 @@ from .ledger import CostLedger
 from .slots import Permutation, PositionMask, SlotVector
 
 
-class Entry:
-    """Routing state of one vector entry during construction."""
-
-    __slots__ = ("i", "r_org", "r_rem", "node")
-
-    def __init__(self, i: int, r_org: int):
-        self.i = i
-        self.r_org = r_org
-        self.r_rem = r_org
-        self.node = 0
-
-    def pos(self, n: int) -> int:
-        return (self.i - (self.r_org - self.r_rem)) % n
-
-
 class Node:
     __slots__ = ("idx", "kind", "group", "level", "step", "occ")
 
@@ -105,7 +91,8 @@ class MultiGroupNetwork:
         self.out_edges: dict[int, list[Edge]] = {}
         self.in_edges: dict[int, list[Edge]] = {}
         self.group_spans: list[tuple[int, int]] = []  # (start level, bottom)
-        self.entries: list[Entry] = []
+        # targets of the routed permutation; None for a network from JSON
+        self.targets: tuple[int, ...] | None = None
         self.reduced = False
         # node narrowed by reduce_masks -> the parent re-feeding its entries
         self.filtered: dict[int, int] = {}
@@ -257,58 +244,58 @@ def build_network(p: Permutation) -> MultiGroupNetwork:
     """Route every entry of p through grouped power-of-two rotation levels."""
     n = p.n
     net = MultiGroupNetwork(n)
-    origin = net.add_node("standby", group=0, level=0)
-    entries = [Entry(i, (i - t) % n) for i, t in enumerate(p.targets)]
-    net.entries = entries
-    origin.occ = {i: i for i in range(n)}
+    net.targets = targets = p.targets
+    net.add_node("standby", group=0, level=0).occ = {i: i for i in range(n)}
+    # per entry: its current node and its position on that node's output
+    at = [0] * n
+    pos = list(range(n))
 
     unsolved = list(range(n))
     g = 0
     while unsolved:
-        if all(entries[ei].r_rem == 0 for ei in unsolved):
+        if all(pos[ei] == targets[ei] for ei in unsolved):
             break  # nothing left to rotate: entries are already home
         by_level: dict[int, list[int]] = {}
         for ei in unsolved:
-            by_level.setdefault(net.nodes[entries[ei].node].level, []).append(ei)
+            by_level.setdefault(net.nodes[at[ei]].level, []).append(ei)
         start = min(by_level)
         deferred = []
         while True:
             lvl = min(by_level)
             active = sorted(by_level.pop(lvl))
-            rot_max = max(entries[ei].r_rem for ei in active)
+            rot_max = max((pos[ei] - targets[ei]) % n for ei in active)
             rot = 1 << (rot_max.bit_length() - 1) if rot_max else 0
             rot_node = None
             col_map = {}  # source node -> standby column node at lvl+1
             moved = []
             for ei in active:
-                e = entries[ei]
-                src = net.nodes[e.node]
-                pos = e.pos(n)
-                if rot and e.r_rem >= rot:
+                src = at[ei]
+                q = pos[ei]
+                if rot and (q - targets[ei]) % n >= rot:
                     if rot_node is None:
                         rot_node = net.add_node("rotation", g, lvl + 1, step=rot)
-                    if pos in rot_node.occ:
+                    if q in rot_node.occ:
                         deferred.append(ei)
                         continue
-                    rot_node.occ[pos] = ei
-                    net.edge(src.idx, rot_node.idx).mask.add(pos)
-                    e.r_rem -= rot
-                    e.node = rot_node.idx
+                    rot_node.occ[q] = ei
+                    net.edge(src, rot_node.idx).mask.add(q)
+                    at[ei] = rot_node.idx
+                    pos[ei] = (q - rot) % n
                 else:
-                    dst = col_map.get(src.idx)
+                    dst = col_map.get(src)
                     if dst is None:
                         # one column per source node keeps positions disjoint
                         dst = net.add_node("standby", g, lvl + 1)
-                        col_map[src.idx] = dst
-                    assert pos not in dst.occ, "standby slot collision"
-                    dst.occ[pos] = ei
-                    net.edge(src.idx, dst.idx).mask.add(pos)
-                    e.node = dst.idx
+                        col_map[src] = dst
+                    assert q not in dst.occ, "standby slot collision"
+                    dst.occ[q] = ei
+                    net.edge(src, dst.idx).mask.add(q)
+                    at[ei] = dst.idx
                 moved.append(ei)
             if moved:
                 by_level.setdefault(lvl + 1, []).extend(moved)
-            remaining = [ei for lst in by_level.values() for ei in lst]
-            if all(entries[ei].r_rem == 0 for ei in remaining):
+            if all(pos[ei] == targets[ei]
+                   for lst in by_level.values() for ei in lst):
                 net.group_spans.append((start, lvl + 1 if moved else lvl))
                 break
         unsolved = deferred
@@ -323,7 +310,7 @@ def _clone(net: MultiGroupNetwork) -> MultiGroupNetwork:
     for e in net.edges.values():
         out.edge(e.src, e.dst).mask = None if e.mask is None else set(e.mask)
     out.group_spans = list(net.group_spans)
-    out.entries = net.entries
+    out.targets = net.targets
     out.reduced = net.reduced
     out.filtered = dict(net.filtered)
     out.collapse = net.collapse
@@ -332,7 +319,8 @@ def _clone(net: MultiGroupNetwork) -> MultiGroupNetwork:
 
 def reduce_masks(net: MultiGroupNetwork) -> MultiGroupNetwork:
     """Turn standby-chain masks into copies, keeping one masked hop per
-    column just above each group's bottom.
+    column just above each group's bottom. An already reduced network is
+    returned as it is: nothing is left to turn into copies.
 
     Copies let entries that already left the column ride along as stale
     values; because a column's positions never collide, those are harmless
@@ -342,6 +330,8 @@ def reduce_masks(net: MultiGroupNetwork) -> MultiGroupNetwork:
     parent, where the same values sit at the same positions, so nothing is
     counted twice.
     """
+    if net.reduced:
+        return net
     out = _clone(net)
     for g, (start, bottom) in enumerate(out.group_spans):
         for nd in list(out.nodes):
@@ -387,7 +377,7 @@ def collapse_levels(net: MultiGroupNetwork, top: int = 0, bottom: int = 0,
         raise ValueError("tree arity must be a power of two >= 2")
     if top == 0 and bottom == 0:
         return net
-    if len(net.entries) != net.n:
+    if net.targets is None:
         raise ValueError("cannot collapse a network without its routing "
                          "state (JSON keeps only the graph); rebuild it "
                          "from the permutation")
@@ -500,7 +490,7 @@ def evaluate_network(net: MultiGroupNetwork, v: SlotVector) -> SlotVector:
                 # re-fed entries sit at the same position one level up
                 src = nd.idx if p in kept else net.filtered[nd.idx]
                 q = (p - nd.step) % n
-                r = net.entries[ei].r_org - (ei - q) % n
+                r = (q - net.targets[ei]) % n
                 groups.setdefault((src, r), []).append(q)
         buckets = {}
         for (src, r), ps in sorted(groups.items()):

@@ -181,46 +181,30 @@ def build_ut(d: int, n: int | None = None) -> DiagMatrix:
 
 @dataclass(frozen=True)
 class HmtSpec:
-    """Parameters of a transpose decomposition.
-
-    padding "zero-pad" rounds d up to the next power of two when the padded
-    matrix still fits the slot count, giving the uniform quadrant splits; the
-    caller is responsible for embedding the operand into the padded layout.
-    When the padded matrix does not fit, the unequal odd splits are used on
-    the original d instead.
-    """
+    """Parameters of a transpose decomposition: a d x d matrix in n slots,
+    split over l rounds. For the uniform quadrant splits of a power-of-two
+    size, pass the padded d and embed the operand into its row stride."""
 
     d: int
     n: int
     l: int
-    padding: str = "none"
 
     def __post_init__(self):
-        if self.padding not in ("none", "zero-pad"):
-            raise ValueError(f"unknown padding mode {self.padding!r}")
         if self.d < 2 or self.d * self.d > self.n:
             raise ValueError("need d >= 2 with d^2 slots available")
-        if not 1 <= self.l <= _max_rounds(self.effective_d):
-            raise ValueError(f"depth {self.l} out of range for d={self.effective_d}")
-
-    @property
-    def effective_d(self) -> int:
-        if self.padding == "zero-pad":
-            pad = 1 << (self.d - 1).bit_length()
-            if pad * pad <= self.n:
-                return pad
-        return self.d
+        if not 1 <= self.l <= _max_rounds(self.d):
+            raise ValueError(f"depth {self.l} out of range for d={self.d}")
 
 
 def decompose_ut(spec: HmtSpec) -> DecompositionChain:
-    """Chain [L_l, R_l, ..., R_1] whose product is build_ut(spec.effective_d).
+    """Chain [L_l, R_l, ..., R_1] whose product is build_ut(spec.d, spec.n).
 
     Power-of-two d gives right factors with diagonals {0, +-(d-1)d/2^i}
     (quadrant swaps) and a left factor on {+-i(d-1) : 0 <= i < d/2^l};
     odd d uses the overlapping splits and stays within 5 diagonals per
     right factor.
     """
-    d = spec.effective_d
+    d = spec.d
     levels = [block_local_perm(d, spec.n, [Block(0, 0, d)], "transpose")]
     for part in partition_rounds(d, spec.l):
         levels.append(block_local_perm(d, spec.n, part.blocks, "transpose"))

@@ -143,6 +143,28 @@ def test_net_build_report_roundtrips(capsys):
     assert out.to_list() == p.apply(vals)
 
 
+# first 16 hex digits of the sha256 of `permdec net ARGS` stdout, all with
+# exit status 0. The eval report does not say whether masks were reduced, so
+# the default and --no-reduce print the same bytes.
+NET_REPORTS = {
+    ("build",): "464140acd84002f0",
+    ("build", "--collapse", "2,3"): "0200cfdbf122cda0",
+    ("eval",): "93386b90a90e2c1b",
+    ("eval", "--no-reduce"): "93386b90a90e2c1b",
+    ("eval", "--collapse", "2,3"): "2c30fe19706e54c1",
+    ("eval", "--collapse", "0,2,2"): "696cbced19ade92d",
+    ("eval", "--n", "1024", "--collapse", "3,3,8"): "b45ff2fcf204df81",
+    ("profile", "--samples", "3"): "4a88e643380557f7",
+}
+
+
+def test_net_reports_pinned(capsys):
+    for args, digest in NET_REPORTS.items():
+        rc, out = run(capsys, "net", *args)
+        got = hashlib.sha256(out.encode()).hexdigest()[:16]
+        assert (rc, got) == (0, digest), args
+
+
 # ----------------------------------------------------------------- benes
 
 def test_benes_report(capsys):

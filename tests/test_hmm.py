@@ -48,11 +48,11 @@ def test_packing_layout(rng):
     cfg = HmmConfig(4, 2, m=2)
     mats = [rand_mat(4, rng) for _ in range(2)]
     pk = pack_matrices(mats, cfg)
-    assert zero_region_ok(pk)
+    assert zero_region_ok(pk, cfg)
     for g in range(2):
         for t in range(4):
             for j in range(4):
-                assert pk.vector.slots[g * 32 + 4 * t + j] == mats[g][t][j]
+                assert pk.slots[g * 32 + 4 * t + j] == mats[g][t][j]
     with pytest.raises(ValueError):
         pack_matrices(mats[:1], cfg)
     with pytest.raises(ValueError):
@@ -66,8 +66,8 @@ def test_reorder_maps_hit_designated_slots(rng):
         cfg = HmmConfig(d, dp, m)
         amats = [rand_mat(d, rng) for _ in range(m)]
         bmats = [rand_mat(d, rng) for _ in range(m)]
-        va = _doubling_spread(pack_matrices(amats, cfg).vector, d * d - 1, dp, "t")
-        vb = _doubling_spread(pack_matrices(bmats, cfg).vector, d * (d - 1), dp, "t")
+        va = _doubling_spread(pack_matrices(amats, cfg), d * d - 1, dp, "t")
+        vb = _doubling_spread(pack_matrices(bmats, cfg), d * (d - 1), dp, "t")
         for g in range(m):
             base = g * cfg.group_span
             for k in range(d // dp):

@@ -47,7 +47,7 @@ REFERENCE_ROWS = {
 
 def test_rotation_by_three_structure():
     net = build_network(Permutation.rotation(8, 3))
-    assert all(e.r_org == 3 for e in net.entries)
+    assert all((i - t) % 8 == 3 for i, t in enumerate(net.targets))
     assert len(net.group_spans) == 1 and net.group_spans[0] == (0, 2)
     rots = sorted((nd.level, nd.step) for nd in net.rotation_nodes())
     assert rots == [(1, 2), (2, 1)]
@@ -59,7 +59,8 @@ def test_identity_builds_no_nodes():
     net = build_network(Permutation.identity(16))
     assert net.rotation_nodes() == []
     assert len(net.nodes) == 1  # just the input holder
-    assert all(e.r_rem == 0 for e in net.entries)
+    # solved: every entry already sits at its target on the input holder
+    assert all(net.targets[i] == p for p, i in net.nodes[0].occ.items())
 
 
 def test_power_of_two_rotation_is_single_level():
@@ -73,14 +74,16 @@ def test_all_entries_solved_and_traced():
     p, _ = build_random(256, 11)
     net = build_network(p)
     routes = entry_routes(net)
-    for e in net.entries:
-        assert e.r_rem == 0
+    for i, t in enumerate(net.targets):
+        # solved: the last node leaves the entry at its target
+        last, q, _ = routes[i][-1]
+        assert (q - last.step) % 256 == t
         # the trace covers every level from the input down to a group bottom
-        trace = [nd.idx for nd, _, _ in routes[e.i]]
+        trace = [nd.idx for nd, _, _ in routes[i]]
         assert len(trace) - 1 == net.nodes[trace[-1]].level
-        levels = [nd.level for nd, _, _ in routes[e.i]]
+        levels = [nd.level for nd, _, _ in routes[i]]
         assert levels == list(range(len(trace)))
-        assert routes[e.i][-1][2] == e.r_org
+        assert routes[i][-1][2] == (i - t) % 256
 
 
 def test_binary_path_property():
@@ -88,11 +91,11 @@ def test_binary_path_property():
         p, _ = build_random(256, 20 + seed)
         net = build_network(p)
         routes = entry_routes(net)
-        for e in net.entries:
-            traveled = [0] + [t for nd, _, t in routes[e.i]
+        for i, t in enumerate(net.targets):
+            traveled = [0] + [r for nd, _, r in routes[i]
                               if nd.kind == "rotation"]
             steps = [b - a for a, b in zip(traveled, traveled[1:])]
-            assert sum(steps) == e.r_org
+            assert sum(steps) == (i - t) % 256
             assert len(set(steps)) == len(steps)  # each power at most once
             assert all(s & (s - 1) == 0 for s in steps)
 
@@ -102,7 +105,7 @@ def test_level_bound_matches_max_distance():
         for n in (256, 1024):
             p, _ = build_random(n, 100 + seed)
             net = build_network(p)
-            top = max(e.r_org for e in net.entries)
+            top = max((i - t) % n for i, t in enumerate(net.targets))
             # ceil(log2 top), with a floor of 1 when anything moves at all
             ceil_log = (top - 1).bit_length() if top > 1 else top
             assert net.max_level <= ceil_log
@@ -318,6 +321,17 @@ def test_reduce_copies_confined_to_standby_chains():
             assert dst.level >= bottom - 1
 
 
+def test_reducing_twice_is_reducing_once():
+    # the kept standby masks are already copies: nothing is left to reduce
+    p, rng = build_random(256, 3444)
+    vals = rand_vec(256, rng)
+    red = reduce_masks(build_network(p))
+    twice = reduce_masks(red)
+    assert twice.to_json() == red.to_json()
+    out = evaluate_network(twice, SlotVector.from_list(vals))
+    assert out.to_list() == p.apply(vals)
+
+
 # ------------------------------------------------------- level collapsing
 
 
@@ -463,8 +477,8 @@ def test_bottom_collapse_routes_long_remaining_distances():
     net = build_network(p)
     cut = net.max_level - 1
     routes = entry_routes(net)
-    assert any(e.r_org - routes[e.i][cut][2] >= 2 for e in net.entries
-               if len(routes[e.i]) - 1 >= cut)
+    assert any((i - t) % 8 - routes[i][cut][2] >= 2
+               for i, t in enumerate(net.targets) if len(routes[i]) - 1 >= cut)
     vals = list(range(1, 9))
     out = evaluate_network(collapse_levels(net, 0, 1),
                            SlotVector.from_list(vals))

@@ -108,12 +108,8 @@ def test_hmt_spec_validation():
         HmtSpec(4, 16, 2)  # floor(log2 3) = 1
     with pytest.raises(ValueError):
         HmtSpec(4, 8, 1)  # does not fit
-    with pytest.raises(ValueError):
-        HmtSpec(4, 16, 1, padding="ones")
-    assert HmtSpec(7, 49, 2).effective_d == 7
-    assert HmtSpec(7, 64, 2, padding="zero-pad").effective_d == 8
-    # padded matrix does not fit -> falls back to the unequal splits
-    assert HmtSpec(7, 49, 2, padding="zero-pad").effective_d == 7
+    # d is taken as given: a d = 7 matrix in 64 slots is not padded to 8
+    assert decompose_ut(HmtSpec(7, 64, 2)).product() == build_ut(7, 64)
 
 
 def test_decompose_ut_d4_depth1(rng):
@@ -158,7 +154,8 @@ def test_decompose_ut_odd_structure(d):
 
 
 def test_decompose_ut_zero_pad(rng):
-    chain = decompose_ut(HmtSpec(3, 16, 1, padding="zero-pad"))
+    # a 3x3 matrix takes the uniform splits by passing the padded d = 4
+    chain = decompose_ut(HmtSpec(4, 16, 1))
     assert chain.product() == build_ut(4, 16)
     # embed a 3x3 into the padded row stride, transpose, read back
     a = [[rng.randint(-9, 9) for _ in range(3)] for _ in range(3)]

@@ -316,14 +316,13 @@ def col_span(b) -> tuple[int, int]:
     return (b.c0, b.c0 + b.size)
 
 
-def zero_region_ok(pk) -> bool:
+def zero_region_ok(vector, cfg) -> bool:
     """Every slot of packed matrices outside the matrices' d^2 heads is 0."""
-    cfg = pk.cfg
     data = set()
     for g in range(cfg.m):
         base = g * cfg.group_span
         data.update(range(base, base + cfg.data_span))
-    return all(s == 0 for p, s in enumerate(pk.vector.slots) if p not in data)
+    return all(s == 0 for p, s in enumerate(vector.slots) if p not in data)
 
 
 def to_dense(m: DiagMatrix) -> list[list[int]]:
