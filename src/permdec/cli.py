@@ -158,7 +158,7 @@ def _cmd_hmm(cfg: argparse.Namespace):
                 for g in range(hc.m)]
         products_ok = products_ok and got == want
     bud = hmm_rotation_budget(hc)
-    budget_ok = abs(rotations - bud.total) <= bud.tolerance
+    budget_ok = rotations == bud.total
     ok = products_ok and budget_ok
     report = {
         "command": "hmm", "d": hc.d, "dp": hc.d_prime, "m": hc.m,
@@ -167,7 +167,6 @@ def _cmd_hmm(cfg: argparse.Namespace):
         "budget": {"total": bud.total, "parts": dict(bud.parts),
                    "amortized": [bud.amortized.numerator,
                                  bud.amortized.denominator]},
-        "budget_exact": bud.tolerance == 0,
         "products_ok": products_ok, "budget_ok": budget_ok, "ok": ok,
     }
     return (0 if ok else 1), report
@@ -221,9 +220,8 @@ def _cmd_net(cfg: argparse.Namespace):
     ok = out.to_list() == p.apply(vals)
     report = {
         "command": "net", "action": "eval", "n": net.n, "seed": cfg.seed,
-        "rotations": led.rotation_count, "depth_used": out.depth_used,
-        "profile_total": led.rotation_count,
-        "ok": ok,
+        "reduced": cfg.reduce, "rotations": led.rotation_count,
+        "masks": led.cmult_count, "depth_used": out.depth_used, "ok": ok,
     }
     return (0 if ok else 1), report
 

@@ -36,7 +36,7 @@ reports. Masks are charged at their recorded level in both cases. The CLI
 reports read their rotation counts and key sets from the ledger of a run,
 apart from the ladder reports' per-factor diagonal counts; the one
 independent count is hmm_rotation_budget's closed form, which `permdec hmm`
-checks against the ledger of its run.
+requires to equal the ledger of its run exactly.
 """
 
 from __future__ import annotations

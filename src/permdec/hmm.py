@@ -15,14 +15,15 @@ d/d' slotwise products are folded across the redundant segments:
 
 `srep_replicate` is the single-unit replication primitive: one mask, then
 log d doubling steps whose directions follow the bits of the unit index, so
-copies fill exactly one span and never leak into a neighbor. The layered
-variant caches pre-rotations shared across targets, trading masks for
-rotations; `fast_replicate` exposes it standalone in row-wise (one-sided
-windows, for span-periodic inputs) and column-wise (two-sided windows)
-form. Each of its masked-sum layers rescales once, but its final unit mask
-is never rescaled and shares the product's rescale, so the simulated depth
-is 1 + (number of upper factors): 2 for factors (4, 4), as for one mask,
-and 3 for (2, 2, 4). A real CKKS scheme would spend a level on that mask.
+copies fill exactly one span and never leak into a neighbor. Layered
+replication (factors [f_top, .., f_1, f_0]) shares rotations between
+targets: each upper factor is one masked-sum layer over anchored windows,
+and f_0 is finished per target by `srep_replicate`. Each masked-sum layer
+rescales once, but the final unit mask is never rescaled and shares the
+product's rescale, so the simulated depth is 1 + (number of upper factors):
+2 for factors (4, 4), as for one mask, and 3 for (2, 2, 4). A real CKKS
+scheme would spend a level on that mask. `hmm_rotation_budget` counts the
+rotations of both schemes exactly, from the window definitions.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .slots import SlotVector
+from .slots import PositionMask, SlotVector
 
 Matrix = list[list[int]]
 
@@ -59,14 +60,18 @@ class UnitLayout:
     def span(self) -> int:
         return self.units * self.step
 
-    def mask(self, n: int, k: int) -> tuple[int, ...]:
+    def mask(self, n: int, k: int) -> PositionMask:
         return _slab_mask(n, self.step, self.units, k, 1)
 
 
-def _slab_mask(n: int, step: int, modulus: int, lo: int, width: int) -> tuple[int, ...]:
-    # indicator of units [lo, lo+width) taken modulo `modulus`
-    return tuple(1 if lo <= (p // step) % modulus < lo + width else 0
-                 for p in range(n))
+def _slab_mask(n: int, step: int, modulus: int, lo: int,
+               width: int) -> PositionMask:
+    """Units [lo, lo+width) of every period of `modulus` units, where slot p
+    is in unit (p // step) % modulus; lo + width must not exceed modulus."""
+    positions = []
+    for start in range(lo * step, n, modulus * step):
+        positions.extend(range(start, min(n, start + width * step)))
+    return PositionMask(n, positions)
 
 
 def srep_replicate(v: SlotVector, k: int, layout: UnitLayout,
@@ -98,7 +103,7 @@ class HmmConfig:
 
     replication=None replicates each column group with one mask and log d
     doubling steps; a factor tuple [f_top, .., f_1, f_0] switches to the
-    layered scheme (one masked-sum layer per upper factor, plain doubling
+    layered scheme (one masked-sum layer per upper factor, srep_replicate
     for the last). Measured depth is one level per upper factor plus the
     product's: the final unit mask is not rescaled on its own, although a
     real CKKS scheme would need a level for it.
@@ -203,9 +208,9 @@ def hmm_evaluate(pa: SlotVector, pb: SlotVector, cfg: HmmConfig) -> SlotVector:
                   for u in units]
     else:
         reps_a = _layered_replicate(va, units, cols, cfg.replication,
-                                    mode="anchored", tag="hmm.a.rep")
+                                    tag="hmm.a.rep")
         reps_b = _layered_replicate(vb, units, rows, cfg.replication,
-                                    mode="anchored", tag="hmm.b.rep")
+                                    tag="hmm.b.rep")
     acc = None
     for ta, tb in zip(reps_a, reps_b):
         p = ta.mult(tb, tag="hmm.prod")
@@ -228,97 +233,45 @@ def hmm_multiply(a_mats: Sequence[Matrix], b_mats: Sequence[Matrix],
 
 
 def _layered_replicate(v: SlotVector, elems: Sequence[int], layout: UnitLayout,
-                       factors: Sequence[int], mode: str, tag: str) -> list[SlotVector]:
+                       factors: Sequence[int], tag: str) -> list[SlotVector]:
     """Replicate each unit in `elems`, sharing rotations between targets.
 
     Upper factors narrow, layer by layer, which block of source units a
-    working vector carries tiled across the whole layout; the last factor
-    is finished per element with a unit mask and plain signed doubling.
-    Modes:
-
-      anchored  windows centered so nothing crosses a span boundary; works
-                for any input and any subset of targets, rotation set is
-                whatever the windows demand.
-      row       one-sided windows [1, f]; needs span-periodic input (the
-                wrap then carries identical data). Top layer executes all f
-                steps, lower layers reuse the parent for the full-turn one.
-      column    anchored windows, but every parent's two-sided window
-                [-f, f] (top) or [-(f-1), f-1] (lower) is rotated eagerly
-                so the cache cost is data-independent.
+    working vector carries tiled across the whole layout. A target in child
+    b of its parent block gathers the parent's shifts by c sub-blocks for c
+    in [-b, f - b): the window is anchored at the parent block, so nothing
+    crosses a span boundary, and each (parent, shift) pair is rotated once
+    for all targets. The last factor is finished per target by
+    `srep_replicate` on its block.
     """
-    if mode not in ("anchored", "row", "column"):
-        raise ValueError(f"unknown replication mode: {mode}")
-    d, step, n = layout.units, layout.step, v.n
-    uppers, base = list(factors[:-1]), factors[-1]
+    step, n = layout.step, v.n
     if n % layout.span:
         raise ValueError("layout does not tile the vector")
-
     cur = {0: v}
-    size = d
-    for li, f in enumerate(uppers):
+    size = layout.units
+    for f in factors[:-1]:
         sub = size // f
-        needed = sorted({e // sub for e in elems})
         rots: dict[tuple[int, int], SlotVector] = {}
-
-        def shifted(g: int, c: int) -> SlotVector:
-            if (g, c) not in rots:
-                rots[(g, c)] = cur[g].rotate(-c * sub * step, tag=tag)
-            return rots[(g, c)]
-
-        if mode == "column":
-            w = f if li == 0 else f - 1
-            for g in sorted({gp // f for gp in needed}):
-                for c in range(-w, w + 1):
-                    if c:
-                        shifted(g, c)
         nxt = {}
-        for gp in needed:
+        for gp in sorted({e // sub for e in elems}):
             g, b = divmod(gp, f)
-            cs = range(1, f + 1) if mode == "row" else range(-b, f - b)
             acc = None
-            for c in cs:
-                if c == 0 or (mode == "row" and c == f and li > 0):
+            for c in range(-b, f - b):
+                if c == 0:
                     src = cur[g]
                 else:
-                    src = shifted(g, c)
-                piece = src.cmult(
-                    _slab_mask(n, step, size, ((b + c) % f) * sub, sub), tag=tag)
+                    if (g, c) not in rots:
+                        rots[g, c] = cur[g].rotate(-c * sub * step, tag=tag)
+                    src = rots[g, c]
+                piece = src.cmult(_slab_mask(n, step, size, (b + c) * sub, sub),
+                                  tag=tag)
                 acc = piece if acc is None else acc + piece
             nxt[gp] = acc.rescale(tag=tag)
         cur = nxt
         size = sub
-
-    outs = []
-    for e in elems:
-        if uppers:
-            vv = cur[e // base].cmult(_slab_mask(n, step, base, e % base, 1), tag=tag)
-        else:
-            vv = v.cmult(layout.mask(n, e), tag=tag)
-        for j in range(_log2(base)):
-            s = (1 << j) * step
-            if mode == "row":
-                vv = vv + vv.rotate(-s, tag=tag)
-            else:
-                vv = vv + vv.rotate(s if (e >> j) & 1 else -s, tag=tag)
-        outs.append(vv)
-    return outs
-
-
-def fast_replicate(v: SlotVector, cfg: HmmConfig, direction: str,
-                   layout: UnitLayout | None = None) -> list[SlotVector]:
-    """All d unit replications at once, with cached pre-rotations.
-
-    Row-wise counts d/f0 + d log f0 rotations and assumes span-periodic
-    input; column-wise counts 2 d/f0 + d log f0 and works on anything.
-    With a bare (d,) factor list this degenerates to d srep calls.
-    """
-    if direction not in ("row", "column"):
-        raise ValueError(f"direction must be row or column, got {direction!r}")
-    factors = cfg.replication if cfg.replication is not None else (cfg.d,)
-    if layout is None:
-        layout = UnitLayout(cfg.d, cfg.d if direction == "row" else 1)
-    return _layered_replicate(v, range(cfg.d), layout, factors,
-                              mode=direction, tag="fastrep")
+    # bit j of e % size is bit j of e, so the doubling directions are e's
+    return [srep_replicate(cur[e // size], e % size, UnitLayout(size, step), tag)
+            for e in elems]
 
 
 # -- rotation budget ----------------------------------------------------------
@@ -326,42 +279,35 @@ def fast_replicate(v: SlotVector, cfg: HmmConfig, direction: str,
 
 @dataclass(frozen=True)
 class HmmBudget:
-    """`tolerance` is how far an executed rotation count may sit from
-    `total` and still match the budget."""
+    """Rotations of one multiply: `parts` per stage, `amortized` per pair."""
 
     total: int
     amortized: Fraction
     parts: dict = field(compare=False)
-    tolerance: int = 0
 
 
 def hmm_rotation_budget(cfg: HmmConfig) -> HmmBudget:
-    """Closed-form rotation counts for the configured pipeline.
+    """Rotation counts of the configured pipeline, in closed form and exact.
 
-    Single-mask replication is exact (tolerance 0): the instrumented
-    pipeline matches it rotation for rotation. The layered forms assume the
-    shared one- and two-sided window costs; the anchored windows the pipeline
-    actually executes stay within d rotations of them (tolerance d; tests pin
-    the exact instrumented numbers per configuration). Per side, the
-    two-sided window of 2d/f0 parent shifts shares d' of them between
-    neighbouring groups, but never drops below the d/f0 - 1 shifts a single
-    group needs.
+    Per side, replication by factors [.., f, .., f_0] (just [d] for
+    single-mask replication) costs, for each upper layer of parent blocks of
+    `size` units and children of sub = size / f units, the d / max(size, d')
+    needed parents times their union of anchored windows: f - 1 shifts one
+    way and f - max(1, d'/sub) the other, for the highest child a target
+    sits in (none when a parent holds one target). Each of the d/d' targets
+    then pays log f_0 doubling steps. The reorder ladders take 2 log d' and
+    the fold log d'.
     """
     d, dp = cfg.d, cfg.d_prime
-    ld, ldp = _log2(d), _log2(dp)
-    if cfg.replication is None:
-        parts = {"reorder": 2 * ldp,
-                 "replicate": 2 * cfg.groups * ld,
-                 "fold": ldp}
-    else:
-        f0 = cfg.replication[-1]
-        lf0 = _log2(f0)
-        if dp == 1:
-            rep = 3 * d // f0 + 2 * d * lf0
-        else:
-            shared = max(2 * d // f0 - dp, d // f0 - 1)
-            rep = 2 * shared + 2 * cfg.groups * lf0
-        parts = {"reorder": 2 * ldp, "replicate": rep, "fold": ldp}
+    factors = cfg.replication or (d,)
+    per_side = 0
+    size = d
+    for f in factors[:-1]:
+        sub = size // f
+        per_side += d // max(size, dp) * (f - 1 + max(0, f - max(1, dp // sub)))
+        size = sub
+    per_side += cfg.groups * _log2(factors[-1])
+    ldp = _log2(dp)
+    parts = {"reorder": 2 * ldp, "replicate": 2 * per_side, "fold": ldp}
     total = sum(parts.values())
-    return HmmBudget(total=total, amortized=Fraction(total, cfg.m), parts=parts,
-                     tolerance=0 if cfg.replication is None else d)
+    return HmmBudget(total=total, amortized=Fraction(total, cfg.m), parts=parts)

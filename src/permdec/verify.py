@@ -191,7 +191,7 @@ def check_batched_matmul(rng, budget: int) -> CheckResult:
             if it == 0:
                 bud = hmm_rotation_budget(cfg)
                 rot = led.rotation_count
-                res.flag(abs(rot - bud.total) <= bud.tolerance,
+                res.flag(rot == bud.total,
                          f"{tag}: rotations {rot} vs budget {bud.total}")
     return res
 

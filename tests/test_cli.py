@@ -91,7 +91,6 @@ def test_search_perm_file(capsys, tmp_path):
 def test_hmm_naive_budget_exact(capsys):
     rc, rep = run_json(capsys, "hmm", "--d", "8", "--dp", "4")
     assert rc == 0
-    assert rep["budget_exact"] is True
     assert rep["rotations"] == rep["budget"]["total"]
     assert rep["products_ok"] and rep["budget_ok"]
 
@@ -101,8 +100,16 @@ def test_hmm_layered_replication(capsys):
                        "--replication", "4,2", "--m", "2")
     assert rc == 0
     assert rep["replication"] == [4, 2]
-    assert rep["budget_exact"] is False
-    assert rep["products_ok"]
+    assert rep["rotations"] == rep["budget"]["total"]
+    assert rep["products_ok"] and rep["budget_ok"]
+
+
+def test_hmm_layered_budget_is_the_executed_count(capsys):
+    rc, rep = run_json(capsys, "hmm", "--d", "16", "--dp", "4",
+                       "--replication", "4,4")
+    assert rc == 0 and rep["ok"] is True
+    assert rep["rotations"] == rep["budget"]["total"] == 34
+    assert "budget_exact" not in rep
 
 
 # ------------------------------------------------------------------- net
@@ -111,7 +118,18 @@ def test_net_eval_collapsed(capsys):
     rc, rep = run_json(capsys, "net", "eval", "--n", "256", "--seed", "3",
                        "--collapse", "2,3")
     assert rc == 0 and rep["ok"] is True
-    assert rep["rotations"] == rep["profile_total"]
+    _, built = run_json(capsys, "net", "build", "--n", "256", "--seed", "3",
+                        "--collapse", "2,3")
+    assert rep["rotations"] == sum(built["per_level"].values())
+    assert "profile_total" not in rep
+
+
+def test_net_eval_reports_the_reduction(capsys):
+    _, reduced = run_json(capsys, "net", "eval")
+    _, raw = run_json(capsys, "net", "eval", "--no-reduce")
+    assert (reduced["reduced"], raw["reduced"]) == (True, False)
+    assert (raw["masks"], reduced["masks"]) == (152, 104)
+    assert raw["rotations"] == reduced["rotations"]
 
 
 def test_net_profile_matches_reference_row(capsys):
@@ -144,16 +162,16 @@ def test_net_build_report_roundtrips(capsys):
 
 
 # first 16 hex digits of the sha256 of `permdec net ARGS` stdout, all with
-# exit status 0. The eval report does not say whether masks were reduced, so
-# the default and --no-reduce print the same bytes.
+# exit status 0. The eval report says whether masks were reduced and how
+# many it applied, so the default and --no-reduce differ.
 NET_REPORTS = {
     ("build",): "464140acd84002f0",
     ("build", "--collapse", "2,3"): "0200cfdbf122cda0",
-    ("eval",): "93386b90a90e2c1b",
-    ("eval", "--no-reduce"): "93386b90a90e2c1b",
-    ("eval", "--collapse", "2,3"): "2c30fe19706e54c1",
-    ("eval", "--collapse", "0,2,2"): "696cbced19ade92d",
-    ("eval", "--n", "1024", "--collapse", "3,3,8"): "b45ff2fcf204df81",
+    ("eval",): "14da96aec7cbb12c",
+    ("eval", "--no-reduce"): "6583cf6d5a09cfe3",
+    ("eval", "--collapse", "2,3"): "e4d5a80e0cad7a0e",
+    ("eval", "--collapse", "0,2,2"): "ccf902eaf3bebe47",
+    ("eval", "--n", "1024", "--collapse", "3,3,8"): "393201730139a4d1",
     ("profile", "--samples", "3"): "4a88e643380557f7",
 }
 
@@ -338,30 +356,37 @@ def test_duplicate_targets_exit_two(capsys, tmp_path):
     assert "not a permutation" in capsys.readouterr().err
 
 
-def test_duplicate_targets_exit_two_without_asserts(tmp_path):
-    # the check must not vanish under python -O
-    path = tmp_path / "dup.json"
-    path.write_text(json.dumps({"n": 4, "targets": [0, 1, 1, 3]}))
+def run_module(*args):
+    """A fresh interpreter running `python ARGS` with permdec importable."""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + [p for p in [env.get("PYTHONPATH")] if p])
-    proc = subprocess.run(
-        [sys.executable, "-O", "-m", "permdec.cli", "benes", "--perm-file",
-         str(path)], capture_output=True, text=True, env=env, timeout=60)
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env=env, timeout=60)
+
+
+def test_python_m_permdec_is_the_cli(capsys):
+    proc = run_module("-m", "permdec", "net", "eval", "--n", "64")
+    rc, out = run(capsys, "net", "eval", "--n", "64")
+    assert rc == 0 and out
+    assert (proc.returncode, proc.stdout) == (rc, out)
+    assert run_module("-m", "permdec", "net", "eval", "--n", "x").returncode == 2
+
+
+def test_duplicate_targets_exit_two_without_asserts(tmp_path):
+    # the check must not vanish under python -O
+    path = tmp_path / "dup.json"
+    path.write_text(json.dumps({"n": 4, "targets": [0, 1, 1, 3]}))
+    proc = run_module("-O", "-m", "permdec.cli", "benes", "--perm-file",
+                      str(path))
     assert proc.returncode == 2
     assert "not a permutation" in proc.stderr and not proc.stdout
 
 
 def test_deep_benes_chain_exits_two_without_asserts():
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [src] + [p for p in [env.get("PYTHONPATH")] if p])
-    proc = subprocess.run(
-        [sys.executable, "-O", "-m", "permdec.cli", "benes", "--n", "1024",
-         "--no-collapse"], capture_output=True, text=True, env=env,
-        timeout=60)
+    proc = run_module("-O", "-m", "permdec.cli", "benes", "--n", "1024",
+                      "--no-collapse")
     assert proc.returncode == 2
     assert "19 factors" in proc.stderr and not proc.stdout
 

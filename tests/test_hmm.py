@@ -6,12 +6,12 @@ from fractions import Fraction
 
 import pytest
 
-from permdec.hmm import (HmmConfig, UnitLayout, _doubling_spread, fast_replicate,
+from permdec.hmm import (HmmConfig, UnitLayout, _doubling_spread, _slab_mask,
                          hmm_evaluate, hmm_multiply, hmm_rotation_budget,
                          pack_matrices, read_products, srep_replicate)
 from permdec.ledger import CostLedger
 from permdec.slots import SlotVector
-from util import mat_mul, rand_mat, zero_region_ok
+from util import dense_slab_mask, mat_mul, rand_mat, zero_region_ok
 
 
 def log2(x):
@@ -178,7 +178,6 @@ def test_random_products_exact_and_on_budget(d, dp, m):
     assert got == [mat_mul(a, b) for a, b in zip(amats, bmats)]
     budget = hmm_rotation_budget(cfg)
     assert lg.rotation_count == budget.total
-    assert budget.tolerance == 0
     assert lg.mult_count == d // dp
     assert lg.cmult_count == 2 * (d // dp)
     assert lg.rescale_count == 2 * (d // dp) + 1
@@ -217,83 +216,14 @@ def test_budget_parts_and_amortized():
 
 
 def test_budget_layered_no_pre_rotation_floor():
-    # one shared rotation set degenerates to 3d when the bottom factor is 1
+    # with a bottom factor of 1 the whole work is the top layer's anchored
+    # windows: shifts -(d-1)..(d-1) of the one parent, per side
     for d in (4, 8, 16):
         cfg = HmmConfig(d, 1, replication=(d, 1))
-        assert hmm_rotation_budget(cfg).total == 3 * d
-
-
-# -- layered replication, standalone ------------------------------------------
-
-
-def periodic_vector(span, reps, rng):
-    one = [rng.randint(-9, 9) for _ in range(span)]
-    return SlotVector.from_list(one * reps)
-
-
-def test_fast_replicate_column_matches_srep(rng):
-    cfg = HmmConfig(8, 1, replication=(4, 2))
-    lay = UnitLayout(8, 1)
-    # two spans with independent payloads: column mode must not mix them
-    v = SlotVector.from_list([rng.randint(-9, 9) for _ in range(16)])
-    with CostLedger() as lg:
-        outs = fast_replicate(v, cfg, "column")
-    assert lg.rotation_count == 2 * 8 // 2 + 8 * 1
-    sreps = [srep_replicate(v, k, lay) for k in range(8)]
-    assert [o.slots for o in outs] == [s.slots for s in sreps]
-    assert all(o.depth_used == 1 for o in outs)
-
-
-def test_fast_replicate_row_matches_srep(rng):
-    cfg = HmmConfig(8, 1, replication=(4, 2))
-    lay = UnitLayout(8, 8)
-    v = periodic_vector(64, 2, rng)
-    with CostLedger() as lg:
-        outs = fast_replicate(v, cfg, "row")
-    assert lg.rotation_count == 8 // 2 + 8 * 1
-    sreps = [srep_replicate(v, k, lay) for k in range(8)]
-    assert [o.slots for o in outs] == [s.slots for s in sreps]
-
-
-def test_fast_replicate_three_layers_d16(rng):
-    cfg = HmmConfig(16, 1, replication=(4, 2, 2))
-    row_lay = UnitLayout(16, 16)
-    v = periodic_vector(256, 2, rng)
-    with CostLedger() as lg:
-        outs = fast_replicate(v, cfg, "row")
-    assert lg.rotation_count == 16 // 2 + 16 * 1
-    assert [o.slots for o in outs] == [srep_replicate(v, k, row_lay).slots
-                                       for k in range(16)]
-    assert all(o.depth_used == 2 for o in outs)
-
-    col_lay = UnitLayout(16, 1)
-    w = SlotVector.from_list([rng.randint(-9, 9) for _ in range(32)])
-    with CostLedger() as lg:
-        outs = fast_replicate(w, cfg, "column")
-    assert lg.rotation_count == 2 * 16 // 2 + 16 * 1
-    assert [o.slots for o in outs] == [srep_replicate(w, k, col_lay).slots
-                                       for k in range(16)]
-
-
-def test_fast_replicate_top_only_and_fallback(rng):
-    # all the work in the shared window: d/f0 rotations, nothing below
-    cfg = HmmConfig(8, 1, replication=(8, 1))
-    v = periodic_vector(64, 2, rng)
-    with CostLedger() as lg:
-        outs = fast_replicate(v, cfg, "row")
-    assert lg.rotation_count == 8
-    lay = UnitLayout(8, 8)
-    assert [o.slots for o in outs] == [srep_replicate(v, k, lay).slots
-                                       for k in range(8)]
-    # no factor list at all: plain per-unit masking, d log d rotations
-    plain = HmmConfig(8, 1)
-    w = SlotVector.from_list([rng.randint(-9, 9) for _ in range(8)])
-    with CostLedger() as lg:
-        outs = fast_replicate(w, plain, "column")
-    assert lg.rotation_count == 8 * 3
-    assert [o.slots for o in outs] == [(w.slots[k],) * 8 for k in range(8)]
-    with pytest.raises(ValueError):
-        fast_replicate(w, plain, "diagonal")
+        zero = [[[0] * d for _ in range(d)]]
+        with CostLedger() as lg:
+            hmm_multiply(zero, zero, cfg)
+        assert hmm_rotation_budget(cfg).total == 4 * (d - 1) == lg.rotation_count
 
 
 # -- layered replication inside the pipeline ----------------------------------
@@ -318,16 +248,15 @@ def layered_rotation_oracle(d, dp, factors):
     return 2 * per_side + 3 * log2(dp)
 
 
-# (d, d', factors) -> instrumented rotations, budget closed form. The closed
-# form prices the one-sided/two-sided shared windows; the anchored windows the
-# pipeline actually runs differ by at most 2d' whenever f0 <= d/d' and d' > 1.
+# (d, d', factors) -> instrumented rotations, budget closed form: the budget
+# counts the anchored windows the pipeline runs, so the two agree.
 LAYERED_CASES = [
     (4, 2, (2, 2), 11, 11),
     (8, 2, (4, 2), 23, 23),
-    (8, 4, (4, 2), 20, 18),
-    (16, 4, (4, 4), 34, 30),
+    (8, 4, (4, 2), 20, 20),
+    (16, 4, (4, 4), 34, 34),
     (16, 16, (4, 4), 22, 22),
-    (16, 1, (8, 2), 60, 56),
+    (16, 1, (8, 2), 60, 60),
     (16, 2, (4, 2, 2), 47, 47),
 ]
 
@@ -343,10 +272,6 @@ def test_layered_pipeline_counts_and_products(d, dp, factors, frozen, closed):
     assert lg.rotation_count == frozen
     assert lg.rotation_count == layered_rotation_oracle(d, dp, factors)
     assert hmm_rotation_budget(cfg).total == closed
-    if dp > 1 and factors[-1] <= d // dp:
-        assert abs(frozen - closed) <= 2 * dp
-    if dp == 1:
-        assert frozen - closed == d // factors[-1] - 4
 
 
 def layered_configs(d_max):
@@ -368,6 +293,7 @@ def layered_configs(d_max):
 
 
 def test_layered_budget_parts_nonnegative_and_within_d():
+    # the budget is exact: it equals the executed count, not just within d
     cases = list(layered_configs(16))
     assert len(cases) == 50
     for d, dp, factors in cases:
@@ -377,8 +303,40 @@ def test_layered_budget_parts_nonnegative_and_within_d():
             hmm_multiply(zero, zero, cfg)
         budget = hmm_rotation_budget(cfg)
         assert min(budget.parts.values()) >= 0, (d, dp, factors)
-        assert abs(lg.rotation_count - budget.total) <= d, (d, dp, factors)
-        assert budget.tolerance == d
+        assert lg.rotation_count == budget.total, (d, dp, factors)
+
+
+def test_layered_budget_is_the_window_count():
+    cases = list(layered_configs(64))
+    assert len(cases) == 357
+    for d, dp, factors in cases:
+        cfg = HmmConfig(d, dp, replication=factors)
+        assert (hmm_rotation_budget(cfg).total
+                == layered_rotation_oracle(d, dp, factors)), (d, dp, factors)
+
+
+def slab_mask_args(d, dp, factors):
+    """(n, step, modulus, lo, width) of every mask a one-pair product with
+    this replication can ask for, on both sides."""
+    n = d * d * dp
+    for step in (1, d):
+        size = d
+        for f in factors[:-1]:
+            sub = size // f
+            for lo in range(0, size, sub):
+                yield n, step, size, lo, sub
+            size = sub
+        for lo in range(size):
+            yield n, step, size, lo, 1
+
+
+def test_slab_masks_are_the_dense_indicators():
+    args = {a for case in layered_configs(16) for a in slab_mask_args(*case)}
+    for n, step, modulus, lo, width in args:
+        mask = _slab_mask(n, step, modulus, lo, width)
+        dense = dense_slab_mask(n, step, modulus, lo, width)
+        assert len(mask) == n
+        assert list(mask.positions) == [p for p, x in enumerate(dense) if x]
 
 
 def test_layered_pipeline_depth():

@@ -333,6 +333,14 @@ def to_dense(m: DiagMatrix) -> list[list[int]]:
     return out
 
 
+def dense_slab_mask(n: int, step: int, modulus: int, lo: int,
+                    width: int) -> list[int]:
+    """0/1 indicator of units [lo, lo+width) taken modulo `modulus`, slot p
+    being in unit (p // step) % modulus, built slot by slot."""
+    return [1 if lo <= (p // step) % modulus < lo + width else 0
+            for p in range(n)]
+
+
 def mat_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
     """Schoolbook product, exact ints."""
     d = len(a)
