@@ -107,6 +107,9 @@ class HmmConfig:
     for the last). Measured depth is one level per upper factor plus the
     product's: the final unit mask is not rescaled on its own, although a
     real CKKS scheme would need a level for it.
+
+    n, the slot count, defaults to the m packed spans; a larger n must be a
+    multiple of d^2, the span of the row layout that B is replicated in.
     """
 
     d: int
@@ -130,8 +133,12 @@ class HmmConfig:
                 prod *= f
             if prod != self.d:
                 raise ValueError("replication factors must multiply to d")
-        if self.n is not None and self.n < self.m * self.group_span:
-            raise ValueError("vector too small for m groups")
+        if self.n is not None:
+            if self.n < self.m * self.group_span:
+                raise ValueError("vector too small for m groups")
+            if self.n % self.data_span:
+                raise ValueError(f"n must be a multiple of d^2 = "
+                                 f"{self.data_span}, got {self.n}")
 
     @property
     def group_span(self) -> int:

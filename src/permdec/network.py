@@ -34,8 +34,10 @@ optimizations operate on a built network:
 evaluate_network releases each node's output once the last node reading it
 through an edge has read it (a collapsed bottom reads levels cut - 1 and cut
 again at the end), so a run holds a few levels of vectors, not the whole
-network. Edge masks go to SlotVector.cmult as position sets: their products
-are built by selection and added over their support only.
+network. Edge masks go to SlotVector.cmult as position sets, so a product
+holds only the values on its support, a few percent of n. Sums of products,
+and their rotations and rescales, stay in that sparse form until their
+support passes slots.MAX_SPARSE_SHARE of n; then they are stored dense.
 
 Rescales are merged into rotations: every non-bottom rotation node rescales
 its summed input before rotating, bottom rotation nodes do not, and the final

@@ -7,12 +7,15 @@ exact (Python ints), so any two evaluation strategies for the same linear
 map can be compared for bit equality.
 
 A 0/1 mask may be given to cmult as a PositionMask, the positions of its
-ones, instead of an n-long list. The product is then built by selection,
-out[p] = v[p], and remembers those positions as its support, a hint that it
-is zero everywhere else: an add with such an operand copies the other one
-and touches only the support. The slots are the same exact Python ints as
-from the dense 0/1 list, and the ledger records the same op. The support is
-not part of a vector's value and is ignored by equality.
+ones, instead of an n-long list. The product then holds only its support: a
+map from position to value, zero everywhere else. rotate re-keys the map,
+rescale keeps it, cmult by a PositionMask selects from it, and add merges two
+maps or adds one into a copy of a dense operand; mult and a cmult by a dense
+mask read the dense value. A vector whose support passes MAX_SPARSE_SHARE of
+its n slots is stored dense, so repeated doublings cannot grow a map towards
+n entries, which would take more memory than the n-long tuple. Reads (.slots
+with its length, indexing and iteration, to_list, ==, hash) give the dense
+value, and the ledger records the same ops as for the dense 0/1 list.
 
 Rotation is a left cyclic shift: rotate(v, k)[i] = v[(i + k) mod n].
 
@@ -33,13 +36,20 @@ from __future__ import annotations
 
 import json
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Collection, Iterable, Sequence
 
 from .ledger import record
 
 # 18 moduli -> top level 17, matching the cost model's default chain.
 DEFAULT_LEVEL = 17
+
+# a vector whose support passes this share of its n slots is stored dense.
+# A map entry takes ~36 bytes plus its key against 8 per tuple slot, and
+# without a limit doubling steps (hmm replication) grow maps to all n slots.
+# Of the shares 1/2 .. 1/32 tried, 1/4 evaluated 2^14-slot networks
+# fastest, at the lowest peak memory.
+MAX_SPARSE_SHARE = 1 / 4
 
 
 class DepthExhaustedError(Exception):
@@ -71,6 +81,54 @@ class _NoSlots:
     __hash__ = None
 
 
+class _Sparse:
+    """The slots of a vector that is zero off its support, held as a map
+    from position (0..n-1) to value. It reads like the dense tuple."""
+
+    __slots__ = ("n", "vals")
+
+    def __init__(self, n: int, vals: dict[int, int]):
+        self.n = n
+        self.vals = vals
+
+    def dense(self) -> tuple[int, ...]:
+        out = [0] * self.n
+        for p, x in self.vals.items():
+            out[p] = x
+        return tuple(out)
+
+    def __len__(self) -> int:
+        return self.n
+
+    def __iter__(self):
+        return iter(self.dense())
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return self.dense()[i]
+        if not -self.n <= i < self.n:
+            raise IndexError("slot index out of range")
+        return self.vals.get(i % self.n, 0)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, (tuple, _Sparse)):
+            return self.dense() == tuple(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.dense())
+
+    def __repr__(self) -> str:
+        return repr(self.dense())
+
+
+def _from_map(n: int, vals: dict[int, int]) -> "_Sparse | tuple[int, ...]":
+    """Slots holding vals on their positions and zero elsewhere, dense once
+    the support passes MAX_SPARSE_SHARE of n."""
+    sparse = _Sparse(n, vals)
+    return sparse.dense() if len(vals) > MAX_SPARSE_SHARE * n else sparse
+
+
 class PositionMask:
     """A 0/1 plaintext mask of n slots, given by the positions of its ones.
 
@@ -99,17 +157,17 @@ def rotate_tuple(slots: Sequence[int], k: int) -> tuple[int, ...]:
     return tuple(slots[k:]) + tuple(slots[:k])
 
 
+Slots = tuple[int, ...] | _Sparse | _NoSlots
+
+
 @dataclass(frozen=True)
 class SlotVector:
-    slots: tuple[int, ...] | _NoSlots
+    slots: Slots
     level: int = DEFAULT_LEVEL
     depth_used: int = 0
-    # positions outside which every slot is zero, when known
-    support: tuple[int, ...] | None = field(default=None, compare=False,
-                                            repr=False)
 
     def __post_init__(self):
-        if not isinstance(self.slots, _NoSlots):
+        if type(self.slots) not in (tuple, _Sparse, _NoSlots):
             object.__setattr__(self, "slots", tuple(self.slots))
 
     @property
@@ -118,7 +176,7 @@ class SlotVector:
 
     @property
     def has_slots(self) -> bool:
-        return not isinstance(self.slots, _NoSlots)
+        return type(self.slots) is not _NoSlots
 
     @classmethod
     def from_list(cls, vals: Iterable[int], level: int = DEFAULT_LEVEL) -> "SlotVector":
@@ -144,70 +202,88 @@ class SlotVector:
             raise SlotFreeError("cannot combine a slot-free vector with a "
                                 "real one")
 
+    def _dense(self) -> Sequence[int] | _NoSlots:
+        s = self.slots
+        return s.dense() if type(s) is _Sparse else s
+
     def _map(self, op, values: Sequence[int]) -> tuple[int, ...] | _NoSlots:
         """op slot by slot with values; a slot-free vector stays slot-free."""
         if not self.has_slots:
             return self.slots
-        return tuple(map(op, self.slots, values))
+        return tuple(map(op, self._dense(), values))
 
-    def _select(self, positions: Collection[int]) -> list[int] | _NoSlots:
+    def _select(self, positions: Collection[int]) -> Slots:
         """The slots at positions, zero elsewhere."""
         n = self.n
-        if not self.has_slots:
-            if positions and not -n <= min(positions) <= max(positions) < n:
+        if positions:
+            lo, hi = min(positions), max(positions)
+            if not -n <= lo <= hi < n:
                 raise IndexError("mask position out of range")
-            return self.slots
+            if lo < 0:
+                positions = [p % n for p in positions]
         src = self.slots
-        out = [0] * n
-        for p in positions:
-            out[p] = src[p]
-        return out
+        if type(src) is _NoSlots:
+            return src
+        if type(src) is _Sparse:
+            vals = src.vals
+            return _Sparse(n, {p: vals[p] for p in vals.keys() & positions})
+        return _from_map(n, {p: src[p] for p in positions})
 
     # -- homomorphic ops (all exact, all recorded) ---------------------------
 
     def rotate(self, k: int, tag: str = "") -> "SlotVector":
-        k %= self.n
+        n = self.n
+        k %= n
         if k == 0:
             return self
         record("rotate", self.level, tag, k)
-        out = rotate_tuple(self.slots, k) if self.has_slots else self.slots
+        src = self.slots
+        if type(src) is tuple:
+            out = rotate_tuple(src, k)
+        elif type(src) is _Sparse:
+            out = _Sparse(n, {(p - k) % n: x for p, x in src.vals.items()})
+        else:
+            out = src
         return SlotVector(out, self.level, self.depth_used)
 
     def cmult(self, mask: Sequence[int] | PositionMask,
               tag: str = "") -> "SlotVector":
         """Multiply by a plaintext vector. No automatic rescale."""
         _check_length(len(mask), self.n)
-        if isinstance(mask, PositionMask):
-            support = tuple(mask.positions)
-            out = self._select(support)
+        if type(mask) is PositionMask:
+            out = self._select(mask.positions)
         else:
-            support = None
             out = self._map(operator.mul, mask)
         record("cmult", self.level, tag)
-        return SlotVector(out, self.level, self.depth_used, support)
+        return SlotVector(out, self.level, self.depth_used)
 
     def mult(self, other: "SlotVector", tag: str = "") -> "SlotVector":
         """Ciphertext-ciphertext product. No automatic rescale."""
         self._check_operand(other)
         level = min(self.level, other.level)
         record("mult", level, tag)
-        return SlotVector(self._map(operator.mul, other.slots), level,
+        return SlotVector(self._map(operator.mul, other._dense()), level,
                           max(self.depth_used, other.depth_used))
 
     def add(self, other: "SlotVector") -> "SlotVector":
         self._check_operand(other)
-        a, b = self, other
-        if a.support is None or (b.support is not None
-                                 and len(b.support) < len(a.support)):
-            a, b = b, a
-        if a.support is None or not a.has_slots:
-            out = self._map(operator.add, other.slots)
+        a, b = self.slots, other.slots
+        if type(a) is _Sparse and type(b) is _Sparse:
+            x, y = a.vals, b.vals
+            vals = {**x, **y}
+            for p in x.keys() & y.keys():
+                vals[p] = x[p] + y[p]
+            out = _from_map(self.n, vals)
+        elif type(a) is _Sparse or type(b) is _Sparse:
+            if type(a) is _Sparse:
+                a, b = b, a
+            # a is dense: copy it and add b over its support
+            acc = list(a)
+            for p, x in b.vals.items():
+                acc[p] += x
+            out = tuple(acc)
         else:
-            # a is zero off its support: start from b, add a's support
-            x, y = a.slots, b.slots
-            out = list(y)
-            for p in a.support:
-                out[p] = x[p] + y[p]
+            out = self._map(operator.add, b)
         return SlotVector(out, min(self.level, other.level),
                           max(self.depth_used, other.depth_used))
 
@@ -218,8 +294,7 @@ class SlotVector:
         if self.level <= 0:
             raise DepthExhaustedError("no moduli left to rescale into")
         record("rescale", self.level, tag)
-        return SlotVector(self.slots, self.level - 1, self.depth_used + 1,
-                          self.support)
+        return SlotVector(self.slots, self.level - 1, self.depth_used + 1)
 
     def to_list(self) -> list[int]:
         return list(self.slots)

@@ -192,6 +192,29 @@ def test_dead_tail_slots_are_harmless(rng):
                                                for a, b in zip(amats, bmats)]
 
 
+@pytest.mark.parametrize("d, dp, m, replication", [
+    (2, 1, 1, None), (4, 2, 1, None), (4, 1, 2, None), (4, 4, 1, None),
+    (4, 2, 2, (2, 2)), (8, 2, 1, None), (8, 4, 2, (2, 4)),
+])
+def test_every_slot_count_multiplies_or_is_refused(rng, d, dp, m,
+                                                   replication):
+    # each n up to three times the packed size either gives exact products
+    # or is refused when the config is made, never half-way through a run
+    span = HmmConfig(d, dp, m, replication).vector_size
+    accepted = []
+    for n in range(1, 3 * span + 1):
+        try:
+            cfg = HmmConfig(d, dp, m, replication, n=n)
+        except ValueError:
+            continue
+        accepted.append(n)
+        amats = [rand_mat(d, rng) for _ in range(m)]
+        bmats = [rand_mat(d, rng) for _ in range(m)]
+        assert hmm_multiply(amats, bmats, cfg) == \
+            [mat_mul(a, b) for a, b in zip(amats, bmats)]
+    assert accepted == list(range(span, 3 * span + 1, d * d))
+
+
 def test_32x32_full_redundancy_rotations(rng):
     cfg = HmmConfig(32, 32)
     a, b = rand_mat(32, rng, -3, 3), rand_mat(32, rng, -3, 3)

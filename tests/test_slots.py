@@ -1,6 +1,7 @@
 """Slot-vector semantics, rotation convention, permutation application."""
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -93,17 +94,21 @@ def test_sparse_add_matches_dense_add():
         u, w = rand_vec(5), rand_vec(3)
         mu = PositionMask(n, {rng.randrange(n) for _ in range(rng.randrange(n))})
         mw = PositionMask(n, [rng.randrange(n) for _ in range(rng.randrange(n))])
-        su, sw = u.cmult(mu), w.cmult(mw)
-        du, dw = u.cmult(dense(mu)), w.cmult(dense(mw))
-        assert su.support is not None and du.support is None
+        with CostLedger() as sparse_lg:
+            su, sw = u.cmult(mu), w.cmult(mw)
+        with CostLedger() as dense_lg:
+            du, dw = u.cmult(dense(mu)), w.cmult(dense(mw))
+        assert sparse_lg.ops == dense_lg.ops
         for got, want in ((su + w, du + w), (w + su, w + du),
                           (su + sw, du + dw), (sw + su, dw + du),
                           (su.rescale() + sw, du.rescale() + dw)):
             assert got.slots == want.slots
             assert (got.level, got.depth_used) == (want.level, want.depth_used)
-        # a sum of products keeps no support, so adding to it stays exact
+            assert got == want and hash(got) == hash(want)
+        # adding a product to a sum of products stays exact
         again = (su + sw) + su
         assert again.slots == ((du + dw) + du).slots
+        assert again == (du + dw) + du
 
 
 def test_sparse_ops_refuse_bad_operands():
@@ -130,10 +135,124 @@ def test_sparse_ops_refuse_bad_operands():
 def test_equality_ignores_support():
     v = SlotVector((1, 2, 3, 4), level=6)
     sparse = v.cmult(PositionMask(4, [0, 3]))
-    assert sparse.support is not None
     assert sparse == SlotVector((1, 0, 0, 4), level=6)
     assert hash(sparse) == hash(SlotVector((1, 0, 0, 4), level=6))
     assert sparse != SlotVector((1, 0, 0, 4), level=5)
+    # a product on 2 of 32 slots is held as its support, and reads, compares
+    # and hashes as the dense product
+    v = SlotVector(tuple(range(1, 33)), level=6)
+    sparse = v.cmult(PositionMask(32, [0, 31]), "m")
+    want = (1,) + (0,) * 30 + (32,)
+    assert not isinstance(sparse.slots, tuple)
+    assert sparse.slots == want and want == sparse.slots
+    assert (len(sparse.slots), tuple(sparse.slots), sparse.to_list()) == \
+        (32, want, list(want))
+    assert [sparse.slots[i] for i in range(-32, 32)] == list(want) * 2
+    assert sparse.slots[1:] == want[1:]
+    assert sparse == SlotVector(want, level=6) == v.cmult(dense(
+        PositionMask(32, [0, 31])))
+    assert hash(sparse) == hash(SlotVector(want, level=6))
+    assert sparse != SlotVector(want, level=5)
+    assert sparse != SlotVector(want, level=6, depth_used=1)
+    for i in (32, -33):
+        with pytest.raises(IndexError):
+            sparse.slots[i]
+
+
+# masks of the randomized op runs: a set, a list with repeats (negative
+# positions index from the end), or nothing
+def _random_mask(rng, n: int) -> PositionMask:
+    kind = rng.randrange(4)
+    if kind == 0:
+        return PositionMask(n, [])
+    size = rng.choice([1, 2, max(1, n // 8), n])
+    picks = [rng.randrange(-n, n) for _ in range(rng.randrange(size + 1))]
+    if kind == 1:
+        return PositionMask(n, {p % n for p in picks})
+    return PositionMask(n, picks + picks[: len(picks) // 2])
+
+
+def _random_program(rng, n: int, length: int) -> list[tuple]:
+    """Ops over a growing pool of vectors; ("cmult", i, mask) etc. name
+    pool indices, and every op appends its result to the pool."""
+    prog, size, levels = [], 1, [DEFAULT_LEVEL]
+    for _ in range(length):
+        i, j = rng.randrange(size), rng.randrange(size)
+        kind = rng.choice(["pmask", "pmask", "pmask", "rotate", "add", "add",
+                           "rescale", "mult", "dmask"])
+        if kind == "pmask":
+            op, level = ("pmask", i, _random_mask(rng, n)), levels[i]
+        elif kind == "rotate":
+            op, level = ("rotate", i, rng.randrange(-2 * n, 2 * n)), levels[i]
+        elif kind == "add":
+            op, level = ("add", i, j), min(levels[i], levels[j])
+        elif kind == "rescale" and levels[i] > 0:
+            op, level = ("rescale", i), levels[i] - 1
+        elif kind == "mult":
+            op, level = ("mult", i, j), min(levels[i], levels[j])
+        else:
+            mask = [rng.randrange(-3, 4) for _ in range(n)]
+            op, level = ("dmask", i, mask), levels[i]
+        prog.append(op)
+        levels.append(level)
+        size += 1
+    return prog
+
+
+def _run_program(prog, v: SlotVector, position_masks: bool):
+    pool = [v]
+    with CostLedger() as lg:
+        for op in prog:
+            kind, i = op[0], op[1]
+            a = pool[i]
+            if kind == "pmask":
+                mask = op[2] if position_masks else dense(op[2])
+                out = a.cmult(mask, "p")
+            elif kind == "rotate":
+                out = a.rotate(op[2], "r")
+            elif kind == "add":
+                out = a + pool[op[2]]
+            elif kind == "rescale":
+                out = a.rescale("s")
+            elif kind == "mult":
+                out = a.mult(pool[op[2]], "m")
+            else:
+                out = a.cmult(op[2], "d")
+            pool.append(out)
+    return pool, lg.ops
+
+
+@pytest.mark.parametrize("n", [1, 4, 32, 256])
+def test_random_sparse_runs_match_dense_mask_runs(n):
+    rng = random.Random(1000 + n)
+    held_sparse = 0
+    for _ in range(40):
+        prog = _random_program(rng, n, 30)
+        v = SlotVector(tuple(rng.randrange(-9, 10) for _ in range(n)),
+                       depth_used=rng.randrange(3))
+        got, got_ops = _run_program(prog, v, True)
+        want, want_ops = _run_program(prog, v, False)
+        free, free_ops = _run_program(
+            prog, replace(SlotVector.slot_free(n), depth_used=v.depth_used),
+            True)
+        assert got_ops == want_ops == free_ops
+        for g, w, f in zip(got, want, free):
+            assert (g.n, g.level, g.depth_used) == \
+                (w.n, w.level, w.depth_used) == (f.n, f.level, f.depth_used)
+            assert g.slots == w.slots and tuple(g.slots) == w.slots
+            assert g.to_list() == w.to_list()
+            assert g == w and hash(g) == hash(w)
+            held_sparse += not isinstance(g.slots, tuple)
+        # an out-of-range position raises on a dense, a sparse and a
+        # slot-free vector, and records nothing
+        forms = {isinstance(x.slots, tuple): x for x in got}
+        for u in [*forms.values(), free[-1]]:
+            for bad in ([n], [-n - 1], {0, n + 5}, [0, 0, n]):
+                with CostLedger() as lg, pytest.raises(IndexError):
+                    u.cmult(PositionMask(n, bad))
+                assert lg.ops == []
+    # the runs must reach the sparse form, or they compared dense to dense
+    assert held_sparse > 0
 
 
 def test_add_levels():
