@@ -18,6 +18,7 @@ walking each cycle and alternating the half assignment always succeeds.
 from __future__ import annotations
 
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from functools import reduce
@@ -57,13 +58,10 @@ def _two_color(dest):
 
 
 def _plan_for(offs: Sequence[int], n: int) -> BsgsPlan:
-    """BSGS plan for a factor whose signed diagonals are offs."""
-    stride = 0
-    for o in offs:
-        stride = math.gcd(stride, abs(o))
-    stride = stride or 1
+    """BSGS plan for a factor whose signed diagonals are offs (ascending)."""
+    stride = math.gcd(*offs) or 1
     ts = [o // stride for o in offs]
-    dmax = max(abs(t) for t in ts)
+    dmax = max(-ts[0], ts[-1])
     if dmax <= 64:
         return plan_bsgs(ts, n, stride=stride)
     # wide spreads: full n1 sweep is wasteful, try small splits and powers,
@@ -158,7 +156,10 @@ def collapse_benes(chain: BenesChain, target_depth: int | None = None
 
     Contiguous groupings are scored by the merged factors' executed rotation
     counts and the cheapest split is taken (first found on ties, scanning
-    boundaries left to right).
+    boundaries left to right). Spans are scored on plain target tuples: a
+    span (a, b + 1) is span (a, b) after one gather through stage b's
+    targets, and one pass over the n differences i - targets[i] gives its
+    distinct diagonals, reduced to signed offsets on the distinct values only.
     """
     n = chain.n
     if target_depth is None:
@@ -169,6 +170,7 @@ def collapse_benes(chain: BenesChain, target_depth: int | None = None
     if target_depth >= nf:
         return chain
     perms = [to_permutation(f) for f in chain.factors]
+    stages = [p.targets for p in perms]
 
     span_max = nf - target_depth + 1
     cost: dict[tuple[int, int], int] = {}
@@ -176,12 +178,12 @@ def collapse_benes(chain: BenesChain, target_depth: int | None = None
     # every span's plan or product would grow the peak memory several MB
     by_offsets: dict[tuple[int, ...], int] = {}
     for a in range(nf):
-        q = perms[a]
+        q = stages[a]
         for b in range(a + 1, min(a + span_max, nf) + 1):
             if b > a + 1:
-                q = q.compose(perms[b - 1])
-            ks = {(s - t) % n for s, t in enumerate(q.targets)}
-            offs = tuple(sorted(signed_rep(k, n) for k in ks))
+                q = tuple(map(q.__getitem__, stages[b - 1]))
+            ks = {d % n for d in set(map(operator.sub, range(n), q))}
+            offs = tuple(sorted(k if k <= n - k else k - n for k in ks))
             if offs not in by_offsets:
                 by_offsets[offs] = len(_plan_for(offs, n).executed_steps())
             cost[a, b] = by_offsets[offs]

@@ -118,16 +118,18 @@ def perm_to_diag(p: Permutation) -> DiagMatrix:
 def to_permutation(m: DiagMatrix) -> Permutation:
     """The permutation p with perm_to_diag(p) == m; raises ValueError when m
     is not a permutation matrix."""
-    targets = [-1] * m.n
-    for k, l, val in m.entries():
-        src = (l + k) % m.n
-        if val != 1:
-            raise ValueError(f"not a permutation matrix: entry {val} at row "
-                             f"{l}, column {src}")
-        if targets[src] != -1:
-            raise ValueError(f"not a permutation matrix: column {src} has "
-                             f"entries in rows {targets[src]} and {l}")
-        targets[src] = l
+    n = m.n
+    targets = [-1] * n
+    for k in sorted(m.diags):  # a column's first entry is on the lowest k
+        for l, val in m.diags[k].items():
+            src = (l + k) % n
+            if val != 1:
+                raise ValueError(f"not a permutation matrix: entry {val} at "
+                                 f"row {l}, column {src}")
+            if targets[src] != -1:
+                raise ValueError(f"not a permutation matrix: column {src} "
+                                 f"has entries in rows {targets[src]} and {l}")
+            targets[src] = l
     return Permutation(targets)  # refuses an empty column or a repeated row
 
 

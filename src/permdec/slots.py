@@ -301,16 +301,34 @@ class SlotVector:
 
 
 class Permutation:
-    """A permutation of n slots, stored as targets[i] = destination of entry i."""
+    """A permutation of n slots, stored as targets[i] = destination of entry i.
+
+    The constructor is the only check: every target an int (not a float or
+    a bool, which compare equal to ints) and each of 0..n-1 present once.
+    compose and inverse build their results unchecked, as the composition
+    and the inverse of permutations are permutations.
+    """
 
     __slots__ = ("targets", "n")
 
     def __init__(self, targets: Sequence[int]):
         self.targets = tuple(targets)
         self.n = len(self.targets)
+        odd = set(map(type, self.targets)) - {int}
+        if odd:
+            raise ValueError(f"not a permutation of {self.n} slots: targets "
+                             f"must be integers, not "
+                             f"{', '.join(sorted(t.__name__ for t in odd))}")
         if sorted(self.targets) != list(range(self.n)):
             raise ValueError(f"not a permutation of {self.n} slots: every "
                              f"target in 0..{self.n - 1} must appear once")
+
+    @classmethod
+    def _unchecked(cls, targets: tuple[int, ...]) -> "Permutation":
+        p = object.__new__(cls)
+        p.targets = targets
+        p.n = len(targets)
+        return p
 
     def apply(self, vals: Sequence[int]) -> list[int]:
         """Plain (free) application: out[targets[i]] = vals[i]."""
@@ -328,12 +346,13 @@ class Permutation:
         inv = [0] * self.n
         for i, t in enumerate(self.targets):
             inv[t] = i
-        return Permutation(inv)
+        return Permutation._unchecked(tuple(inv))
 
     def compose(self, first: "Permutation") -> "Permutation":
         """self after first: (self . first)(v) = self(first(v))."""
         _check_length(first.n, self.n)
-        return Permutation([self.targets[first.targets[i]] for i in range(self.n)])
+        return Permutation._unchecked(
+            tuple(map(self.targets.__getitem__, first.targets)))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Permutation) and self.targets == other.targets

@@ -261,6 +261,20 @@ def test_collapse_plans_match_per_n1_reference(monkeypatch, m):
                              for f in col.factors]
 
 
+def test_collapse_scores_each_span_offset_set_once_at_2e12(monkeypatch):
+    # at the benchmark's size the collapse plans each distinct offset set
+    # of the validated compose + perm_to_diag reference once, in scan
+    # order, and then each collapsed factor
+    chain = benes_decompose(rand_perm(1 << 12, 4096))
+    col, calls = planned_collapse(monkeypatch, chain)
+    distinct = list(dict.fromkeys(span_offsets(chain).values()))
+    assert len(calls) == len(distinct) + col.depth
+    assert [offs for offs, _ in calls[:len(distinct)]] == distinct
+    assert [offs for offs, _ in calls[len(distinct):]] == [
+        tuple(f.signed_diag_set()) for f in col.factors]
+    assert col.plans == [plan for _, plan in calls[len(distinct):]]
+
+
 def test_wide_span_plans_match_per_n1_reference():
     # the traffic the bitset sweep is for: the widest spans one collapse at
     # n = 2^12 scores, >= 2,000 offsets each with dmax near 2,047, planned

@@ -356,6 +356,21 @@ def test_duplicate_targets_exit_two(capsys, tmp_path):
     assert "not a permutation" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("targets, kind", [([1.0, 0.0, 3.0, 2.0], "float"),
+                                           ([True, False, 3, 2], "bool")],
+                         ids=["float", "bool"])
+def test_non_integer_targets_exit_two(capsys, tmp_path, targets, kind):
+    # floats and bools sort like the ints they equal; the commands must
+    # refuse them before the network or the Benes routing indexes with them
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({"n": 4, "targets": targets}))
+    for cmd in (["net", "eval"], ["benes"]):
+        assert main([*cmd, "--perm-file", str(path)]) == 2, cmd
+        cap = capsys.readouterr()
+        assert cap.err.startswith("permdec: not a permutation") and not cap.out
+        assert f"targets must be integers, not {kind}" in cap.err
+
+
 def run_module(*args):
     """A fresh interpreter running `python ARGS` with permdec importable."""
     src = str(Path(cli.__file__).resolve().parents[1])

@@ -280,6 +280,12 @@ BAD_PERMUTATION_MATRICES = {
         _matrix(4, [(0, 0, 1), (1, 3, 1), (0, 1, 1), (0, 2, 1)])),
     "every target in 0..3 must appear once": lambda: to_permutation(
         _matrix(4, [(0, 0, 1), (0, 1, 1), (0, 2, 1)])),
+    # diagonal 3 filled first: the diagonals are walked by k all the same
+    "column 1 has entries in rows 1 and 2": lambda: to_permutation(
+        _matrix(4, [(3, 2, 1), (0, 1, 1), (0, 0, 1), (0, 3, 1)])),
+    # n entries, one per column, but row 0 twice and row 1 never
+    "every target in 0..7 must appear once": lambda: to_permutation(
+        _matrix(8, [(1, 0, 1)] + [(0, l, 1) for l in range(8) if l != 1])),
 }
 
 
@@ -290,6 +296,36 @@ def test_bad_permutation_matrices_raise_value_error():
 def test_bad_permutation_matrices_raise_without_asserts():
     assert_value_errors_without_asserts("test_diag",
                                         "BAD_PERMUTATION_MATRICES")
+
+
+def reference_to_permutation(m):
+    """The walk over the sorted entries() that to_permutation replaced."""
+    targets = [-1] * m.n
+    for k, l, val in m.entries():
+        src = (l + k) % m.n
+        if val != 1 or targets[src] != -1:
+            raise ValueError("not a permutation matrix")
+        targets[src] = l
+    return Permutation(targets)
+
+
+def test_to_permutation_accepts_what_the_sorted_walk_accepted():
+    rng = random.Random(41)
+    for _ in range(400):
+        n = rng.choice([1, 2, 4, 8])
+        p = Permutation.random(n, rng)
+        m = perm_to_diag(p)
+        assert to_permutation(m) == p
+        for _ in range(rng.randint(1, 2)):  # add or overwrite entries
+            m.set_entry(rng.randrange(n), rng.randrange(n),
+                        rng.choice([1, 1, 2, -1]))
+        try:
+            ref = reference_to_permutation(m)
+        except ValueError:
+            with pytest.raises(ValueError, match="not a permutation"):
+                to_permutation(m)
+        else:
+            assert to_permutation(m) == ref
 
 
 # a zero entry must be refused, also under python -O: stored, it would count

@@ -381,6 +381,46 @@ def test_permutation_apply_and_inverse():
         assert p.compose(p.inverse()) == Permutation.identity(n)
 
 
+# each non-permutation must be refused with ValueError, also under python -O:
+# floats and bools compare equal to the ints they stand for, so a sort alone
+# would accept them
+BAD_PERMUTATIONS = {
+    "targets must be integers, not float": lambda: Permutation([1.0, 0.0]),
+    "targets must be integers, not bool": lambda: Permutation([True, False]),
+    "targets must be integers, not float, str":
+        lambda: Permutation([0, 1.0, "2"]),
+    "every target in 0..2 must appear once": lambda: Permutation([0, 1, 1]),
+}
+
+
+def test_bad_permutations_raise_value_error():
+    assert_value_errors(BAD_PERMUTATIONS)
+
+
+def test_bad_permutations_raise_without_asserts():
+    assert_value_errors_without_asserts("test_slots", "BAD_PERMUTATIONS")
+
+
+@pytest.mark.parametrize("n", [1, 2, 64, 4096])
+def test_compose_matches_validated_reference(n):
+    # compose and inverse build their results without the constructor's
+    # checks; each must equal the validated permutation the old list
+    # comprehension built, in == and in hash
+    rng = random.Random(n)
+    for _ in range(3):
+        p, q = Permutation.random(n, rng), Permutation.random(n, rng)
+        ref = Permutation([p.targets[q.targets[i]] for i in range(n)])
+        got = p.compose(q)
+        assert type(got.targets) is tuple
+        assert (got.targets, got.n) == (ref.targets, ref.n)
+        assert got == ref and hash(got) == hash(ref)
+        inv = p.inverse()
+        assert inv == Permutation(inv.targets) and inv.n == n
+        assert p.compose(inv) == inv.compose(p) == Permutation.identity(n)
+    with pytest.raises(ValueError, match=f"slot length mismatch: {n + 1}"):
+        Permutation.identity(n).compose(Permutation.identity(n + 1))
+
+
 def test_permutation_compose_order():
     # compose(first) applies `first` then self
     n = 8
