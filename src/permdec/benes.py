@@ -21,12 +21,10 @@ import math
 import operator
 from collections import Counter
 from dataclasses import dataclass, field, replace
-from functools import reduce
 from typing import ClassVar, Sequence
 
 from .chain import DecompositionChain
-from .diag import (BsgsPlan, _window_counts, perm_to_diag, plan_bsgs,
-                   signed_rep, to_permutation)
+from .diag import BsgsPlan, _window_counts, perm_to_diag, plan_bsgs
 from .slots import Permutation, SlotVector
 
 
@@ -80,12 +78,13 @@ def _plan_for(offs: Sequence[int], n: int) -> BsgsPlan:
 class BenesChain(DecompositionChain):
     """A factor chain of switch stages, planned for BSGS evaluation.
 
-    `allowed[i]` bounds the signed diagonals factor i may occupy, and
-    `groups[i]` records which pre-collapse stages it merges. Rotation counts
-    and key sets are read from the CostLedger of a run.
+    `stages[i]` holds the targets of factor i, the routing's own record that
+    the factor is built from, and `groups[i]` records which pre-collapse
+    stages it merges. Rotation counts and key sets are read from the
+    CostLedger of a run.
     """
 
-    allowed: list[set[int]] = field(default_factory=list)
+    stages: list[tuple[int, ...]] = field(default_factory=list)
     groups: list[tuple[int, int]] = field(default_factory=list)
 
     TAG: ClassVar[str] = "benes"
@@ -95,8 +94,16 @@ class BenesChain(DecompositionChain):
             self.plans = [_plan_for(f.signed_diag_set(), f.n)
                           for f in self.factors]
         super().__post_init__()
-        if not len(self.factors) == len(self.allowed) == len(self.groups):
-            raise ValueError("factors, allowed and groups differ in length")
+        if not len(self.factors) == len(self.stages) == len(self.groups):
+            raise ValueError("factors, stages and groups differ in length")
+
+
+def _chain(n: int, stages: list[tuple[int, ...]],
+           groups: list[tuple[int, int]]) -> BenesChain:
+    """The chain whose factor i moves entry j to stages[i][j]. The stages
+    come from the routing, so they are not validated again."""
+    factors = [perm_to_diag(Permutation._unchecked(t)) for t in stages]
+    return BenesChain(n, factors, stages=stages, groups=groups)
 
 
 def benes_decompose(p: Permutation) -> BenesChain:
@@ -105,10 +112,10 @@ def benes_decompose(p: Permutation) -> BenesChain:
     if n & (n - 1):
         raise ValueError("length must be a power of two")
     if n == 1:
-        return BenesChain(1, [], allowed=[], groups=[])
+        return _chain(1, [], [])
     m = n.bit_length() - 1
-    sigmas: list[Permutation] = []
-    taus: list[Permutation] = []
+    sigmas: list[tuple[int, ...]] = []
+    taus: list[tuple[int, ...]] = []
     tasks = [(0, list(p.targets))]  # (block base, block-local permutation)
     for rnd in range(m - 1):
         sz = n >> rnd
@@ -128,26 +135,15 @@ def benes_decompose(p: Permutation) -> BenesChain:
             assert -1 not in top and -1 not in bot
             nxt.append((base, top))
             nxt.append((base + hf, bot))
-        taus.append(Permutation(tau_t))
-        sigmas.append(Permutation(sigma_t))
+        taus.append(tuple(tau_t))
+        sigmas.append(tuple(sigma_t))
         tasks = nxt
     middle = list(range(n))
     for base, dest in tasks:  # size-2 blocks form one switch stage
         for i, j in enumerate(dest):
             middle[base + i] = base + j
-    perms = sigmas + [Permutation(middle)] + taus[::-1]
-    outer = [{0, 1 << (m - i - 1), -(1 << (m - i - 1))} for i in range(m - 1)]
-    allowed = outer + [{0, 1, -1}] + outer[::-1]
-    factors = [perm_to_diag(q) for q in perms]
-    groups = [(i, i + 1) for i in range(2 * m - 1)]
-    return BenesChain(n, factors, allowed=allowed, groups=groups)
-
-
-def _sum_set(sets, n):
-    acc = {0}
-    for s in sets:
-        acc = {(x + y) % n for x in acc for y in s}
-    return {signed_rep(x, n) for x in acc}
+    stages = sigmas + [tuple(middle)] + taus[::-1]
+    return _chain(n, stages, [(i, i + 1) for i in range(2 * m - 1)])
 
 
 def collapse_benes(chain: BenesChain, target_depth: int | None = None
@@ -156,10 +152,11 @@ def collapse_benes(chain: BenesChain, target_depth: int | None = None
 
     Contiguous groupings are scored by the merged factors' executed rotation
     counts and the cheapest split is taken (first found on ties, scanning
-    boundaries left to right). Spans are scored on plain target tuples: a
-    span (a, b + 1) is span (a, b) after one gather through stage b's
-    targets, and one pass over the n differences i - targets[i] gives its
-    distinct diagonals, reduced to signed offsets on the distinct values only.
+    boundaries left to right). Spans are scored on the chain's stage
+    targets: a span (a, b + 1) is span (a, b) after one gather through stage
+    b, and one pass over the n differences i - targets[i] gives its distinct
+    diagonals, reduced to signed offsets on the distinct values only. The
+    chosen spans are merged by the same gathers.
     """
     n = chain.n
     if target_depth is None:
@@ -169,8 +166,7 @@ def collapse_benes(chain: BenesChain, target_depth: int | None = None
     nf = chain.depth
     if target_depth >= nf:
         return chain
-    perms = [to_permutation(f) for f in chain.factors]
-    stages = [p.targets for p in perms]
+    stages = chain.stages
 
     span_max = nf - target_depth + 1
     cost: dict[tuple[int, int], int] = {}
@@ -214,13 +210,14 @@ def collapse_benes(chain: BenesChain, target_depth: int | None = None
         g -= 1
     bounds.reverse()
 
-    factors, allowed, groups = [], [], []
+    merged, groups = [], []
     for a, b in zip(bounds, bounds[1:]):
-        factors.append(perm_to_diag(reduce(Permutation.compose,
-                                           perms[a + 1:b], perms[a])))
-        allowed.append(_sum_set(chain.allowed[a:b], n))
+        q = stages[a]
+        for stage in stages[a + 1:b]:
+            q = tuple(map(q.__getitem__, stage))
+        merged.append(q)
         groups.append((chain.groups[a][0], chain.groups[b - 1][1]))
-    return BenesChain(n, factors, allowed=allowed, groups=groups)
+    return _chain(n, merged, groups)
 
 
 def _short_sum(step, keys, n):

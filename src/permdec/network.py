@@ -12,8 +12,10 @@ the permuted vector. Every entry ends up applying exactly the binary
 decomposition of its r_org.
 
 A network keeps two routing records: node occupancy (Node.occ: input
-position -> entry) and the targets of the permutation it routes. Only
-build_network writes them, so derived networks share them. A left rotation of
+position -> entry) and the targets of the permutation it routes. A network is
+made only from its permutation: build_network writes both records, and
+derived networks share them. to_json prints the graph as a report; nothing
+reads it back, as the graph alone cannot be collapsed. A left rotation of
 step k moves an entry from position p to (p - k) mod n, so entry i at position
 p has travelled (i - p) mod n (exact, as that is at most r_org < n) and has
 (p - targets[i]) mod n still to go; it is home once p == targets[i].
@@ -49,7 +51,6 @@ permutation.
 from __future__ import annotations
 
 import copy
-import json
 from collections import Counter
 from dataclasses import asdict, dataclass
 
@@ -86,15 +87,14 @@ class CollapseSpec:
 
 
 class MultiGroupNetwork:
-    def __init__(self, n: int):
-        self.n = n
+    def __init__(self, targets: tuple[int, ...]):
+        self.n = len(targets)
         self.nodes: list[Node] = []
         self.edges: dict[tuple[int, int], Edge] = {}
         self.out_edges: dict[int, list[Edge]] = {}
         self.in_edges: dict[int, list[Edge]] = {}
         self.group_spans: list[tuple[int, int]] = []  # (start level, bottom)
-        # targets of the routed permutation; None for a network from JSON
-        self.targets: tuple[int, ...] | None = None
+        self.targets = targets  # of the routed permutation
         self.reduced = False
         # node narrowed by reduce_masks -> the parent re-feeding its entries
         self.filtered: dict[int, int] = {}
@@ -151,9 +151,9 @@ class MultiGroupNetwork:
     def rotation_nodes(self) -> list[Node]:
         return [nd for nd in self.nodes if nd.kind == "rotation"]
 
-    # -- serialization (graph, plus the collapse spec when one is set) ----
-
     def to_json(self) -> dict:
+        """The graph, plus the collapse spec when one is set: a report form
+        (no routing state), not a file to rebuild the network from."""
         groups = []
         for g, (start, bottom) in enumerate(self.group_spans):
             levels = []
@@ -179,74 +179,11 @@ class MultiGroupNetwork:
             obj["collapse"] = asdict(self.collapse)
         return obj
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "MultiGroupNetwork":
-        if "collapse" in obj:
-            raise ValueError("cannot load a collapsed network: its JSON "
-                             "carries the collapse spec but not the routing "
-                             "state that evaluates it")
-        net = cls(_json_int(obj["n"], "n"))
-        net.reduced = obj.get("reduced", False)
-        raw = []
-        for g, grp in enumerate(obj["groups"]):
-            start = _json_int(grp["start"], f"group {g} start")
-            net.group_spans.append((start, start + len(grp["levels"]) - 1))
-            for off, lvl in enumerate(grp["levels"]):
-                for nd in lvl["nodes"]:
-                    raw.append((nd, g, start + off))
-        for nd, _, _ in raw:
-            _json_int(nd["id"], "node id")
-        raw.sort(key=lambda t: t[0]["id"])
-        for nd, g, lv in raw:
-            step = 0
-            if nd["kind"] == "rotation":
-                step = _json_int(nd.get("step"), f"node {nd['id']} step")
-            elif nd["kind"] != "standby":
-                raise ValueError(f"node {nd['id']} has kind {nd['kind']!r}, "
-                                 f"not 'rotation' or 'standby'")
-            node = net.add_node(nd["kind"], g, lv, step=step)
-            if node.idx != nd["id"]:
-                raise ValueError(f"network node ids must run 0..{len(raw) - 1} "
-                                 f"without gaps; found id {nd['id']} at "
-                                 f"position {node.idx}")
-        for nd, _, _ in raw:
-            for e in nd["edges"]:
-                to = _json_int(e["to"], f"edge target of node {nd['id']}")
-                if not 0 <= to < len(raw):
-                    raise ValueError(f"edge from node {nd['id']} to unknown "
-                                     f"node {to}")
-                mask = None if e.get("copy") else {
-                    _json_int(p, f"mask slot of edge {nd['id']}->{to}")
-                    for p in e["mask"]}
-                bad = sorted(p for p in mask or () if not 0 <= p < net.n)
-                if bad:
-                    raise ValueError(f"edge {nd['id']}->{to} masks slot "
-                                     f"{bad[0]}, outside 0..{net.n - 1}")
-                net.edge(nd["id"], to).mask = mask
-        return net
-
-    def save(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.to_json(), fh)
-            fh.write("\n")
-
-    @classmethod
-    def load(cls, path):
-        with open(path) as fh:
-            return cls.from_json(json.load(fh))
-
-
-def _json_int(value, what: str) -> int:
-    if type(value) is not int:
-        raise ValueError(f"{what} must be an integer, got {value!r}")
-    return value
-
 
 def build_network(p: Permutation) -> MultiGroupNetwork:
     """Route every entry of p through grouped power-of-two rotation levels."""
-    n = p.n
-    net = MultiGroupNetwork(n)
-    net.targets = targets = p.targets
+    n, targets = p.n, p.targets
+    net = MultiGroupNetwork(targets)
     net.add_node("standby", group=0, level=0).occ = {i: i for i in range(n)}
     # per entry: its current node and its position on that node's output
     at = [0] * n
@@ -306,13 +243,12 @@ def build_network(p: Permutation) -> MultiGroupNetwork:
 
 
 def _clone(net: MultiGroupNetwork) -> MultiGroupNetwork:
-    out = MultiGroupNetwork(net.n)
+    out = MultiGroupNetwork(net.targets)
     for nd in net.nodes:
         out.add_node(nd.kind, nd.group, nd.level, nd.step).occ = nd.occ
     for e in net.edges.values():
         out.edge(e.src, e.dst).mask = None if e.mask is None else set(e.mask)
     out.group_spans = list(net.group_spans)
-    out.targets = net.targets
     out.reduced = net.reduced
     out.filtered = dict(net.filtered)
     out.collapse = net.collapse
@@ -379,10 +315,6 @@ def collapse_levels(net: MultiGroupNetwork, top: int = 0, bottom: int = 0,
         raise ValueError("tree arity must be a power of two >= 2")
     if top == 0 and bottom == 0:
         return net
-    if net.targets is None:
-        raise ValueError("cannot collapse a network without its routing "
-                         "state (JSON keeps only the graph); rebuild it "
-                         "from the permutation")
     lmax = net.max_level
     if top + bottom >= lmax:
         raise ValueError(f"cannot collapse {top}+{bottom} of {lmax} levels")

@@ -389,10 +389,18 @@ class Permutation:
         if not isinstance(obj, dict) or "targets" not in obj:
             raise ValueError("not a permutation file: expected an object "
                              "with 'n' and 'targets'")
-        p = cls(obj["targets"])
-        if p.n != obj.get("n"):
-            raise ValueError(f"permutation file says n={obj.get('n')} but "
-                             f"lists {p.n} targets")
+        n, targets = obj.get("n"), obj["targets"]
+        # exact types: a float or bool n compares equal to an int
+        if type(targets) is not list:
+            raise ValueError(f"not a permutation file: 'targets' must be a "
+                             f"list, not {type(targets).__name__}")
+        if type(n) is not int:
+            raise ValueError(f"not a permutation file: 'n' must be an "
+                             f"integer, not {type(n).__name__}")
+        p = cls(targets)
+        if p.n != n:
+            raise ValueError(f"permutation file says n={n} but lists {p.n} "
+                             f"targets")
         return p
 
     def save(self, path) -> None:

@@ -30,6 +30,18 @@ def rand_vec(n, rng):
     return [rng.randrange(-999, 1000) for _ in range(n)]
 
 
+def stage_bound(n, group):
+    """Signed diagonals a factor merging pre-collapse stages group[0] ..
+    group[1] - 1 may occupy: the sum set of {0, +-2^(m-r-1)} over those
+    stages, where stage i belongs to round r = min(i, 2m - 2 - i)."""
+    m = log2(n)
+    acc = {0}
+    for i in range(*group):
+        step = 1 << (m - min(i, 2 * m - 2 - i) - 1)
+        acc = {(x + y) % n for x in acc for y in (0, step, -step)}
+    return {x if x <= n - x else x - n for x in acc}
+
+
 # ------------------------------------------------------------ decomposition
 
 
@@ -44,8 +56,8 @@ def test_rotation_by_one():
     p = Permutation.rotation(8, 1)
     ch = benes_decompose(p)
     assert ch.product() == perm_to_diag(p)
-    for f, allowed in zip(ch.factors, ch.allowed):
-        assert set(f.signed_diag_set()) <= allowed
+    for f, group in zip(ch.factors, ch.groups):
+        assert set(f.signed_diag_set()) <= stage_bound(8, group)
     out = evaluate_benes(ch, SlotVector.from_list(range(8)))
     assert out.to_list() == [1, 2, 3, 4, 5, 6, 7, 0]
 
@@ -61,11 +73,13 @@ def test_stage_diagonal_constraints():
         for n in (32, 128):
             ch = benes_decompose(rand_perm(n, 10 + seed))
             m = log2(n)
-            for i, (f, allowed) in enumerate(zip(ch.factors, ch.allowed)):
+            for i, (f, group) in enumerate(zip(ch.factors, ch.groups)):
                 rnd = min(i, 2 * m - 2 - i)
                 stride = 1 << (m - rnd - 1)
-                assert allowed <= {0, stride, -stride}
-                assert set(f.signed_diag_set()) <= allowed
+                assert group == (i, i + 1)
+                bound = stage_bound(n, group)
+                assert bound <= {0, stride, -stride}
+                assert set(f.signed_diag_set()) <= bound
 
 
 def test_product_matches_matrix():
@@ -155,8 +169,20 @@ def test_collapse_default_depth_and_product():
         col = collapse_benes(benes_decompose(p))
         assert col.depth == log2(256) - 1
         assert col.product() == perm_to_diag(p)
-        for f, allowed in zip(col.factors, col.allowed):
-            assert set(f.signed_diag_set()) <= allowed
+        for f, group in zip(col.factors, col.groups):
+            assert set(f.signed_diag_set()) <= stage_bound(256, group)
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 64, 1024])
+def test_stages_are_the_factor_targets(n):
+    # the collapse reads stages in place of the factors' diagonals, so every
+    # kind of chain must keep them equal to what its factors move
+    ch = benes_decompose(rand_perm(n, 50 + n))
+    col = collapse_benes(ch)
+    for chain in (ch, col, restrict_keys(col), restrict_keys(ch, 3)):
+        assert len(chain.stages) == chain.depth
+        for t, f in zip(chain.stages, chain.factors):
+            assert type(t) is tuple and t == to_permutation(f).targets
 
 
 def test_collapse_groups_partition_stages():
@@ -313,12 +339,12 @@ def test_chain_given_plans_is_not_planned_again(monkeypatch):
         raise AssertionError("planned again")
 
     monkeypatch.setattr(benes, "plan_bsgs", refuse)
-    again = BenesChain(col.n, col.factors, col.plans, allowed=col.allowed,
+    again = BenesChain(col.n, col.factors, col.plans, stages=col.stages,
                        groups=col.groups)
     assert again.plans == col.plans
     assert restrict_keys(col).plans == col.plans
     with pytest.raises(AssertionError, match="planned again"):
-        BenesChain(col.n, col.factors, allowed=col.allowed, groups=col.groups)
+        BenesChain(col.n, col.factors, stages=col.stages, groups=col.groups)
 
 
 def test_per_level_rotation_counts_reported():

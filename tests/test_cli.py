@@ -12,7 +12,7 @@ import pytest
 from permdec import cli
 from permdec.bench import CSV_HEADER
 from permdec.cli import main
-from permdec.network import MultiGroupNetwork, build_network, evaluate_network
+from permdec.network import build_network, evaluate_network, reduce_masks
 from permdec.slots import Permutation, SlotVector
 from permdec.verify import CheckResult, SuiteReport, run_suite
 
@@ -152,10 +152,13 @@ def test_net_profile_is_the_bench_aggregate(capsys):
 
 
 def test_net_build_report_roundtrips(capsys):
+    # the printed graph is the (by default reduced) network built from the
+    # seeded permutation, and that network evaluates it exactly
     rc, rep = run_json(capsys, "net", "build", "--n", "64", "--seed", "3")
     assert rc == 0
-    net = MultiGroupNetwork.from_json(rep["network"])
     p = Permutation.random(64, __import__("random").Random(3))
+    net = reduce_masks(build_network(p))
+    assert rep["network"] == net.to_json()
     vals = list(range(64))
     out = evaluate_network(net, SlotVector.from_list(vals))
     assert out.to_list() == p.apply(vals)
@@ -345,8 +348,6 @@ def test_net_build_collapsed_report_declares_collapse(capsys):
     assert rc == 0
     assert rep["network"]["collapse"] == {"top": 2, "bottom": 3, "arity": 4}
     assert 3 in rep["keys"]
-    with pytest.raises(ValueError, match="collapsed network"):
-        MultiGroupNetwork.from_json(rep["network"])
 
 
 def test_duplicate_targets_exit_two(capsys, tmp_path):
@@ -356,19 +357,27 @@ def test_duplicate_targets_exit_two(capsys, tmp_path):
     assert "not a permutation" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("targets, kind", [([1.0, 0.0, 3.0, 2.0], "float"),
-                                           ([True, False, 3, 2], "bool")],
-                         ids=["float", "bool"])
-def test_non_integer_targets_exit_two(capsys, tmp_path, targets, kind):
-    # floats and bools sort like the ints they equal; the commands must
-    # refuse them before the network or the Benes routing indexes with them
+@pytest.mark.parametrize("obj, why", [
+    ({"n": 4, "targets": [1.0, 0.0, 3.0, 2.0]},
+     "targets must be integers, not float"),
+    ({"n": 4, "targets": [True, False, 3, 2]},
+     "targets must be integers, not bool"),
+    ({"n": 4.0, "targets": [1, 0, 3, 2]}, "'n' must be an integer, not float"),
+    ({"n": True, "targets": [0]}, "'n' must be an integer, not bool"),
+    ({"n": 1, "targets": 5}, "'targets' must be a list, not int"),
+    ({"n": 1, "targets": None}, "'targets' must be a list, not NoneType"),
+], ids=["float", "bool", "float-n", "bool-n", "int-targets", "null-targets"])
+def test_non_integer_targets_exit_two(capsys, tmp_path, obj, why):
+    # floats and bools sort and compare like the ints they equal; the
+    # commands must refuse them, and a targets value that is not a list,
+    # before the network or the Benes routing indexes with them
     path = tmp_path / "p.json"
-    path.write_text(json.dumps({"n": 4, "targets": targets}))
-    for cmd in (["net", "eval"], ["benes"]):
+    path.write_text(json.dumps(obj))
+    for cmd in (["search"], ["net", "eval"], ["benes"]):
         assert main([*cmd, "--perm-file", str(path)]) == 2, cmd
         cap = capsys.readouterr()
         assert cap.err.startswith("permdec: not a permutation") and not cap.out
-        assert f"targets must be integers, not {kind}" in cap.err
+        assert why in cap.err, cmd
 
 
 def run_module(*args):
@@ -407,10 +416,11 @@ def test_deep_benes_chain_exits_two_without_asserts():
 
 
 def test_network_file_is_not_a_permutation_file(capsys, tmp_path):
-    # a saved network keeps only its graph, so it cannot stand in for the
-    # permutation a collapsed network is rebuilt from
+    # a network's JSON report keeps only its graph, so it cannot stand in
+    # for the permutation a collapsed network is built from
     path = tmp_path / "net.json"
-    build_network(Permutation.rotation(256, 77)).save(path)
+    net = build_network(Permutation.rotation(256, 77))
+    path.write_text(json.dumps(net.to_json()))
     assert main(["net", "build", "--perm-file", str(path),
                  "--collapse", "2,3"]) == 2
     assert "not a permutation file" in capsys.readouterr().err

@@ -14,8 +14,8 @@ from fractions import Fraction
 import pytest
 
 from permdec.ledger import CostLedger
-from permdec.network import (MultiGroupNetwork, build_network, collapse_levels,
-                             evaluate_network, reduce_masks, rotation_profile)
+from permdec.network import (build_network, collapse_levels, evaluate_network,
+                             reduce_masks, rotation_profile)
 from permdec.slots import Permutation, SlotVector
 from util import (assert_value_errors, assert_value_errors_without_asserts,
                   entry_routes, zero_ledger, zero_profile)
@@ -228,8 +228,7 @@ def test_real_run_records_the_slot_free_replay(n):
     vals = rand_vec(n, rng)
     raw = build_network(p)
     red = reduce_masks(raw)
-    nets = [raw, red, MultiGroupNetwork.from_json(
-        json.loads(json.dumps(red.to_json())))]
+    nets = [raw, red]
     for base in (raw, red):
         for top, bottom in COLLAPSES:
             if top + bottom < base.max_level:
@@ -514,13 +513,6 @@ def test_derived_networks_share_but_never_write_routing_state():
         assert _routing_state(red) == red_state
 
 
-def test_collapse_refuses_network_loaded_from_json():
-    p, _ = build_random(256, 4800)
-    back = MultiGroupNetwork.from_json(build_network(p).to_json())
-    with pytest.raises(ValueError, match="routing state"):
-        collapse_levels(back, 2, 3)
-
-
 # ----------------------------------------------------------------- profile
 
 
@@ -571,108 +563,6 @@ def test_profile_total_spread_grows_with_n():
 
 
 # ------------------------------------------------------------ serialization
-
-
-def test_json_roundtrip_evaluates_identically():
-    for seed in range(5):
-        p, rng = build_random(128, 8000 + seed)
-        vals = rand_vec(128, rng)
-        net = build_network(p)
-        back = MultiGroupNetwork.from_json(
-            json.loads(json.dumps(net.to_json())))
-        v = SlotVector.from_list(vals)
-        assert evaluate_network(back, v).to_list() == p.apply(vals)
-        assert zero_profile(back) == zero_profile(net)
-
-
-def test_reduced_json_roundtrip():
-    p, rng = build_random(128, 8100)
-    vals = rand_vec(128, rng)
-    red = reduce_masks(build_network(p))
-    back = MultiGroupNetwork.from_json(red.to_json())
-    assert back.reduced
-    out = evaluate_network(back, SlotVector.from_list(vals))
-    assert out.to_list() == p.apply(vals)
-
-
-def _json_with_ids(ids):
-    obj = build_network(Permutation.rotation(8, 3)).to_json()
-    nodes = [nd for grp in obj["groups"] for lvl in grp["levels"]
-             for nd in lvl["nodes"]]
-    for nd, new in zip(nodes, ids):
-        nd["id"] = new
-    return obj
-
-
-def _json_with_edge(field, value):
-    """The rotation-by-3 network at n = 8 with one field of the first masked
-    edge replaced."""
-    obj = build_network(Permutation.rotation(8, 3)).to_json()
-    edge = next(e for grp in obj["groups"] for lvl in grp["levels"]
-                for nd in lvl["nodes"] for e in nd["edges"] if "mask" in e)
-    edge[field] = value
-    return obj
-
-
-def _json_with_rotation(field, value):
-    """The rotation-by-3 network at n = 8 with one field of its first
-    rotation node replaced."""
-    obj = build_network(Permutation.rotation(8, 3)).to_json()
-    node = next(nd for grp in obj["groups"] for lvl in grp["levels"]
-                for nd in lvl["nodes"] if nd["kind"] == "rotation")
-    node[field] = value
-    return obj
-
-
-# each bad network JSON must raise ValueError matching the text, also under
-# python -O
-BAD_NETWORK_JSON = {
-    "found id 5 at position 2": lambda: MultiGroupNetwork.from_json(
-        _json_with_ids([0, 1, 5])),
-    "found id 0 at position 1": lambda: MultiGroupNetwork.from_json(
-        _json_with_ids([0, 0])),
-    "to unknown node 9": lambda: MultiGroupNetwork.from_json(
-        _json_with_edge("to", 9)),
-    "to unknown node -1": lambda: MultiGroupNetwork.from_json(
-        _json_with_edge("to", -1)),
-    "masks slot 8, outside 0..7": lambda: MultiGroupNetwork.from_json(
-        _json_with_edge("mask", [0, 8])),
-    "masks slot -1, outside 0..7": lambda: MultiGroupNetwork.from_json(
-        _json_with_edge("mask", [-1, 2])),
-    "has kind 'bogus', not 'rotation' or 'standby'":
-        lambda: MultiGroupNetwork.from_json(_json_with_rotation("kind",
-                                                                "bogus")),
-    "node 1 step must be an integer, got '2'":
-        lambda: MultiGroupNetwork.from_json(_json_with_rotation("step", "2")),
-    "node 1 step must be an integer, got None":
-        lambda: MultiGroupNetwork.from_json(_json_with_rotation("step", None)),
-    "edge target of node 0 must be an integer, got '1'":
-        lambda: MultiGroupNetwork.from_json(_json_with_edge("to", "1")),
-    "mask slot of edge 0->1 must be an integer, got '3'":
-        lambda: MultiGroupNetwork.from_json(_json_with_edge("mask",
-                                                            [0, "3"])),
-    "node id must be an integer, got '0'":
-        lambda: MultiGroupNetwork.from_json(_json_with_ids(["0"])),
-}
-
-
-def test_bad_network_json_raises_value_error():
-    assert_value_errors(BAD_NETWORK_JSON)
-
-
-def test_bad_network_json_raises_without_asserts():
-    assert_value_errors_without_asserts("test_network", "BAD_NETWORK_JSON")
-
-
-def test_save_and_load(tmp_path):
-    p, _ = build_random(64, 8200)
-    net = build_network(p)
-    path = tmp_path / "net.json"
-    net.save(path)
-    back = MultiGroupNetwork.load(path)
-    assert back.n == 64
-    assert json.dumps(back.to_json(), sort_keys=True) == \
-        json.dumps(net.to_json(), sort_keys=True)
 
 
 def test_json_schema_shape():

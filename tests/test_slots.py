@@ -390,6 +390,14 @@ BAD_PERMUTATIONS = {
     "targets must be integers, not float, str":
         lambda: Permutation([0, 1.0, "2"]),
     "every target in 0..2 must appear once": lambda: Permutation([0, 1, 1]),
+    "'n' must be an integer, not float": lambda: Permutation.from_json(
+        {"n": 4.0, "targets": [1, 0, 3, 2]}),
+    "'n' must be an integer, not bool": lambda: Permutation.from_json(
+        {"n": True, "targets": [0]}),
+    "'targets' must be a list, not int": lambda: Permutation.from_json(
+        {"n": 1, "targets": 5}),
+    "'targets' must be a list, not NoneType": lambda: Permutation.from_json(
+        {"n": 1, "targets": None}),
 }
 
 
