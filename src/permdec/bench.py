@@ -1,25 +1,16 @@
 """Rotation-count and scalar-mult statistics over sampled permutations.
 
-For each size the bench samples uniform random permutations (per-sample seed
-= base seed + index), builds the routing network (mask-reduced unless asked
-otherwise, optionally level-collapsed), and aggregates the per-level rotation
-profile, the distinct rotation keys and the priced scalar-multiplication
-total; `permdec net profile` reports the same aggregate. Samples run one
-after another in this process. Each is priced from a slot-free replay
+`permdec net profile` is the one caller. It samples uniform random
+permutations (per-sample seed = base seed + index), builds the routing
+network (mask-reduced unless asked otherwise, optionally level-collapsed),
+and aggregates the per-level rotation profile, the distinct rotation keys
+and the priced scalar-multiplication total. Samples run one after another
+in this process. Each is priced from a slot-free replay
 (costmodel.chain_cost), which takes a small fraction of the network build.
-
-CSV schema (one row per size and level):
-
-    n,samples,seed,level,mean_rotations,std_total,mean_total,mean_scalar_mult
-
-The std_total/mean_total/mean_scalar_mult columns repeat each size's
-aggregate on all of its level rows.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import random
 import statistics
 from dataclasses import dataclass
@@ -27,9 +18,6 @@ from dataclasses import dataclass
 from .costmodel import CostParams, CostReport, chain_cost
 from .network import build_network, collapse_levels, reduce_masks
 from .slots import Permutation
-
-CSV_HEADER = ("n,samples,seed,level,mean_rotations,"
-              "std_total,mean_total,mean_scalar_mult")
 
 
 def _sample(n: int, seed: int, reduce: bool,
@@ -45,23 +33,11 @@ def _sample(n: int, seed: int, reduce: bool,
 
 @dataclass
 class BenchResult:
-    n: int
-    samples: int
-    seed: int
     per_level_mean: dict[int, float]
     total_mean: float
     total_std: float
     scalar_mean: float
     distinct_keys: int
-
-    def to_json(self) -> dict:
-        return {
-            "n": self.n, "samples": self.samples, "seed": self.seed,
-            "per_level_mean": {str(k): v for k, v in
-                               sorted(self.per_level_mean.items())},
-            "total_mean": self.total_mean, "total_std": self.total_std,
-            "scalar_mult_mean": self.scalar_mean,
-        }
 
 
 def bench_networks(n: int, samples: int = 20, seed: int = 0,
@@ -77,21 +53,8 @@ def bench_networks(n: int, samples: int = 20, seed: int = 0,
                 for lv in levels}
     totals = [sum(rep.per_level.values()) for rep in reps]
     return BenchResult(
-        n, samples, seed, per_mean,
+        per_mean,
         total_mean=statistics.fmean(totals),
         total_std=statistics.pstdev(totals),
         scalar_mean=statistics.fmean(rep.total for rep in reps),
         distinct_keys=len(set().union(*(rep.key_set for rep in reps))))
-
-
-def bench_csv(results: list[BenchResult]) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(CSV_HEADER.split(","))
-    for r in results:
-        for lv in sorted(r.per_level_mean):
-            w.writerow([r.n, r.samples, r.seed, lv,
-                        f"{r.per_level_mean[lv]:.3f}",
-                        f"{r.total_std:.3f}", f"{r.total_mean:.3f}",
-                        f"{r.scalar_mean:.1f}"])
-    return buf.getvalue()

@@ -2,10 +2,10 @@
 
 Subcommands cover the whole pipeline: ideal-form search, the structured
 decompositions, batched matrix products, routing networks, the key-routed
-baseline, profile benchmarking, and the oracle suite. Every run writes a
-machine-readable report (json, csv for bench, or flat text) to stdout or to
---out; relative --out paths land in $PERMDEC_OUTDIR when that is set. Exit
-status: 0 on success, 1 when a verification fails, 2 on usage errors.
+baseline, and the oracle suite. Every run writes a machine-readable report
+(json or flat text) to stdout or to --out; relative --out paths land in
+$PERMDEC_OUTDIR when that is set. Exit status: 0 on success, 1 when a
+verification fails, 2 on usage errors.
 
 Reports carry no timestamps or environment data, so a repeated (command,
 seed) invocation is byte-identical.
@@ -19,7 +19,7 @@ import os
 import random
 import sys
 
-from .bench import bench_csv, bench_networks
+from .bench import bench_networks
 from .benes import benes_decompose, collapse_benes, restrict_keys
 from .costmodel import chain_cost
 from .diag import matvec, perm_to_diag, signed_rep
@@ -188,6 +188,9 @@ def _net_for(cfg: argparse.Namespace):
 
 def _cmd_net(cfg: argparse.Namespace):
     if cfg.target == "profile":
+        if cfg.perm_file:
+            raise ValueError("net profile samples random permutations; "
+                             "--perm-file is for build and eval")
         res = bench_networks(cfg.n, cfg.samples, cfg.seed, reduce=cfg.reduce,
                              collapse=cfg.collapse)
         report = {
@@ -195,7 +198,8 @@ def _cmd_net(cfg: argparse.Namespace):
             "samples": cfg.samples, "seed": cfg.seed,
             "per_level_mean": {str(lv): v for lv, v in
                                sorted(res.per_level_mean.items())},
-            "total_mean": res.total_mean,
+            "total_mean": res.total_mean, "total_std": res.total_std,
+            "scalar_mult_mean": res.scalar_mean,
             "distinct_keys": res.distinct_keys,
         }
         return 0, report
@@ -255,16 +259,6 @@ def _cmd_benes(cfg: argparse.Namespace):
     return (0 if ok else 1), report
 
 
-def _cmd_bench(cfg: argparse.Namespace):
-    sizes = cfg.sizes or [1 << 10]
-    results = [bench_networks(n, cfg.samples, cfg.seed) for n in sizes]
-    if (cfg.fmt or "csv") == "csv":
-        return 0, bench_csv(results)
-    return 0, {"command": "bench", "seed": cfg.seed,
-               "samples": cfg.samples,
-               "results": [r.to_json() for r in results]}
-
-
 def _cmd_verify(cfg: argparse.Namespace):
     rep = run_suite(n_max=cfg.n_max, seed=cfg.seed, full=cfg.all_checks)
     report = dict(rep.to_json(), command="verify")
@@ -273,13 +267,12 @@ def _cmd_verify(cfg: argparse.Namespace):
 
 _DISPATCH = {
     "search": _cmd_search, "decompose": _cmd_decompose, "hmm": _cmd_hmm,
-    "net": _cmd_net, "benes": _cmd_benes, "bench": _cmd_bench,
-    "verify": _cmd_verify,
+    "net": _cmd_net, "benes": _cmd_benes, "verify": _cmd_verify,
 }
 
 
 def dispatch(cfg: argparse.Namespace):
-    """Returns (exit status, report). Report is a dict, or csv text."""
+    """Returns (exit status, report dict)."""
     return _DISPATCH[cfg.command](cfg)
 
 
@@ -296,11 +289,7 @@ def _flat(obj, prefix=""):
         yield f"{prefix[:-1]}: {obj}"
 
 
-def _render(report, fmt: str) -> str:
-    if isinstance(report, str):
-        return report
-    if fmt == "csv":
-        raise ValueError("csv output is only available for bench")
+def _render(report: dict, fmt: str) -> str:
     if fmt == "text":
         return "\n".join(_flat(report)) + "\n"
     return json.dumps(report, sort_keys=True, indent=2) + "\n"
@@ -345,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(sp, seed=0):
         sp.add_argument("--format", dest="fmt", default="",
-                        choices=["json", "csv", "text", ""])
+                        choices=["json", "text", ""])
         sp.add_argument("--out", default="")
         sp.add_argument("--seed", type=int, default=seed)
 
@@ -392,12 +381,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--no-restrict", action="store_true")
     sp.add_argument("--perm-file", default="")
     common(sp)
-
-    sp = sub.add_parser("bench", help="profile and cost statistics")
-    sp.add_argument("--n", dest="sizes", type=_positive, action="append",
-                    default=None)
-    sp.add_argument("--samples", type=_positive, default=20)
-    common(sp, seed=5000)
 
     sp = sub.add_parser("verify", help="oracle equivalence suite")
     sp.add_argument("--all", dest="all_checks", action="store_true")

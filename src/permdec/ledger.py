@@ -59,14 +59,6 @@ class CostLedger:
     def cmult_count(self) -> int:
         return len(self.of_kind("cmult"))
 
-    @property
-    def mult_count(self) -> int:
-        return len(self.of_kind("mult"))
-
-    @property
-    def rescale_count(self) -> int:
-        return len(self.of_kind("rescale"))
-
     def key_set(self) -> set[int]:
         """Distinct rotation steps used; the evaluation-key budget."""
         return {op.step for op in self.rotations}

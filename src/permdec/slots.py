@@ -338,10 +338,6 @@ class Permutation:
             out[t] = vals[i]
         return out
 
-    def apply_vector(self, v: SlotVector) -> SlotVector:
-        """Free reference application, for oracles. Not a homomorphic op."""
-        return SlotVector(tuple(self.apply(v.slots)), v.level, v.depth_used)
-
     def inverse(self) -> "Permutation":
         inv = [0] * self.n
         for i, t in enumerate(self.targets):

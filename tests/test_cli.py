@@ -1,8 +1,10 @@
 """Command line round trips: flags, reports, exit codes."""
 
+import argparse
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -10,8 +12,8 @@ from pathlib import Path
 import pytest
 
 from permdec import cli
-from permdec.bench import CSV_HEADER
 from permdec.cli import main
+from permdec.costmodel import chain_cost
 from permdec.network import build_network, evaluate_network, reduce_masks
 from permdec.slots import Permutation, SlotVector
 from permdec.verify import CheckResult, SuiteReport, run_suite
@@ -141,14 +143,18 @@ def test_net_profile_matches_reference_row(capsys):
     assert abs(rep["total_mean"] - 34.5) <= 0.10 * 34.5
 
 
-def test_net_profile_is_the_bench_aggregate(capsys):
-    _, prof = run_json(capsys, "net", "profile", "--n", "256",
-                       "--samples", "5", "--seed", "7")
-    _, bench = run_json(capsys, "bench", "--n", "256", "--samples", "5",
-                        "--seed", "7", "--format", "json")
-    res = bench["results"][0]
-    assert prof["total_mean"] == res["total_mean"]
-    assert prof["per_level_mean"] == res["per_level_mean"]
+def test_net_profile_reports_spread_and_scalar_mults(capsys):
+    rc, rep = run_json(capsys, "net", "profile", "--n", "64", "--samples",
+                       "3", "--seed", "11")
+    assert rc == 0
+    assert rep["scalar_mult_mean"] > 0 and rep["total_std"] >= 0
+    # one sample has no spread, and its mean is that network's priced total
+    _, one = run_json(capsys, "net", "profile", "--n", "64", "--samples",
+                      "1", "--seed", "11")
+    p = Permutation.random(64, random.Random(11))
+    net = reduce_masks(build_network(p))
+    assert one["total_std"] == 0
+    assert one["scalar_mult_mean"] == chain_cost(net).total
 
 
 def test_net_build_report_roundtrips(capsys):
@@ -175,7 +181,7 @@ NET_REPORTS = {
     ("eval", "--collapse", "2,3"): "e4d5a80e0cad7a0e",
     ("eval", "--collapse", "0,2,2"): "ccf902eaf3bebe47",
     ("eval", "--n", "1024", "--collapse", "3,3,8"): "393201730139a4d1",
-    ("profile", "--samples", "3"): "4a88e643380557f7",
+    ("profile", "--samples", "3"): "bd158f9be3ae4db2",
 }
 
 
@@ -232,26 +238,6 @@ def test_benes_uncollapsed_depth(capsys):
                        "--no-collapse", "--no-restrict")
     assert rc == 0
     assert rep["depth"] == 11  # 2 log n - 1
-
-
-# ----------------------------------------------------------------- bench
-
-def test_bench_csv_schema(capsys):
-    rc, out = run(capsys, "bench", "--n", "64", "--samples", "3",
-                  "--seed", "11")
-    assert rc == 0
-    lines = out.strip().splitlines()
-    assert lines[0] == CSV_HEADER
-    assert all(ln.startswith("64,3,11,") for ln in lines[1:])
-    assert len(lines) >= 6  # one row per populated level
-
-
-def test_bench_json_format(capsys):
-    rc, rep = run_json(capsys, "bench", "--n", "64", "--samples", "3",
-                       "--seed", "11", "--format", "json")
-    assert rc == 0
-    assert rep["results"][0]["n"] == 64
-    assert rep["results"][0]["scalar_mult_mean"] > 0
 
 
 # ---------------------------------------------------------------- verify
@@ -312,7 +298,6 @@ def test_text_format(capsys):
 def test_usage_errors_exit_two(capsys, tmp_path):
     assert main(["frobnicate"]) == 2
     assert main(["decompose", "ut", "--d", "nope"]) == 2
-    assert main(["decompose", "ut", "--format", "csv"]) == 2  # csv is bench-only
     assert main(["net", "eval", "--perm-file", str(tmp_path / "absent.json")]) == 2
     assert main(["decompose", "ut", "--d", "4", "--l", "9"]) == 2
     assert main(["search", "--d", "0"]) == 2
@@ -321,6 +306,20 @@ def test_usage_errors_exit_two(capsys, tmp_path):
     assert main(["benes", "--budget", "0"]) == 2
     assert main(["benes", "--n", "1", "--budget", "0"]) == 2
     capsys.readouterr()
+    # the bench subcommand and the csv format are gone
+    for argv in (["bench"], ["decompose", "ut", "--format", "csv"],
+                 ["net", "profile", "--format", "csv"]):
+        assert main(argv) == 2, argv
+        cap = capsys.readouterr()
+        assert "invalid choice" in cap.err and not cap.out
+    # profile samples random permutations, so a file (present or not) is
+    # refused rather than ignored
+    path = tmp_path / "p.json"
+    Permutation.rotation(16, 3).save(path)
+    for perm in (path, tmp_path / "absent.json"):
+        assert main(["net", "profile", "--perm-file", str(perm)]) == 2
+        cap = capsys.readouterr()
+        assert cap.err.startswith("permdec: net profile") and not cap.out
     # 19 and 18 factors, deeper than the 17 levels of a fresh vector
     for argv, depth in ((["benes", "--n", "1024", "--no-collapse"], 19),
                         (["benes", "--n", "1024", "--depth", "18"], 18)):
@@ -328,9 +327,8 @@ def test_usage_errors_exit_two(capsys, tmp_path):
         cap = capsys.readouterr()
         assert f"{depth} factors" in cap.err and "17 are available" in cap.err
         assert not cap.out
-    for argv in (["net", "eval", "--n", "-4"], ["bench", "--n", "-8"],
-                 ["hmm", "--samples", "-2"], ["benes", "--n", "-4"],
-                 ["net", "profile", "--samples", "-1"],
+    for argv in (["net", "eval", "--n", "-4"], ["hmm", "--samples", "-2"],
+                 ["benes", "--n", "-4"], ["net", "profile", "--samples", "-1"],
                  ["verify", "--n-max", "0"], ["decompose", "ut", "--n", "0"],
                  ["search", "--n", "x"], ["search", "--d", "-2"],
                  ["decompose", "ut", "--d", "-3"], ["hmm", "--dp", "0"],
@@ -338,6 +336,14 @@ def test_usage_errors_exit_two(capsys, tmp_path):
         assert main(argv) == 2, argv
         cap = capsys.readouterr()
         assert "expected a positive integer" in cap.err and not cap.out
+
+
+def test_every_subcommand_dispatches():
+    # a subparser without a dispatch entry would die with a KeyError
+    # traceback and exit 1 instead of running or exiting 2
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert set(sub.choices) == set(cli._DISPATCH)
 
 
 def test_net_build_collapsed_report_declares_collapse(capsys):

@@ -21,7 +21,8 @@ from permdec.costmodel import (CostParams, CostReport, chain_cost,
                                submodule_cost)
 from permdec.diag import perm_to_diag
 from permdec.ledger import CostLedger
-from permdec.network import build_network, reduce_masks, rotation_profile
+from permdec.network import (build_network, collapse_levels, reduce_masks,
+                             rotation_profile)
 from permdec.slots import DepthExhaustedError, Permutation, SlotVector
 from permdec.structured import decompose_gamma_xi_pad
 from util import benes_key_set, benes_total_rotations
@@ -245,6 +246,46 @@ def test_network_level_underflow():
     net = _reduced_net(256, 7)
     with pytest.raises(DepthExhaustedError):
         chain_cost(net, CostParams(level=3))
+
+
+def _rotation_price(rep):
+    return sum(rep.breakdown[k] for k in ("decompose", "multsum", "moddown"))
+
+
+@pytest.mark.parametrize("variant", ["raw", "reduced", "collapsed"])
+@pytest.mark.parametrize("cp", [CostParams(), CostParams(alpha=2, level=14)],
+                         ids=["default", "a2-l14"])
+def test_network_rotations_priced_as_merged_submodule(variant, cp):
+    # the fused-never-costs-more tests check submodule_cost; chain_cost
+    # composes the rotation parts itself, so the two must agree: a network
+    # rotation at schedule level p is rotation_merged landing on level
+    # cp.level - p
+    net = build_network(Permutation.random(256, random.Random(11)))
+    if variant != "raw":
+        net = reduce_masks(net)
+    if variant == "collapsed":
+        net = collapse_levels(net, 2, 3)
+    rep = chain_cost(net, cp)
+    assert rep.per_level
+    assert _rotation_price(rep) == sum(
+        count * submodule_cost("rotation_merged", cp.at(cp.level - p))
+        for p, count in rep.per_level.items())
+
+
+@pytest.mark.parametrize("collapse", [False, True], ids=["full", "collapsed"])
+def test_chain_rotations_priced_as_plain_submodules(collapse):
+    # a chain factor's rotations at position p run on the level
+    # cp.level - p + 1 operand and keep the plain ModDown
+    bc = benes_decompose(Permutation.random(256, random.Random(11)))
+    if collapse:
+        bc = collapse_benes(bc)
+    cp = CostParams()
+    rep = chain_cost(bc, cp)
+    assert rep.depth == bc.depth and sum(rep.per_level.values()) > 0
+    assert _rotation_price(rep) == sum(
+        count * sum(submodule_cost(kind, cp.at(cp.level - p + 1))
+                    for kind in ("decompose", "multsum", "moddown"))
+        for p, count in rep.per_level.items())
 
 
 def test_network_total_matches_reference_mean():

@@ -137,7 +137,8 @@ def test_worked_example_2x2():
     assert dict(lg.rotations_by_tag()) == {"hmm.a.reorder": 1, "hmm.b.reorder": 1,
                                            "hmm.a.rep": 1, "hmm.b.rep": 1,
                                            "hmm.fold": 1}
-    assert lg.mult_count == 1 and lg.cmult_count == 2 and lg.rescale_count == 3
+    assert len(lg.of_kind("mult")) == 1 and lg.cmult_count == 2
+    assert len(lg.of_kind("rescale")) == 3
 
 
 def test_identity_returns_other_operand(rng):
@@ -178,9 +179,9 @@ def test_random_products_exact_and_on_budget(d, dp, m):
     assert got == [mat_mul(a, b) for a, b in zip(amats, bmats)]
     budget = hmm_rotation_budget(cfg)
     assert lg.rotation_count == budget.total
-    assert lg.mult_count == d // dp
+    assert len(lg.of_kind("mult")) == d // dp
     assert lg.cmult_count == 2 * (d // dp)
-    assert lg.rescale_count == 2 * (d // dp) + 1
+    assert len(lg.of_kind("rescale")) == 2 * (d // dp) + 1
 
 
 def test_dead_tail_slots_are_harmless(rng):

@@ -172,7 +172,8 @@ def test_identity_evaluates_to_input():
         out = evaluate_network(net, v)
     assert out.to_list() == list(range(8))
     assert out.depth_used == 0 and out.level == v.level
-    assert led.rotation_count == led.cmult_count == led.rescale_count == 0
+    assert led.rotation_count == led.cmult_count == 0
+    assert len(led.of_kind("rescale")) == 0
 
 
 def test_rotation_by_three_values():

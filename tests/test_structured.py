@@ -173,7 +173,7 @@ def test_decompose_ut_budget_formula_d4(rng):
     with CostLedger() as lg:
         out = chain.evaluate(SlotVector.from_list(rand_vals(16, rng)))
     assert lg.rotation_count == 2 * 1 + len(plan.executed_steps()) == 4
-    assert lg.rescale_count == 2
+    assert len(lg.of_kind("rescale")) == 2
     assert set(left.diag_set()) <= {(3 * t) % 16 for t in plan.assign}
     assert out.depth_used == 2
 
@@ -353,7 +353,7 @@ def test_gamma_xi_pad_region(d, dp, l, rng):
         assert out.depth_used == 1
         assert lg.rotation_count == len(chain.r_steps) + len(chain.l_steps) \
             == l + (dp >> l) - 1
-        assert lg.rescale_count == 1 and lg.cmult_count == 1
+        assert len(lg.of_kind("rescale")) == 1 and lg.cmult_count == 1
 
 
 def test_gamma_xi_pad_full_depth():
