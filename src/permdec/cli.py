@@ -2,10 +2,13 @@
 
 Subcommands cover the whole pipeline: ideal-form search, the structured
 decompositions, batched matrix products, routing networks, the key-routed
-baseline, and the oracle suite. Every run writes a machine-readable report
-(json or flat text) to stdout or to --out; relative --out paths land in
-$PERMDEC_OUTDIR when that is set. Exit status: 0 on success, 1 when a
-verification fails, 2 on usage errors.
+baseline, and the oracle suite. The ladder targets come from
+`structured.LADDERS`, and the random inputs and the product oracle are those
+of `permdec verify`, so a subcommand checks a route the way the suite does.
+Every run writes a machine-readable report (json or flat text) to stdout or
+to --out; relative --out paths land in $PERMDEC_OUTDIR when that is set.
+Exit status: 0 on success, 1 when a verification fails, 2 on usage errors,
+among them an option the requested run would not read.
 
 Reports carry no timestamps or environment data, so a repeated (command,
 seed) invocation is byte-identical.
@@ -23,23 +26,28 @@ from .bench import bench_networks
 from .benes import benes_decompose, collapse_benes, restrict_keys
 from .costmodel import chain_cost
 from .diag import matvec, perm_to_diag, signed_rep
-from .hmm import HmmConfig, hmm_multiply, hmm_rotation_budget
+from .hmm import (HmmConfig, hmm_multiply, hmm_rotation_budget,
+                  reference_products)
 from .ledger import CostLedger
 from .network import (build_network, collapse_levels, evaluate_network,
                       reduce_masks)
 from .search import diag_profile, max_ideal_depth, validate_ideal_chain
 from .slots import DEFAULT_LEVEL, Permutation, SlotVector
-from .structured import (HmtSpec, build_gamma_xi, build_sigma, build_tau,
-                         build_ut, decompose_gamma_xi_pad, decompose_sigma,
-                         decompose_tau, decompose_ut, unit_input_slots)
-from .verify import DEFAULT_SEED, run_suite
+from .structured import (LADDERS, build_gamma_xi, decompose_gamma_xi_pad,
+                         unit_input_slots)
+from .verify import DEFAULT_SEED, random_matrices, random_slots, run_suite
 
 OUTDIR_ENV = "PERMDEC_OUTDIR"
 
 
 # ------------------------------------------------------------- subcommands
 
-_BUILDERS = {"ut": build_ut, "sigma": build_sigma, "tau": build_tau}
+def _refuse(cfg: argparse.Namespace, why: str, *names: str) -> None:
+    """A usage error for options given to a run that would not read them."""
+    given = [f"--{nm.replace('_', '-')}" for nm in names
+             if getattr(cfg, nm) not in (None, "")]
+    if given:
+        raise ValueError(f"{why}; drop {' '.join(given)}")
 
 
 def _signed(n: int, steps) -> list[int]:
@@ -48,11 +56,13 @@ def _signed(n: int, steps) -> list[int]:
 
 def _cmd_search(cfg: argparse.Namespace):
     if cfg.perm_file:
+        _refuse(cfg, "search reads its permutation from --perm-file",
+                "target", "d", "n")
         u = perm_to_diag(Permutation.load(cfg.perm_file))
         target = cfg.perm_file
     else:
-        u = _BUILDERS[cfg.target or "ut"](cfg.d, cfg.n)
         target = cfg.target or "ut"
+        u = LADDERS[target][0](cfg.d or 4, cfg.n)
     params = diag_profile(u)
     depth, chain = max_ideal_depth(u, params)
     rep = validate_ideal_chain(u, chain, params)
@@ -83,8 +93,7 @@ def _ladder_report(chain, u, cfg: argparse.Namespace):
     }
     status = 0
     if cfg.verify:
-        rng = random.Random(cfg.seed)
-        vals = [rng.randint(-50, 50) for _ in range(u.n)]
+        vals = random_slots(random.Random(cfg.seed), u.n)
         out = chain.evaluate(SlotVector.from_list(vals))
         ok = chain.product() == u and out.to_list() == matvec(u, vals)
         report["verified"] = ok
@@ -93,18 +102,11 @@ def _ladder_report(chain, u, cfg: argparse.Namespace):
 
 
 def _cmd_decompose(cfg: argparse.Namespace):
-    if cfg.target in ("ut", "sigma", "tau"):
-        if cfg.target == "ut":
-            n = cfg.n or cfg.d * cfg.d
-            chain = decompose_ut(HmtSpec(cfg.d, n, cfg.l))
-            u = build_ut(cfg.d, n)
-        elif cfg.target == "sigma":
-            chain = decompose_sigma(cfg.d, cfg.l, cfg.n)
-            u = build_sigma(cfg.d, cfg.n)
-        else:
-            chain = decompose_tau(cfg.d, cfg.l, cfg.n)
-            u = build_tau(cfg.d, cfg.n)
-        return _ladder_report(chain, u, cfg)
+    if cfg.target in LADDERS:
+        _refuse(cfg, f"decompose {cfg.target} has no unit grid", "dp")
+        build, decompose = LADDERS[cfg.target]
+        chain = decompose(cfg.d, cfg.l, cfg.n)
+        return _ladder_report(chain, build(cfg.d, cfg.n), cfg)
 
     # padded fan-out pair; report the requested map
     gamma, xi = build_gamma_xi(cfg.d, cfg.dp, cfg.n)
@@ -143,20 +145,15 @@ def _cmd_hmm(cfg: argparse.Namespace):
     repl = _parse_replication(cfg.replication)
     hc = HmmConfig(cfg.d, cfg.dp or cfg.d, cfg.m, replication=repl)
     rng = random.Random(cfg.seed)
-    mk = lambda: [[[rng.randint(-9, 9) for _ in range(hc.d)]
-                   for _ in range(hc.d)] for _ in range(hc.m)]
     products_ok = True
     rotations = None
     for _ in range(cfg.samples):
-        a, b = mk(), mk()
+        a, b = random_matrices(rng, hc), random_matrices(rng, hc)
         with CostLedger() as led:
             got = hmm_multiply(a, b, hc)
         if rotations is None:
             rotations = led.rotation_count
-        want = [[[sum(a[g][i][k] * b[g][k][j] for k in range(hc.d))
-                  for j in range(hc.d)] for i in range(hc.d)]
-                for g in range(hc.m)]
-        products_ok = products_ok and got == want
+        products_ok = products_ok and got == reference_products(a, b)
     bud = hmm_rotation_budget(hc)
     budget_ok = rotations == bud.total
     ok = products_ok and budget_ok
@@ -188,14 +185,13 @@ def _net_for(cfg: argparse.Namespace):
 
 def _cmd_net(cfg: argparse.Namespace):
     if cfg.target == "profile":
-        if cfg.perm_file:
-            raise ValueError("net profile samples random permutations; "
-                             "--perm-file is for build and eval")
-        res = bench_networks(cfg.n, cfg.samples, cfg.seed, reduce=cfg.reduce,
+        _refuse(cfg, "net profile samples random permutations", "perm_file")
+        samples = cfg.samples or 20
+        res = bench_networks(cfg.n, samples, cfg.seed, reduce=cfg.reduce,
                              collapse=cfg.collapse)
         report = {
             "command": "net", "action": "profile", "n": cfg.n,
-            "samples": cfg.samples, "seed": cfg.seed,
+            "samples": samples, "seed": cfg.seed,
             "per_level_mean": {str(lv): v for lv, v in
                                sorted(res.per_level_mean.items())},
             "total_mean": res.total_mean, "total_std": res.total_std,
@@ -204,6 +200,7 @@ def _cmd_net(cfg: argparse.Namespace):
         }
         return 0, report
 
+    _refuse(cfg, f"net {cfg.target} runs one permutation", "samples")
     p, net = _net_for(cfg)
     if cfg.target == "build":
         rep = chain_cost(net)
@@ -217,8 +214,7 @@ def _cmd_net(cfg: argparse.Namespace):
         }
         return 0, report
 
-    rng = random.Random(cfg.seed + 1)
-    vals = [rng.randint(-50, 50) for _ in range(net.n)]
+    vals = random_slots(random.Random(cfg.seed + 1), net.n)
     with CostLedger() as led:
         out = evaluate_network(net, SlotVector.from_list(vals))
     ok = out.to_list() == p.apply(vals)
@@ -231,6 +227,10 @@ def _cmd_net(cfg: argparse.Namespace):
 
 
 def _cmd_benes(cfg: argparse.Namespace):
+    if cfg.no_collapse:
+        _refuse(cfg, "benes --no-collapse keeps every factor", "depth")
+    if cfg.no_restrict:
+        _refuse(cfg, "benes --no-restrict keeps every key", "budget")
     p = (Permutation.load(cfg.perm_file) if cfg.perm_file
          else Permutation.random(cfg.n, random.Random(cfg.seed)))
     bc = benes_decompose(p)
@@ -241,8 +241,7 @@ def _cmd_benes(cfg: argparse.Namespace):
                          f"levels; only {DEFAULT_LEVEL} are available")
     if not cfg.no_restrict:
         bc = restrict_keys(bc, cfg.budget)
-    rng = random.Random(cfg.seed + 1)
-    vals = [rng.randint(-50, 50) for _ in range(p.n)]
+    vals = random_slots(random.Random(cfg.seed + 1), p.n)
     with CostLedger() as led:
         out = bc.evaluate(SlotVector.from_list(vals))
     ok = bc.product() == perm_to_diag(p) and out.to_list() == p.apply(vals)
@@ -333,20 +332,22 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     def common(sp, seed=0):
+        # seed=None: the run draws nothing, so it takes no --seed
         sp.add_argument("--format", dest="fmt", default="",
                         choices=["json", "text", ""])
         sp.add_argument("--out", default="")
-        sp.add_argument("--seed", type=int, default=seed)
+        if seed is not None:
+            sp.add_argument("--seed", type=int, default=seed)
 
     sp = sub.add_parser("search", help="ideal-form chain search")
-    sp.add_argument("--target", default="", choices=["ut", "sigma", "tau", ""])
+    sp.add_argument("--target", default="", choices=[*LADDERS, ""])
     sp.add_argument("--perm-file", default="")
-    sp.add_argument("--d", type=_positive, default=4)
+    sp.add_argument("--d", type=_positive, help="default 4")
     sp.add_argument("--n", type=_positive)
-    common(sp)
+    common(sp, seed=None)
 
     sp = sub.add_parser("decompose", help="structured decompositions")
-    sp.add_argument("target", choices=["ut", "sigma", "tau", "gamma", "xi"])
+    sp.add_argument("target", choices=[*LADDERS, "gamma", "xi"])
     sp.add_argument("--d", type=_positive, default=4)
     sp.add_argument("--dp", type=_positive)
     sp.add_argument("--l", type=int, default=1)
@@ -366,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("net", help="routing networks")
     sp.add_argument("target", choices=["build", "eval", "profile"])
     sp.add_argument("--n", type=_positive, default=256)
-    sp.add_argument("--samples", type=_positive, default=20)
+    sp.add_argument("--samples", type=_positive, help="default 20")
     sp.add_argument("--collapse", type=_int_pair, default=None,
                     metavar="T,B[,ARITY]")
     sp.add_argument("--no-reduce", dest="reduce", action="store_false")

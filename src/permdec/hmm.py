@@ -236,6 +236,13 @@ def hmm_multiply(a_mats: Sequence[Matrix], b_mats: Sequence[Matrix],
     return read_products(hmm_evaluate(pa, pb, cfg), cfg)
 
 
+def reference_products(a_mats: Sequence[Matrix],
+                       b_mats: Sequence[Matrix]) -> list[Matrix]:
+    """The same products by plain arithmetic: the oracle for hmm_multiply."""
+    return [[[sum(x * y for x, y in zip(row, col)) for col in zip(*b)]
+             for row in a] for a, b in zip(a_mats, b_mats)]
+
+
 # -- layered replication ------------------------------------------------------
 
 

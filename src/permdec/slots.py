@@ -399,11 +399,6 @@ class Permutation:
                              f"targets")
         return p
 
-    def save(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json(), fh)
-            fh.write("\n")
-
     @classmethod
     def load(cls, path) -> "Permutation":
         with open(path) as fh:

@@ -290,6 +290,17 @@ def decompose_tau(d: int, l: int, n: int | None = None) -> DecompositionChain:
     return _ladder(n, levels)
 
 
+# The three ladder families by name: (build(d, n), decompose(d, l, n)), where
+# n = None packs the d x d matrix into exactly d^2 slots.
+LADDERS: dict[str, tuple[Callable[..., DiagMatrix],
+                         Callable[..., DecompositionChain]]] = {
+    "ut": (build_ut, lambda d, l, n=None:
+           decompose_ut(HmtSpec(d, n or d * d, l))),
+    "sigma": (build_sigma, decompose_sigma),
+    "tau": (build_tau, decompose_tau),
+}
+
+
 # -- unit transposes (matrix-product layouts) ---------------------------------
 
 

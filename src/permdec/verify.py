@@ -2,9 +2,13 @@
 
 Every decomposition route the package offers is replayed on seeded random
 instances and compared, slot for slot, against the free reference (direct
-permutation application or plain matrix arithmetic). Each check owns its own
-deterministically derived generator, so a (seed, n_max) pair fixes the whole
-suite bit for bit.
+permutation application, or plain matrix arithmetic by
+`hmm.reference_products`). The ladder checks run the families of
+`structured.LADDERS`, and the network checks one routine over a table of
+network preparations. Each check owns a generator derived from the seed and
+its report name, `Random(f"{seed}:{name}")`, so a (seed, n_max) pair fixes
+the whole suite bit for bit. The command line draws its inputs with the same
+`random_slots` and `random_matrices`.
 """
 
 from __future__ import annotations
@@ -13,17 +17,16 @@ import random
 from dataclasses import dataclass, field
 
 from .benes import benes_decompose, collapse_benes, restrict_keys
-from .chain import DecompositionChain
 from .diag import DiagMatrix, matvec, perm_to_diag
-from .hmm import HmmConfig, hmm_multiply, hmm_rotation_budget
+from .hmm import (HmmConfig, Matrix, hmm_multiply, hmm_rotation_budget,
+                  reference_products)
 from .ledger import CostLedger
 from .network import (build_network, collapse_levels, evaluate_network,
                       reduce_masks)
 from .search import diag_profile, max_ideal_depth, validate_ideal_chain
 from .slots import Permutation, SlotVector
-from .structured import (HmtSpec, build_gamma_xi, build_sigma, build_tau,
-                         build_ut, decompose_gamma_xi_pad, decompose_sigma,
-                         decompose_tau, decompose_ut, unit_input_slots)
+from .structured import (LADDERS, build_gamma_xi, build_ut,
+                         decompose_gamma_xi_pad, unit_input_slots)
 
 DEFAULT_SEED = 1789
 
@@ -73,12 +76,19 @@ class SuiteReport:
                 "checks": [c.to_json() for c in self.checks]}
 
 
-def _rand_vals(rng, n: int) -> list[int]:
+def random_slots(rng, n: int) -> list[int]:
+    """n slot values, each uniform in [-50, 50]."""
     return [rng.randint(-50, 50) for _ in range(n)]
 
 
+def random_matrices(rng, cfg: HmmConfig) -> list[Matrix]:
+    """cfg.m d x d operands, each entry uniform in [-9, 9]."""
+    return [[[rng.randint(-9, 9) for _ in range(cfg.d)] for _ in range(cfg.d)]
+            for _ in range(cfg.m)]
+
+
 def _eval_matches(chain, m: DiagMatrix, rng) -> bool:
-    vals = _rand_vals(rng, m.n)
+    vals = random_slots(rng, m.n)
     out = chain.evaluate(SlotVector.from_list(vals))
     return out.to_list() == matvec(m, vals)
 
@@ -106,40 +116,26 @@ def check_ideal_search(rng, budget: int) -> CheckResult:
     return res
 
 
-def _ladder_check(name, build, decomp, configs, rng, budget) -> CheckResult:
+# check name -> family of structured.LADDERS
+_LADDER_CHECKS = {"transpose-ladder": "ut", "diag-to-col-ladder": "sigma",
+                  "diag-to-row-ladder": "tau"}
+
+
+def check_ladder(name: str, family: str, rng, budget: int) -> CheckResult:
+    build, decompose = LADDERS[family]
     res = CheckResult(name)
+    # depth caps at floor(log2(d - 1)) splitting rounds
+    configs = [(d, l) for d in (4, 8, 16)
+               for l in range(1, (d - 1).bit_length())]
     per = _per_config(budget, len(configs))
     for d, l in configs:
         u = build(d)
-        chain = decomp(d, l)
+        chain = decompose(d, l)
         res.flag(chain.product() == u, f"d={d} l={l}: product differs")
         for _ in range(per):
             res.flag(_eval_matches(chain, u, rng),
                      f"d={d} l={l}: ladder output mismatch")
     return res
-
-
-def _ladder_configs() -> list[tuple[int, int]]:
-    # depth caps at floor(log2(d - 1)) splitting rounds
-    return [(d, l) for d in (4, 8, 16)
-            for l in range(1, (d - 1).bit_length())]
-
-
-def check_transpose_ladder(rng, budget: int) -> CheckResult:
-    return _ladder_check(
-        "transpose-ladder", build_ut,
-        lambda d, l: decompose_ut(HmtSpec(d, d * d, l)),
-        _ladder_configs(), rng, budget)
-
-
-def check_diag_to_col_ladder(rng, budget: int) -> CheckResult:
-    return _ladder_check("diag-to-col-ladder", build_sigma, decompose_sigma,
-                         _ladder_configs(), rng, budget)
-
-
-def check_diag_to_row_ladder(rng, budget: int) -> CheckResult:
-    return _ladder_check("diag-to-row-ladder", build_tau, decompose_tau,
-                         _ladder_configs(), rng, budget)
 
 
 def check_padded_fanout(rng, budget: int) -> CheckResult:
@@ -179,15 +175,11 @@ def check_batched_matmul(rng, budget: int) -> CheckResult:
     for cfg in configs:
         tag = f"d={cfg.d} dp={cfg.d_prime} rep={cfg.replication}"
         for it in range(per):
-            mk = lambda: [[[rng.randint(-9, 9) for _ in range(cfg.d)]
-                           for _ in range(cfg.d)] for _ in range(cfg.m)]
-            a, b = mk(), mk()
+            a, b = random_matrices(rng, cfg), random_matrices(rng, cfg)
             with CostLedger() as led:
                 got = hmm_multiply(a, b, cfg)
-            want = [[[sum(a[g][i][k] * b[g][k][j] for k in range(cfg.d))
-                      for j in range(cfg.d)] for i in range(cfg.d)]
-                    for g in range(cfg.m)]
-            res.flag(got == want, f"{tag}: product mismatch")
+            res.flag(got == reference_products(a, b),
+                     f"{tag}: product mismatch")
             if it == 0:
                 bud = hmm_rotation_budget(cfg)
                 rot = led.rotation_count
@@ -202,40 +194,34 @@ def _net_sizes(n_max: int) -> list[tuple[int, float]]:
     return sizes or [(min(64, n_max), 1.0)]
 
 
-def _safe_collapse(net, top, bottom):
-    # a network without levels (the identity) has no room and stays whole
+def _collapsed(net):
+    # reduce, then collapse (2, 3) as far as the levels allow; a network
+    # without levels (the identity) has no room and stays whole
+    net = reduce_masks(net)
     room = max(net.max_level - 1, 0)
-    b = min(bottom, room)
-    t = min(top, room - b)
+    b = min(3, room)
+    t = min(2, room - b)
     return collapse_levels(net, t, b) if t or b else net
 
 
-def _network_check(name, prepare, rng, budget, n_max) -> CheckResult:
+# check name -> what becomes of the built network before it runs
+_NETWORK_CHECKS = {"network-raw": lambda net: net,
+                   "network-reduced": reduce_masks,
+                   "network-collapsed": _collapsed}
+
+
+def check_network(name: str, rng, budget: int, n_max: int) -> CheckResult:
+    prepare = _NETWORK_CHECKS[name]
     res = CheckResult(name)
     for n, w in _net_sizes(n_max):
         for _ in range(max(1, round(budget * w))):
             p = Permutation.random(n, rng)
             net = prepare(build_network(p))
-            vals = _rand_vals(rng, n)
+            vals = random_slots(rng, n)
             out = evaluate_network(net, SlotVector.from_list(vals))
             res.flag(out.to_list() == p.apply(vals),
                      f"n={n}: network output differs from permutation")
     return res
-
-
-def check_network_raw(rng, budget: int, n_max: int) -> CheckResult:
-    return _network_check("network-raw", lambda net: net, rng, budget, n_max)
-
-
-def check_network_reduced(rng, budget: int, n_max: int) -> CheckResult:
-    return _network_check("network-reduced", reduce_masks, rng, budget, n_max)
-
-
-def check_network_collapsed(rng, budget: int, n_max: int) -> CheckResult:
-    return _network_check(
-        "network-collapsed",
-        lambda net: _safe_collapse(reduce_masks(net), 2, 3),
-        rng, budget, n_max)
 
 
 def check_benes(rng, budget: int, n_max: int) -> CheckResult:
@@ -248,7 +234,7 @@ def check_benes(rng, budget: int, n_max: int) -> CheckResult:
             bc = collapse_benes(benes_decompose(p))
             res.flag(bc.product() == perm_to_diag(p),
                      f"n={n}: collapsed product differs")
-            vals = _rand_vals(rng, n)
+            vals = random_slots(rng, n)
             out = bc.evaluate(SlotVector.from_list(vals))
             res.flag(out.to_list() == p.apply(vals),
                      f"n={n}: collapsed evaluation mismatch")
@@ -270,16 +256,12 @@ def run_suite(n_max: int = 1024, seed: int = DEFAULT_SEED,
     def gen(name: str) -> random.Random:
         return random.Random(f"{seed}:{name}")
 
-    checks = [
-        check_ideal_search(gen("ideal-search"), budget),
-        check_transpose_ladder(gen("transpose-ladder"), budget),
-        check_diag_to_col_ladder(gen("diag-to-col-ladder"), budget),
-        check_diag_to_row_ladder(gen("diag-to-row-ladder"), budget),
-        check_padded_fanout(gen("padded-fanout"), budget),
-        check_batched_matmul(gen("batched-matmul"), budget),
-        check_network_raw(gen("network-raw"), budget, n_max),
-        check_network_reduced(gen("network-reduced"), budget, n_max),
-        check_network_collapsed(gen("network-collapsed"), budget, n_max),
-        check_benes(gen("benes"), budget, n_max),
-    ]
+    checks = [check_ideal_search(gen("ideal-search"), budget)]
+    checks += [check_ladder(name, family, gen(name), budget)
+               for name, family in _LADDER_CHECKS.items()]
+    checks += [check_padded_fanout(gen("padded-fanout"), budget),
+               check_batched_matmul(gen("batched-matmul"), budget)]
+    checks += [check_network(name, gen(name), budget, n_max)
+               for name in _NETWORK_CHECKS]
+    checks.append(check_benes(gen("benes"), budget, n_max))
     return SuiteReport(n_max, seed, checks)

@@ -82,7 +82,7 @@ def test_search_named_target_d64(capsys):
 
 def test_search_perm_file(capsys, tmp_path):
     path = tmp_path / "p.json"
-    Permutation.rotation(32, 5).save(path)
+    path.write_text(json.dumps(Permutation.rotation(32, 5).to_json()))
     rc, rep = run_json(capsys, "search", "--perm-file", str(path))
     assert rc == 0 and rep["ok"] is True
     assert rep["n"] == 32
@@ -315,11 +315,32 @@ def test_usage_errors_exit_two(capsys, tmp_path):
     # profile samples random permutations, so a file (present or not) is
     # refused rather than ignored
     path = tmp_path / "p.json"
-    Permutation.rotation(16, 3).save(path)
+    path.write_text(json.dumps(Permutation.rotation(16, 3).to_json()))
     for perm in (path, tmp_path / "absent.json"):
         assert main(["net", "profile", "--perm-file", str(perm)]) == 2
         cap = capsys.readouterr()
         assert cap.err.startswith("permdec: net profile") and not cap.out
+    # options the requested run would not read are refused, not ignored
+    for argv, flags in (
+            (["search", "--perm-file", str(path), "--target", "ut"],
+             "--target"),
+            (["search", "--perm-file", str(path), "--d", "4"], "--d"),
+            (["search", "--perm-file", str(path), "--n", "16"], "--n"),
+            (["net", "build", "--samples", "3"], "--samples"),
+            (["net", "eval", "--samples", "20"], "--samples"),
+            (["decompose", "ut", "--dp", "2"], "--dp"),
+            (["decompose", "sigma", "--dp", "2"], "--dp"),
+            (["decompose", "tau", "--d", "8", "--dp", "4"], "--dp"),
+            (["benes", "--no-collapse", "--depth", "4"], "--depth"),
+            (["benes", "--no-restrict", "--budget", "3"], "--budget")):
+        assert main(argv) == 2, argv
+        cap = capsys.readouterr()
+        assert cap.err.startswith("permdec: ") and not cap.out, argv
+        assert cap.err.rstrip().endswith(f"drop {flags}"), cap.err
+    # search draws nothing, so it has no --seed
+    assert main(["search", "--seed", "3"]) == 2
+    cap = capsys.readouterr()
+    assert "unrecognized arguments: --seed" in cap.err and not cap.out
     # 19 and 18 factors, deeper than the 17 levels of a fresh vector
     for argv, depth in ((["benes", "--n", "1024", "--no-collapse"], 19),
                         (["benes", "--n", "1024", "--depth", "18"], 18)):

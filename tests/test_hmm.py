@@ -8,7 +8,8 @@ import pytest
 
 from permdec.hmm import (HmmConfig, UnitLayout, _doubling_spread, _slab_mask,
                          hmm_evaluate, hmm_multiply, hmm_rotation_budget,
-                         pack_matrices, read_products, srep_replicate)
+                         pack_matrices, read_products, reference_products,
+                         srep_replicate)
 from permdec.ledger import CostLedger
 from permdec.slots import SlotVector
 from util import dense_slab_mask, mat_mul, rand_mat, zero_region_ok
@@ -182,6 +183,16 @@ def test_random_products_exact_and_on_budget(d, dp, m):
     assert len(lg.of_kind("mult")) == d // dp
     assert lg.cmult_count == 2 * (d // dp)
     assert len(lg.of_kind("rescale")) == 2 * (d // dp) + 1
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_reference_products_is_the_schoolbook_product(rng, m):
+    # the oracle the command line and the verify suite hold hmm_multiply to
+    for d in (1, 2, 4, 8):
+        amats = [rand_mat(d, rng) for _ in range(m)]
+        bmats = [rand_mat(d, rng) for _ in range(m)]
+        assert reference_products(amats, bmats) == \
+            [mat_mul(a, b) for a, b in zip(amats, bmats)]
 
 
 def test_dead_tail_slots_are_harmless(rng):

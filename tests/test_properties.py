@@ -23,9 +23,7 @@ from permdec.network import (MultiGroupNetwork, build_network,
                              collapse_levels, evaluate_network, reduce_masks)
 from permdec.search import max_ideal_depth
 from permdec.slots import Permutation, SlotVector
-from permdec.structured import (HmtSpec, _max_rounds, build_sigma, build_tau,
-                                build_ut, decompose_sigma, decompose_tau,
-                                decompose_ut)
+from permdec.structured import LADDERS, _max_rounds
 
 
 @st.composite
@@ -94,13 +92,6 @@ def test_benes_plan_counts_match_priced_replay(p, restricted, data):
     assert rep.key_set == benes_key_set(bc)
 
 
-LADDERS = {
-    "ut": lambda d, l: decompose_ut(HmtSpec(d, d * d, l)),
-    "sigma": decompose_sigma,
-    "tau": decompose_tau,
-}
-
-
 @settings(max_examples=20, deadline=None)
 @given(kind=st.sampled_from(sorted(LADDERS)), d=st.integers(3, 16),
        data=st.data())
@@ -108,10 +99,7 @@ def test_ladder_replay_exact_at_every_legal_depth(kind, d, data):
     vals = data.draw(st.lists(st.integers(-99, 99), min_size=d * d,
                               max_size=d * d))
     for l in range(1, _max_rounds(d) + 1):
-        run_replay_exact(LADDERS[kind](d, l), vals)
-
-
-SEARCHED = {"ut": build_ut, "sigma": build_sigma, "tau": build_tau}
+        run_replay_exact(LADDERS[kind][1](d, l), vals)
 
 
 @settings(max_examples=10, deadline=None)
@@ -121,7 +109,7 @@ SEARCHED = {"ut": build_ut, "sigma": build_sigma, "tau": build_tau}
        data=st.data())
 def test_searched_chain_replay_exact(target, data):
     kind, d = target
-    _, chain = max_ideal_depth(SEARCHED[kind](d))
+    _, chain = max_ideal_depth(LADDERS[kind][0](d))
     vals = data.draw(st.lists(st.integers(-99, 99), min_size=d * d,
                               max_size=d * d))
     run_replay_exact(chain, vals)

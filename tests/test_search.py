@@ -6,7 +6,8 @@ from itertools import permutations
 import pytest
 
 from permdec.chain import DecompositionChain
-from permdec.diag import DiagMatrix, matmul, perm_to_diag, to_permutation
+from permdec.diag import (DiagMatrix, matmul, matvec, perm_to_diag,
+                          to_permutation)
 from permdec.search import (
     SearchParams,
     diag_profile,
@@ -15,8 +16,9 @@ from permdec.search import (
     search_depth1,
     validate_ideal_chain,
 )
-from permdec.slots import Permutation
-from permdec.structured import _max_rounds, build_sigma, build_tau, build_ut
+from permdec.slots import Permutation, SlotVector
+from permdec.structured import (LADDERS, _max_rounds, build_sigma, build_tau,
+                                build_ut)
 
 from util import (assert_value_errors, assert_value_errors_without_asserts,
                   depth1_oracle, random_perm_with_diags, transpose_perm)
@@ -333,10 +335,27 @@ def deadline(seconds):
 def test_search_reaches_full_depth(target, d):
     # d = 64 runs the DFS thousands of steps deep, past Python's default
     # recursion limit of 1,000 frames
-    u = {"ut": build_ut, "sigma": build_sigma, "tau": build_tau}[target](d)
+    u = LADDERS[target][0](d)
     params = diag_profile(u)
     with deadline(2):
         depth, chain = max_ideal_depth(u, params)
     assert depth == params.max_depth_cap() == _max_rounds(d)
     rep = validate_ideal_chain(u, chain, params)
     assert rep.ok, rep.details
+
+
+@pytest.mark.parametrize("d", [4, 8, 16, 32, 64])
+def test_onesided_tau_search_reaches_full_depth(d):
+    # tau's diagonals {0, d, ..., d^2 - d} are one-sided; searched with a
+    # one-sided profile it finishes at every size (the two-sided default
+    # times out from d = 8 on, see test_search_reaches_full_depth)
+    u = build_tau(d)
+    params = diag_profile(u, onesided=True)
+    with deadline(2):
+        depth, chain = max_ideal_depth(u, params)
+    assert depth == params.max_depth_cap() == _max_rounds(d)
+    rep = validate_ideal_chain(u, chain, params)
+    assert rep.ok, rep.details
+    vals = random.Random(d).choices(range(-50, 51), k=u.n)
+    out = chain.evaluate(SlotVector.from_list(vals))
+    assert out.to_list() == matvec(u, vals)

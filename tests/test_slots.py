@@ -1,5 +1,6 @@
 """Slot-vector semantics, rotation convention, permutation application."""
 
+import json
 import random
 from dataclasses import replace
 
@@ -453,7 +454,7 @@ def test_permutation_json_roundtrip(tmp_path):
     rng = random.Random(4)
     p = Permutation.random(64, rng)
     path = tmp_path / "p.json"
-    p.save(path)
+    path.write_text(json.dumps(p.to_json()))
     assert Permutation.load(path) == p
 
 

@@ -10,7 +10,8 @@ from permdec.diag import matvec, perm_to_diag, plan_bsgs, to_permutation
 from permdec.ledger import CostLedger
 from permdec.search import SearchParams, search_depth1, validate_ideal_chain
 from permdec.slots import SlotVector
-from permdec.structured import (Block, HmtSpec, block_local_perm, build_gamma_xi,
+from permdec.structured import (LADDERS, Block, HmtSpec, block_local_perm,
+                                build_gamma_xi,
                                 build_sigma, build_tau, build_ut,
                                 decompose_gamma_xi_pad, decompose_sigma,
                                 decompose_tau, decompose_ut, partition_rounds,
@@ -110,6 +111,19 @@ def test_hmt_spec_validation():
         HmtSpec(4, 8, 1)  # does not fit
     # d is taken as given: a d = 7 matrix in 64 slots is not padded to 8
     assert decompose_ut(HmtSpec(7, 64, 2)).product() == build_ut(7, 64)
+
+
+def test_ladder_table_is_the_public_constructions():
+    assert sorted(LADDERS) == ["sigma", "tau", "ut"]
+    assert LADDERS["sigma"] == (build_sigma, decompose_sigma)
+    assert LADDERS["tau"] == (build_tau, decompose_tau)
+    build, decompose = LADDERS["ut"]
+    assert build is build_ut
+    for d, l, n in ((4, 1, None), (7, 2, 64), (16, 3, None)):
+        got = decompose(d, l, n)
+        want = decompose_ut(HmtSpec(d, n or d * d, l))
+        assert got.n == want.n and got.factors == want.factors
+        assert got.product() == build(d, n)
 
 
 def test_decompose_ut_d4_depth1(rng):
