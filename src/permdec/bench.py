@@ -5,7 +5,7 @@ permutations (per-sample seed = base seed + index), builds the routing
 network (mask-reduced unless asked otherwise, optionally level-collapsed),
 and aggregates the per-level rotation profile, the distinct rotation keys
 and the priced scalar-multiplication total. Samples run one after another
-in this process. Each is priced from a slot-free replay
+in this process. Each is priced from a replay on the zero vector
 (costmodel.chain_cost), which takes a small fraction of the network build.
 """
 

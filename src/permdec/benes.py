@@ -109,7 +109,7 @@ def _chain(n: int, stages: list[tuple[int, ...]],
 def benes_decompose(p: Permutation) -> BenesChain:
     """Full-depth stage factorization, 2 log n - 1 factors."""
     n = p.n
-    if n & (n - 1):
+    if n < 1 or n & (n - 1):
         raise ValueError("length must be a power of two")
     if n == 1:
         return _chain(1, [], [])
@@ -302,6 +302,5 @@ def restrict_keys(chain: BenesChain, budget: int | None = None) -> BenesChain:
     return replace(chain, key_paths=paths)
 
 
-def evaluate_benes(chain: BenesChain, v: SlotVector,
-                   tag: str = "benes") -> SlotVector:
-    return chain.evaluate(v, tag)
+def evaluate_benes(chain: BenesChain, v: SlotVector) -> SlotVector:
+    return chain.evaluate(v)

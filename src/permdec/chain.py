@@ -26,7 +26,7 @@ class DecompositionChain:
     plans: list[BsgsPlan | None] = field(default_factory=list)
     key_paths: dict[int, tuple[int, ...]] | None = None
 
-    TAG: ClassVar[str] = "chain"  # factor i's ops are tagged f"{tag}.f{i}"
+    TAG: ClassVar[str] = "chain"  # factor i's ops are tagged f"{TAG}.f{i}"
 
     def __post_init__(self):
         if not self.plans:
@@ -51,10 +51,9 @@ class DecompositionChain:
             out = matmul(out, f)
         return out
 
-    def evaluate(self, v: SlotVector, tag: str | None = None) -> SlotVector:
+    def evaluate(self, v: SlotVector) -> SlotVector:
         if v.n != self.n:
             raise ValueError(f"slot length mismatch: {v.n} != {self.n}")
-        tag = self.TAG if tag is None else tag
         rot = None
         if self.key_paths is not None:
             paths, n = self.key_paths, self.n
@@ -65,7 +64,7 @@ class DecompositionChain:
                 return vec
 
         for i in range(self.depth - 1, -1, -1):
-            f, plan, ftag = self.factors[i], self.plans[i], f"{tag}.f{i}"
+            f, plan, ftag = self.factors[i], self.plans[i], f"{self.TAG}.f{i}"
             if plan is None:
                 v = apply_hlt_direct(f, v, ftag)
             else:

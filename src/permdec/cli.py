@@ -81,8 +81,8 @@ def _cmd_search(cfg: argparse.Namespace):
 
 def _ladder_report(chain, u, cfg: argparse.Namespace):
     names = ["L"] + [f"R_{chain.depth - i}" for i in range(1, chain.depth)]
-    with CostLedger() as led:  # a slot-free run records the rotations
-        chain.evaluate(SlotVector.slot_free(chain.n))
+    with CostLedger() as led:  # a run on zeros records the rotations
+        chain.evaluate(SlotVector.zeros(chain.n))
     by_tag = led.rotations_by_tag()
     report = {
         "command": "decompose", "target": cfg.target, "n": u.n,
@@ -112,8 +112,8 @@ def _cmd_decompose(cfg: argparse.Namespace):
     gamma, xi = build_gamma_xi(cfg.d, cfg.dp, cfg.n)
     cg, cx, _ = decompose_gamma_xi_pad(cfg.d, cfg.l, cfg.dp, cfg.n)
     chain, u = (cg, gamma) if cfg.target == "gamma" else (cx, xi)
-    with CostLedger() as led:  # a slot-free run records the rotations
-        chain.evaluate(SlotVector.slot_free(chain.n))
+    with CostLedger() as led:  # a run on zeros records the rotations
+        chain.evaluate(SlotVector.zeros(chain.n))
     report = {
         "command": "decompose", "target": cfg.target, "n": chain.n,
         "d": cfg.d, "dp": cfg.dp or cfg.d, "depth_l": cfg.l,

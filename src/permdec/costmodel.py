@@ -14,24 +14,24 @@ Masks (plaintext multiplications) are priced at 2*N*(level+1) each, an
 elementwise product over both ciphertext components; rotation-only totals are
 kept in the separate breakdown entries so the extension is visible.
 
-Every route is priced from one trace and by one loop. `_replay` evaluates
-the structure once on a slot-free vector (SlotVector.slot_free) under its own
+Every route is priced from one trace and by one loop. `_replay` evaluates the
+structure once on SlotVector.zeros, the vector with no support, under its own
 CostLedger, which takes every op of that scope (an outer ledger sees none of
-the replay). The slot-free run records the ops of a run on real slots and
-does no slot arithmetic. `chain_cost` then puts each rotation at a position
-p, 1 for the input side, and charges it at width start - p + 2 (start =
-cp0.level). For a factor chain, a padded chain or anything else with `.n`
-and `.evaluate(v)`, p = start - operand level + 1, so the rotations of chain
-factor j (counting from the input) sit on position j; they take the plain
-ModDown, and every recorded rescale is charged for the drop from its operand
-level. A network's rotations sit on the schedule level their tags name
-(network.rotation_profile) and take the fused ModDown onto level start - p,
-so its rescales are not charged apart. Networks keep the tag schedule because
-the simulator rescales only at non-bottom rotation nodes: a value that
-reaches a rotation through standby columns or the collapsed top has dropped
-fewer levels than the schedule counts (12 of the 69 rotations of the raw
-benchmark network at n = 2^14, seed 1, instance 0, run one or more levels
-higher), and pricing those by operand level would change the network
+the replay). That run records the ops of a run on real slots and, as its
+vectors stay empty, does no slot arithmetic. `chain_cost` then puts each
+rotation at a position p, 1 for the input side, and charges it at width
+start - p + 2 (start = cp0.level). For a factor chain, a padded chain or
+anything else with `.n` and `.evaluate(v)`, p = start - operand level + 1, so
+the rotations of chain factor j (counting from the input) sit on position j;
+they take the plain ModDown, and every recorded rescale is charged for the
+drop from its operand level. A network's rotations sit on the schedule level
+their tags name (network.rotation_profile) and take the fused ModDown onto
+level start - p, so its rescales are not charged apart. Networks keep the tag
+schedule because the simulator rescales only at non-bottom rotation nodes: a
+value that reaches a rotation through standby columns or the collapsed top
+has dropped fewer levels than the schedule counts (12 of the 69 rotations of
+the raw benchmark network at n = 2^14, seed 1, instance 0, run one or more
+levels higher), and pricing those by operand level would change the network
 reports. Masks are charged at their recorded level in both cases. The CLI
 reports read their rotation counts and key sets from the ledger of a run,
 apart from the ladder reports' per-factor diagonal counts; the one
@@ -142,9 +142,9 @@ class CostReport:
 
 def _replay(source, level: int = DEFAULT_LEVEL
             ) -> tuple[CostLedger, SlotVector]:
-    """One run of a network or chain on a slot-free vector at `level`: the
+    """One run of a network or chain on the zero vector at `level`: the
     ledger of the ops a real run records, and the output vector."""
-    v = SlotVector.slot_free(source.n, level)
+    v = SlotVector.zeros(source.n, level)
     with CostLedger() as led:
         if isinstance(source, MultiGroupNetwork):
             out = evaluate_network(source, v)

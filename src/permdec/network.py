@@ -39,7 +39,9 @@ again at the end), so a run holds a few levels of vectors, not the whole
 network. Edge masks go to SlotVector.cmult as position sets, so a product
 holds only the values on its support, a few percent of n. Sums of products,
 and their rotations and rescales, stay in that sparse form until their
-support passes slots.MAX_SPARSE_SHARE of n; then they are stored dense.
+support passes slots.MAX_SPARSE_SHARE of n; then they are stored dense. The
+cost model's replay runs on SlotVector.zeros, so every vector of it holds no
+values at all.
 
 Rescales are merged into rotations: every non-bottom rotation node rescales
 its summed input before rotating, bottom rotation nodes do not, and the final

@@ -9,27 +9,26 @@ map can be compared for bit equality.
 A 0/1 mask may be given to cmult as a PositionMask, the positions of its
 ones, instead of an n-long list. The product then holds only its support: a
 map from position to value, zero everywhere else. rotate re-keys the map,
-rescale keeps it, cmult by a PositionMask selects from it, and add merges two
-maps or adds one into a copy of a dense operand; mult and a cmult by a dense
-mask read the dense value. A vector whose support passes MAX_SPARSE_SHARE of
-its n slots is stored dense, so repeated doublings cannot grow a map towards
-n entries, which would take more memory than the n-long tuple. Reads (.slots
-with its length, indexing and iteration, to_list, ==, hash) give the dense
-value, and the ledger records the same ops as for the dense 0/1 list.
+rescale keeps it, cmult selects from it (a PositionMask) or scales it (an
+n-long mask), and add merges two maps or adds one into a copy of a dense
+operand; mult reads the dense value. A vector whose support passes
+MAX_SPARSE_SHARE of its n slots is stored dense, so repeated doublings cannot
+grow a map towards n entries, which would take more memory than the n-long
+tuple. Reads (.slots with its length, indexing and iteration, to_list, ==,
+hash) give the dense value, and the ledger records the same ops as for the
+dense 0/1 list.
+
+SlotVector.zeros is the vector with no support. rotate, rescale, cmult and
+add keep it empty, so they do no slot arithmetic on it, and each records the
+same op as on any other vector: a run of an evaluator on it records exactly
+the ops of a run on real slots. The cost model prices every route from such
+a run.
 
 Rotation is a left cyclic shift: rotate(v, k)[i] = v[(i + k) mod n].
 
 rotate, cmult, mult and rescale each append one op (kind, operand level, tag,
 step) to the innermost active CostLedger, the one op stream every cost figure
 is read from. add is exact but not recorded.
-
-A slot-free vector (SlotVector.slot_free) carries n, level and depth_used but
-no slot values. Every op on it does the same level, depth and ledger
-bookkeeping as on a real vector and skips the arithmetic, so a run of an
-evaluator on one records exactly the ops of a real run. The cost model prices
-every route from such a run. Reading its values (to_list, iterating or
-indexing .slots) raises SlotFreeError, and so does an add or mult that mixes
-it with a real vector.
 """
 
 from __future__ import annotations
@@ -54,31 +53,6 @@ MAX_SPARSE_SHARE = 1 / 4
 
 class DepthExhaustedError(Exception):
     """Raised when a rescale is requested at level 0."""
-
-
-class SlotFreeError(TypeError):
-    """Slot values were read from, or mixed with, a slot-free vector."""
-
-
-class _NoSlots:
-    """The slots of a slot-free vector: it has a length, no values."""
-
-    __slots__ = ("n",)
-
-    def __init__(self, n: int):
-        self.n = n
-
-    def __len__(self) -> int:
-        return self.n
-
-    def __repr__(self) -> str:
-        return f"<{self.n} slot-free slots>"
-
-    def _refuse(self, *args):
-        raise SlotFreeError("a slot-free vector has no slot values")
-
-    __iter__ = __getitem__ = __contains__ = __eq__ = _refuse
-    __hash__ = None
 
 
 class _Sparse:
@@ -157,7 +131,7 @@ def rotate_tuple(slots: Sequence[int], k: int) -> tuple[int, ...]:
     return tuple(slots[k:]) + tuple(slots[:k])
 
 
-Slots = tuple[int, ...] | _Sparse | _NoSlots
+Slots = tuple[int, ...] | _Sparse
 
 
 @dataclass(frozen=True)
@@ -167,16 +141,12 @@ class SlotVector:
     depth_used: int = 0
 
     def __post_init__(self):
-        if type(self.slots) not in (tuple, _Sparse, _NoSlots):
+        if type(self.slots) not in (tuple, _Sparse):
             object.__setattr__(self, "slots", tuple(self.slots))
 
     @property
     def n(self) -> int:
         return len(self.slots)
-
-    @property
-    def has_slots(self) -> bool:
-        return type(self.slots) is not _NoSlots
 
     @classmethod
     def from_list(cls, vals: Iterable[int], level: int = DEFAULT_LEVEL) -> "SlotVector":
@@ -184,32 +154,19 @@ class SlotVector:
 
     @classmethod
     def zeros(cls, n: int, level: int = DEFAULT_LEVEL) -> "SlotVector":
-        return cls((0,) * n, level)
-
-    @classmethod
-    def slot_free(cls, n: int, level: int = DEFAULT_LEVEL) -> "SlotVector":
-        return cls(_NoSlots(n), level)
+        """All zeros: the vector with no support."""
+        return cls(_Sparse(n, {}), level)
 
     def zeros_like(self) -> "SlotVector":
-        """All zeros at this vector's level, slot-free if this one is."""
-        if self.has_slots:
-            return SlotVector.zeros(self.n, self.level)
-        return SlotVector.slot_free(self.n, self.level)
+        """All zeros at this vector's level."""
+        return SlotVector.zeros(self.n, self.level)
 
-    def _check_operand(self, other: "SlotVector") -> None:
-        _check_length(other.n, self.n)
-        if self.has_slots != other.has_slots:
-            raise SlotFreeError("cannot combine a slot-free vector with a "
-                                "real one")
-
-    def _dense(self) -> Sequence[int] | _NoSlots:
+    def _dense(self) -> Sequence[int]:
         s = self.slots
         return s.dense() if type(s) is _Sparse else s
 
-    def _map(self, op, values: Sequence[int]) -> tuple[int, ...] | _NoSlots:
-        """op slot by slot with values; a slot-free vector stays slot-free."""
-        if not self.has_slots:
-            return self.slots
+    def _map(self, op, values: Sequence[int]) -> tuple[int, ...]:
+        """op slot by slot with values."""
         return tuple(map(op, self._dense(), values))
 
     def _select(self, positions: Collection[int]) -> Slots:
@@ -222,8 +179,6 @@ class SlotVector:
             if lo < 0:
                 positions = [p % n for p in positions]
         src = self.slots
-        if type(src) is _NoSlots:
-            return src
         if type(src) is _Sparse:
             vals = src.vals
             return _Sparse(n, {p: vals[p] for p in vals.keys() & positions})
@@ -238,20 +193,22 @@ class SlotVector:
             return self
         record("rotate", self.level, tag, k)
         src = self.slots
-        if type(src) is tuple:
-            out = rotate_tuple(src, k)
-        elif type(src) is _Sparse:
+        if type(src) is _Sparse:
             out = _Sparse(n, {(p - k) % n: x for p, x in src.vals.items()})
         else:
-            out = src
+            out = rotate_tuple(src, k)
         return SlotVector(out, self.level, self.depth_used)
 
     def cmult(self, mask: Sequence[int] | PositionMask,
               tag: str = "") -> "SlotVector":
         """Multiply by a plaintext vector. No automatic rescale."""
         _check_length(len(mask), self.n)
+        src = self.slots
         if type(mask) is PositionMask:
             out = self._select(mask.positions)
+        elif type(src) is _Sparse:
+            out = _Sparse(self.n,
+                          {p: x * mask[p] for p, x in src.vals.items()})
         else:
             out = self._map(operator.mul, mask)
         record("cmult", self.level, tag)
@@ -259,14 +216,14 @@ class SlotVector:
 
     def mult(self, other: "SlotVector", tag: str = "") -> "SlotVector":
         """Ciphertext-ciphertext product. No automatic rescale."""
-        self._check_operand(other)
+        _check_length(other.n, self.n)
         level = min(self.level, other.level)
         record("mult", level, tag)
         return SlotVector(self._map(operator.mul, other._dense()), level,
                           max(self.depth_used, other.depth_used))
 
     def add(self, other: "SlotVector") -> "SlotVector":
-        self._check_operand(other)
+        _check_length(other.n, self.n)
         a, b = self.slots, other.slots
         if type(a) is _Sparse and type(b) is _Sparse:
             x, y = a.vals, b.vals

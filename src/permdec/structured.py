@@ -366,16 +366,16 @@ class PaddedChain:
     l_steps: list[int]
     mask: tuple[int, ...]
 
-    def evaluate(self, v: SlotVector, tag: str = "") -> SlotVector:
+    def evaluate(self, v: SlotVector) -> SlotVector:
         if v.n != self.n:
             raise ValueError(f"dimension mismatch: chain n={self.n}, vector "
                              f"n={v.n}")
         for s in self.r_steps:
-            v = v + v.rotate(s, tag)
+            v = v + v.rotate(s)
         acc = v
         for s in self.l_steps:
-            acc = acc + v.rotate(s, tag)
-        return acc.cmult(self.mask, tag).rescale(tag)
+            acc = acc + v.rotate(s)
+        return acc.cmult(self.mask).rescale()
 
 
 def decompose_gamma_xi_pad(d: int, l: int, dprime: int | None = None,

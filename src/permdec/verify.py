@@ -188,10 +188,11 @@ def check_batched_matmul(rng, budget: int) -> CheckResult:
     return res
 
 
-def _net_sizes(n_max: int) -> list[tuple[int, float]]:
-    weights = {64: 0.5, 256: 0.3, 1024: 0.2}
+def _sizes(weights: dict[int, float], n_max: int) -> list[tuple[int, float]]:
+    """The (size, weight) pairs of weights up to n_max. When none fits, the
+    largest power of two up to n_max, as Beneš needs a power of two."""
     sizes = [(n, w) for n, w in weights.items() if n <= n_max]
-    return sizes or [(min(64, n_max), 1.0)]
+    return sizes or [(1 << (n_max.bit_length() - 1), 1.0)]
 
 
 def _collapsed(net):
@@ -213,7 +214,7 @@ _NETWORK_CHECKS = {"network-raw": lambda net: net,
 def check_network(name: str, rng, budget: int, n_max: int) -> CheckResult:
     prepare = _NETWORK_CHECKS[name]
     res = CheckResult(name)
-    for n, w in _net_sizes(n_max):
+    for n, w in _sizes({64: 0.5, 256: 0.3, 1024: 0.2}, n_max):
         for _ in range(max(1, round(budget * w))):
             p = Permutation.random(n, rng)
             net = prepare(build_network(p))
@@ -226,9 +227,7 @@ def check_network(name: str, rng, budget: int, n_max: int) -> CheckResult:
 
 def check_benes(rng, budget: int, n_max: int) -> CheckResult:
     res = CheckResult("benes")
-    weights = {64: 0.5, 256: 0.38, 1024: 0.12}
-    sizes = [(n, w) for n, w in weights.items() if n <= n_max] or [(64, 1.0)]
-    for n, w in sizes:
+    for n, w in _sizes({64: 0.5, 256: 0.38, 1024: 0.12}, n_max):
         for it in range(max(1, round(budget * w))):
             p = Permutation.random(n, rng)
             bc = collapse_benes(benes_decompose(p))

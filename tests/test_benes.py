@@ -89,8 +89,10 @@ def test_product_matches_matrix():
 
 
 def test_rejects_non_power_of_two():
-    with pytest.raises(ValueError, match="power of two"):
-        benes_decompose(Permutation.identity(12))
+    # n = 0 passes the n & (n - 1) test, so it is refused on its own
+    for p in (Permutation.identity(12), Permutation([])):
+        with pytest.raises(ValueError, match="power of two"):
+            benes_decompose(p)
 
 
 def test_evaluate_oracle():

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from permdec import cli
+from permdec import cli, verify
 from permdec.cli import main
 from permdec.costmodel import chain_cost
 from permdec.network import build_network, evaluate_network, reduce_masks
@@ -261,6 +261,30 @@ def test_verify_tiny_sizes(capsys, n_max):
     assert rc == 0 and rep["ok"] is True
 
 
+@pytest.mark.parametrize("n_max", [1, 16, 48, 64, 256])
+def test_verify_sizes_capped_by_n_max(monkeypatch, n_max):
+    # the network and Beneš checks build nothing above n_max, and Beneš
+    # only powers of two
+    built = {"network": [], "benes": []}
+
+    def recording(sizes, fn):
+        def wrapped(p):
+            sizes.append(p.n)
+            return fn(p)
+        return wrapped
+
+    monkeypatch.setattr(verify, "build_network",
+                        recording(built["network"], verify.build_network))
+    monkeypatch.setattr(verify, "benes_decompose",
+                        recording(built["benes"], verify.benes_decompose))
+    rng = random.Random(n_max)
+    assert verify.check_network("network-raw", rng, 1, n_max).ok
+    assert verify.check_benes(rng, 1, n_max).ok
+    for sizes in built.values():
+        assert sizes and max(sizes) <= n_max
+    assert all(n & (n - 1) == 0 for n in built["benes"])
+
+
 def test_verify_failure_sets_exit_code(capsys, monkeypatch):
     bad = SuiteReport(64, 0, [CheckResult("benes", 1, 1, ["boom"])])
     monkeypatch.setattr("permdec.cli.run_suite",
@@ -306,6 +330,13 @@ def test_usage_errors_exit_two(capsys, tmp_path):
     assert main(["benes", "--budget", "0"]) == 2
     assert main(["benes", "--n", "1", "--budget", "0"]) == 2
     capsys.readouterr()
+    # an empty permutation has no Beneš routing
+    empty = tmp_path / "empty.json"
+    empty.write_text(json.dumps({"n": 0, "targets": []}))
+    assert main(["benes", "--perm-file", str(empty)]) == 2
+    cap = capsys.readouterr()
+    assert cap.err == "permdec: length must be a power of two\n"
+    assert not cap.out
     # the bench subcommand and the csv format are gone
     for argv in (["bench"], ["decompose", "ut", "--format", "csv"],
                  ["net", "profile", "--format", "csv"]):

@@ -17,14 +17,17 @@ import pytest
 
 from permdec.benes import benes_decompose, collapse_benes, restrict_keys
 from permdec.chain import DecompositionChain
-from permdec.costmodel import (CostParams, CostReport, chain_cost,
+from permdec.costmodel import (CostParams, CostReport, _replay, chain_cost,
                                submodule_cost)
 from permdec.diag import perm_to_diag
 from permdec.ledger import CostLedger
-from permdec.network import (build_network, collapse_levels, reduce_masks,
+from permdec.network import (MultiGroupNetwork, build_network,
+                             collapse_levels, evaluate_network, reduce_masks,
                              rotation_profile)
-from permdec.slots import DepthExhaustedError, Permutation, SlotVector
-from permdec.structured import decompose_gamma_xi_pad
+from permdec.search import diag_profile, max_ideal_depth
+from permdec.slots import (DepthExhaustedError, Permutation, SlotVector,
+                           _Sparse)
+from permdec.structured import LADDERS, build_ut, decompose_gamma_xi_pad
 from util import benes_key_set, benes_total_rotations
 
 N = 1 << 15
@@ -332,6 +335,39 @@ def test_padded_chain_priced_by_hand_count():
         "moddown": 2 * submodule_cost("moddown", cp),
         "mask": submodule_cost("mask", cp),
     }
+
+
+def _replayed_sources(rng):
+    """One source of every kind the cost model prices."""
+    p = Permutation.random(256, rng)
+    raw = build_network(p)
+    red = reduce_masks(raw)
+    u = build_ut(8)
+    bc = collapse_benes(benes_decompose(Permutation.random(64, rng)))
+    cg, cx, _ = decompose_gamma_xi_pad(8, 2, 4)
+    return {
+        "raw": raw, "reduced": red, "collapsed": collapse_levels(red, 2, 3),
+        "ladder": LADDERS["tau"][1](8, 2),
+        "searched": max_ideal_depth(u, diag_profile(u))[1],
+        "benes": bc, "benes-restricted": restrict_keys(bc),
+        "gamma": cg, "xi": cx,
+    }
+
+
+def test_replay_stays_on_an_empty_support(rng):
+    # the replay runs on the zero vector: every op of it keeps the support
+    # empty (a mask, dense or by positions, included), and it records the
+    # ops of a run on real slots
+    for name, source in _replayed_sources(rng).items():
+        led, out = _replay(source)
+        assert type(out.slots) is _Sparse and out.slots.vals == {}, name
+        vals = [rng.randint(-9, 9) for _ in range(source.n)]
+        with CostLedger() as real:
+            if isinstance(source, MultiGroupNetwork):
+                evaluate_network(source, SlotVector.from_list(vals))
+            else:
+                source.evaluate(SlotVector.from_list(vals))
+        assert led.ops == real.ops and led.ops, name
 
 
 def test_benchmark_tracer_still_wraps_the_pricer():

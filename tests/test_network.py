@@ -223,8 +223,8 @@ COLLAPSES = [(2, 3), (0, 2), (1, 0), (3, 3)]
 
 @pytest.mark.parametrize("n", [1 << k for k in range(4, 11)])
 def test_real_run_records_the_slot_free_replay(n):
-    # the real run and the cost model's slot-free replay must record the
-    # same op stream, op for op, on every kind of network
+    # the real run and the cost model's replay on the zero vector must
+    # record the same op stream, op for op, on every kind of network
     p, rng = build_random(n, 2600 + n)
     vals = rand_vec(n, rng)
     raw = build_network(p)

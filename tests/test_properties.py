@@ -6,8 +6,8 @@ model's report must match what a real-vector run executes. The rotation
 counts and keys predicted from a Benes chain's plans must match the priced
 replay. For every
 route the cost model prices (networks, Benes chains, ladders, searched
-chains), its slot-free replay must record the real-vector run's ops, Op for
-Op.
+chains), its replay on the zero vector must record the real-vector run's
+ops, Op for Op.
 """
 
 from collections import Counter
@@ -34,8 +34,8 @@ def permutations(draw, lo: int, hi: int):
 
 def run_replay_exact(source, vals):
     """A real-vector run of a network or chain under a CostLedger, checked to
-    record exactly the ops of the cost model's slot-free replay. Returns the
-    output vector and the ledger."""
+    record exactly the ops of the cost model's replay. Returns the output
+    vector and the ledger."""
     v = SlotVector.from_list(vals)
     with CostLedger() as led:
         if isinstance(source, MultiGroupNetwork):

@@ -6,14 +6,14 @@ from dataclasses import replace
 
 import pytest
 
-from permdec.ledger import CostLedger
+from permdec.ledger import CostLedger, Op
 from permdec.slots import (
     DEFAULT_LEVEL,
     DepthExhaustedError,
     Permutation,
     PositionMask,
-    SlotFreeError,
     SlotVector,
+    _Sparse,
     rotate_tuple,
 )
 
@@ -69,7 +69,7 @@ def test_position_mask_matches_dense_mask():
             level = rng.randrange(1, DEFAULT_LEVEL + 1)
             for v in (SlotVector(tuple(rng.randrange(-99, 100)
                                        for _ in range(n)), level, 2),
-                      SlotVector.slot_free(n, level)):
+                      SlotVector.zeros(n, level)):
                 with CostLedger() as sparse_lg:
                     sparse = v.cmult(mask, "t")
                 with CostLedger() as dense_lg:
@@ -78,9 +78,8 @@ def test_position_mask_matches_dense_mask():
                 assert (sparse.n, sparse.level, sparse.depth_used) == \
                     (want.n, want.level, want.depth_used) == \
                     (n, level, v.depth_used)
-                if v.has_slots:
-                    assert sparse.slots == want.slots
-                    assert sparse == want
+                assert sparse.slots == want.slots
+                assert sparse == want
 
 
 def test_sparse_add_matches_dense_add():
@@ -113,19 +112,13 @@ def test_sparse_add_matches_dense_add():
 
 
 def test_sparse_ops_refuse_bad_operands():
-    free, real = SlotVector.slot_free(4), SlotVector((1, 2, 3, 4))
+    zeros, real = SlotVector.zeros(4), SlotVector((1, 2, 3, 4))
     mask = PositionMask(4, [1, 2])
-    for make in (lambda: free.cmult(mask) + real,
-                 lambda: real.cmult(mask) + free,
-                 lambda: real + free.cmult(mask),
-                 lambda: free.cmult(mask) + real.cmult(mask)):
-        with pytest.raises(SlotFreeError):
-            make()
     with pytest.raises(ValueError, match="slot length mismatch: 8 != 4"):
         real.cmult(mask) + SlotVector.zeros(8).cmult(PositionMask(8, [0]))
     # a position past the end raises IndexError, as building the dense
     # mask does, and records nothing
-    for v in (real, free):
+    for v in (real, zeros):
         with pytest.raises(IndexError):
             dense(PositionMask(4, [1, 4]))
         with CostLedger() as lg, pytest.raises(IndexError):
@@ -233,21 +226,22 @@ def test_random_sparse_runs_match_dense_mask_runs(n):
                        depth_used=rng.randrange(3))
         got, got_ops = _run_program(prog, v, True)
         want, want_ops = _run_program(prog, v, False)
-        free, free_ops = _run_program(
-            prog, replace(SlotVector.slot_free(n), depth_used=v.depth_used),
+        zeros, zeros_ops = _run_program(
+            prog, replace(SlotVector.zeros(n), depth_used=v.depth_used),
             True)
-        assert got_ops == want_ops == free_ops
-        for g, w, f in zip(got, want, free):
+        assert got_ops == want_ops == zeros_ops
+        for g, w, z in zip(got, want, zeros):
             assert (g.n, g.level, g.depth_used) == \
-                (w.n, w.level, w.depth_used) == (f.n, f.level, f.depth_used)
+                (w.n, w.level, w.depth_used) == (z.n, z.level, z.depth_used)
+            assert z.to_list() == [0] * n
             assert g.slots == w.slots and tuple(g.slots) == w.slots
             assert g.to_list() == w.to_list()
             assert g == w and hash(g) == hash(w)
             held_sparse += not isinstance(g.slots, tuple)
-        # an out-of-range position raises on a dense, a sparse and a
-        # slot-free vector, and records nothing
+        # an out-of-range position raises on a dense, a sparse and an
+        # all-zero vector, and records nothing
         forms = {isinstance(x.slots, tuple): x for x in got}
-        for u in [*forms.values(), free[-1]]:
+        for u in [*forms.values(), zeros[-1]]:
             for bad in ([n], [-n - 1], {0, n + 5}, [0, 0, n]):
                 with CostLedger() as lg, pytest.raises(IndexError):
                     u.cmult(PositionMask(n, bad))
@@ -311,7 +305,7 @@ def test_ledger_nesting_inner_wins():
     assert outer.rotation_count == 2
 
 
-def test_slot_free_ops_keep_bookkeeping_and_record_like_real_ones():
+def test_zeros_ops_keep_bookkeeping_and_record_like_real_ones():
     def run(v):
         with CostLedger() as lg:
             w = v.rotate(1, "a").cmult([1, 0, 1, 0], "b").rescale("c")
@@ -319,27 +313,35 @@ def test_slot_free_ops_keep_bookkeeping_and_record_like_real_ones():
         return w, lg.ops
 
     real, real_ops = run(SlotVector((1, 2, 3, 4), level=5))
-    free, free_ops = run(SlotVector.slot_free(4, level=5))
-    assert free_ops == real_ops
-    assert (free.n, free.level, free.depth_used) == \
+    zeros, zeros_ops = run(SlotVector.zeros(4, level=5))
+    assert zeros_ops == real_ops
+    assert (zeros.n, zeros.level, zeros.depth_used) == \
         (real.n, real.level, real.depth_used) == (4, 4, 1)
-    assert real.has_slots and not free.has_slots
-    assert not SlotVector.slot_free(4).zeros_like().has_slots
-    assert SlotVector.zeros(4).zeros_like().to_list() == [0] * 4
+    assert zeros.to_list() == [0] * 4 and real.to_list() != [0] * 4
+    # the zero vector holds no support, at any level
+    for z in (SlotVector.zeros(4), SlotVector.zeros(4, 3).zeros_like()):
+        assert z.to_list() == [0] * 4 and not z.slots.vals
+    assert SlotVector.zeros(4, 3).zeros_like().level == 3
 
 
-def test_slot_free_values_cannot_be_read_or_mixed():
-    free = SlotVector.slot_free(4)
-    real = SlotVector.zeros(4)
-    reads = [free.to_list, lambda: free.slots[0], lambda: tuple(free.slots),
-             lambda: Permutation.identity(4).apply(free.slots)]
-    mixes = [lambda: free.add(real), lambda: real + free,
-             lambda: free.mult(real), lambda: real.mult(free)]
-    for make in reads + mixes:
-        with pytest.raises(SlotFreeError):
-            make()
-    with pytest.raises(ValueError, match="slot length mismatch: 2 != 4"):
-        free.cmult([1, 1])
+def test_dense_mask_on_sparse_vector_stays_sparse():
+    # a cmult by an n-long list scales only the support of a sparse vector
+    rng = random.Random(13)
+    n = 64
+    for _ in range(20):
+        v = SlotVector(tuple(rng.randrange(-99, 100) for _ in range(n)), 9)
+        picks = {rng.randrange(n) for _ in range(rng.randrange(n // 4))}
+        sparse = v.cmult(PositionMask(n, picks))
+        mask = [rng.randrange(-3, 4) for _ in range(n)]
+        with CostLedger() as sparse_lg:
+            got = sparse.cmult(mask, "m")
+        with CostLedger() as dense_lg:
+            want = SlotVector(tuple(sparse.slots), 9).cmult(mask, "m")
+        assert isinstance(got.slots, _Sparse)
+        assert got.slots.vals.keys() <= sparse.slots.vals.keys()
+        assert isinstance(want.slots, tuple)
+        assert got == want and got.to_list() == want.to_list()
+        assert sparse_lg.ops == dense_lg.ops == [Op("cmult", 9, "m")]
 
 
 # each bad call must raise ValueError matching the text, also under python -O
@@ -347,7 +349,7 @@ BAD_SLOT_OPS = {
     "slot length mismatch: 2 != 4":
         lambda: SlotVector.zeros(4).cmult([1, 1]),
     "slot length mismatch: 3 != 2":
-        lambda: SlotVector.slot_free(2).cmult(PositionMask(3, [0])),
+        lambda: SlotVector.zeros(2).cmult([1, 1, 1]),
     "slot length mismatch: 5 != 2":
         lambda: SlotVector.zeros(2).cmult(PositionMask(5, [0])),
     "slot length mismatch: 3 != 4":

@@ -59,7 +59,7 @@ def entry_routes(net) -> list[list[tuple]]:
 
 
 def zero_ledger(net):
-    """CostLedger of the cost model's slot-free replay of net."""
+    """CostLedger of the cost model's replay of net on the zero vector."""
     return _replay(net)[0]
 
 
