@@ -4,10 +4,11 @@ Every factor chain in the package is a DecompositionChain: the searched and
 structured ladders, and the Beneš baseline (benes.BenesChain, a subclass that
 adds its routing data). Factors are stored in product order (leftmost first),
 so evaluation applies them right to left. Each factor costs one HLT (one
-rescale); a factor may carry a BSGS plan, otherwise it is evaluated diagonal
-by diagonal. With `key_paths` set, every window rotation of a planned factor
-runs as the chain of key rotations listed for its step. `evaluate` is the one
-chain evaluator; the cost model prices a chain from the ledger of its run.
+rescale) under its BSGS plan; a factor given no plan gets diag.baby_plan,
+one rotation per non-zero off diagonal. With `key_paths` set, every window
+rotation runs as the chain of key rotations listed for its step. `evaluate`
+is the one chain evaluator; the cost model prices a chain from the ledger of
+its run.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import ClassVar
 
-from .diag import BsgsPlan, DiagMatrix, apply_hlt_bsgs, apply_hlt_direct, matmul
+from .diag import BsgsPlan, DiagMatrix, apply_hlt_bsgs, baby_plan, matmul
 from .slots import SlotVector
 
 
@@ -23,14 +24,14 @@ from .slots import SlotVector
 class DecompositionChain:
     n: int
     factors: list[DiagMatrix]
-    plans: list[BsgsPlan | None] = field(default_factory=list)
+    plans: list[BsgsPlan] = field(default_factory=list)
     key_paths: dict[int, tuple[int, ...]] | None = None
 
     TAG: ClassVar[str] = "chain"  # factor i's ops are tagged f"{TAG}.f{i}"
 
     def __post_init__(self):
         if not self.plans:
-            self.plans = [None] * len(self.factors)
+            self.plans = [baby_plan(f.diags, self.n) for f in self.factors]
         if len(self.plans) != len(self.factors):
             raise ValueError(f"{len(self.plans)} plans for "
                              f"{len(self.factors)} factors")
@@ -38,8 +39,6 @@ class DecompositionChain:
             if f.n != self.n:
                 raise ValueError(f"factor {i} has n={f.n}, chain has "
                                  f"n={self.n}")
-        if self.key_paths is not None and None in self.plans:
-            raise ValueError("key paths need a BSGS plan for every factor")
 
     @property
     def depth(self) -> int:
@@ -64,11 +63,8 @@ class DecompositionChain:
                 return vec
 
         for i in range(self.depth - 1, -1, -1):
-            f, plan, ftag = self.factors[i], self.plans[i], f"{self.TAG}.f{i}"
-            if plan is None:
-                v = apply_hlt_direct(f, v, ftag)
-            else:
-                v = apply_hlt_bsgs(f, plan, v, ftag, rot=rot)
+            v = apply_hlt_bsgs(self.factors[i], self.plans[i], v,
+                               f"{self.TAG}.f{i}", rot=rot)
         return v
 
     def diag_counts(self) -> list[int]:

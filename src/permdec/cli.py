@@ -54,6 +54,11 @@ def _signed(n: int, steps) -> list[int]:
     return sorted(signed_rep(s % n, n) for s in steps)
 
 
+def _factor_names(depth: int) -> list[str]:
+    """L, R_l, ..., R_1: the names of a ladder chain's factors in order."""
+    return ["L"] + [f"R_{depth - i}" for i in range(1, depth)]
+
+
 def _cmd_search(cfg: argparse.Namespace):
     if cfg.perm_file:
         _refuse(cfg, "search reads its permutation from --perm-file",
@@ -66,7 +71,7 @@ def _cmd_search(cfg: argparse.Namespace):
     params = diag_profile(u)
     depth, chain = max_ideal_depth(u, params)
     rep = validate_ideal_chain(u, chain, params)
-    names = ["L"] + [f"R_{chain.depth - i}" for i in range(1, chain.depth)]
+    names = _factor_names(chain.depth)
     report = {
         "command": "search", "target": target, "n": u.n,
         "stride": params.a, "radius": params.r,
@@ -80,7 +85,7 @@ def _cmd_search(cfg: argparse.Namespace):
 
 
 def _ladder_report(chain, u, cfg: argparse.Namespace):
-    names = ["L"] + [f"R_{chain.depth - i}" for i in range(1, chain.depth)]
+    names = _factor_names(chain.depth)
     with CostLedger() as led:  # a run on zeros records the rotations
         chain.evaluate(SlotVector.zeros(chain.n))
     by_tag = led.rotations_by_tag()

@@ -33,8 +33,9 @@ has dropped fewer levels than the schedule counts (12 of the 69 rotations of
 the raw benchmark network at n = 2^14, seed 1, instance 0, run one or more
 levels higher), and pricing those by operand level would change the network
 reports. Masks are charged at their recorded level in both cases. The CLI
-reports read their rotation counts and key sets from the ledger of a run,
-apart from the ladder reports' per-factor diagonal counts; the one
+reports read their rotation counts and key sets from the ledger of a run;
+what they print of the diagonals is read off the factors (the ladder
+reports' diagonal lists, the Beneš report's diag_counts). The one
 independent count is hmm_rotation_budget's closed form, which `permdec hmm`
 requires to equal the ledger of its run exactly.
 """

@@ -6,12 +6,14 @@ diagonal k, row l is A[l, (l + k) mod n]. Evaluating U x homomorphically is
 
     (U x)[l] = sum_k  u_k[l] * x[(l + k) mod n]
 
-so each non-zero diagonal costs one rotation (k != 0) and one mask multiply,
-with a single rescale after the sum. The BSGS evaluator regroups the sum as
+with one mask multiply per non-zero diagonal and a single rescale after the
+sum. The one evaluator, apply_hlt_bsgs, groups the sum under a BSGS plan as
 
     U x = sum_g Rot( sum_j Rot(u_{n1 g + j}, -a n1 g) . Rot(x, a j), a n1 g )
 
-cutting rotations from the diagonal count to babies + giants.
+so it rotates once per baby step j and once per giant step g. Under
+baby_plan every diagonal is its own baby step and there is no giant step:
+the diagonal method, one rotation per non-zero off diagonal.
 """
 
 from __future__ import annotations
@@ -80,9 +82,6 @@ class DiagMatrix:
             out[l] = val
         return out
 
-    def nnz(self) -> int:
-        return sum(len(rows) for rows in self.diags.values())
-
     def __eq__(self, other) -> bool:
         return (isinstance(other, DiagMatrix) and self.n == other.n
                 and self.diags == other.diags)
@@ -90,22 +89,9 @@ class DiagMatrix:
     def __repr__(self) -> str:
         return f"DiagMatrix(n={self.n}, diags={self.diag_set()})"
 
-    def is_permutation(self) -> bool:
-        rows_seen = set()
-        cols_seen = set()
-        for k, l, val in self.entries():
-            if val != 1 or l in rows_seen:
-                return False
-            c = (l + k) % self.n
-            if c in cols_seen:
-                return False
-            rows_seen.add(l)
-            cols_seen.add(c)
-        return len(rows_seen) == self.n
-
 
 def perm_to_diag(p: Permutation) -> DiagMatrix:
-    """U with apply_hlt_direct(U, v) = p(v): entry for source s sits at
+    """U with matvec(U, v) = p(v): entry for source s sits at
     row targets[s], diagonal (s - targets[s]) mod n."""
     n = p.n
     m = DiagMatrix(n)
@@ -164,20 +150,6 @@ def matvec(m: DiagMatrix, vals: Sequence[int]) -> list[int]:
     return out
 
 
-def apply_hlt_direct(m: DiagMatrix, v: SlotVector, tag: str = "") -> SlotVector:
-    """One rotation per non-zero off diagonal, one rescale at the end."""
-    if m.n != v.n:
-        raise ValueError(f"dimension mismatch: matrix n={m.n}, vector "
-                         f"n={v.n}")
-    acc = None
-    for k in sorted(m.diags):
-        term = v.rotate(k, tag).cmult(m.mask(k), tag)
-        acc = term if acc is None else acc + term
-    if acc is None:
-        acc = v.zeros_like()
-    return acc.rescale(tag)
-
-
 # -- BSGS ---------------------------------------------------------------------
 
 
@@ -211,6 +183,16 @@ class BsgsPlan:
         steps += [(self.stride * self.n1 * g) % self.n
                   for g in self.giant_window]
         return [s for s in steps if s]
+
+
+def baby_plan(offsets: Iterable[int], n: int, stride: int = 1,
+              style: str = "sparse") -> BsgsPlan:
+    """The plan with every offset its own baby step and no giant step (the
+    diagonal method); n1 = dmax + 1 puts every offset in giant group 0."""
+    ts = sorted(set(offsets))
+    dmax = max((abs(t) for t in ts), default=0)
+    return BsgsPlan(n, stride, dmax + 1, style, {t: (0, t) for t in ts},
+                    tuple(t for t in ts if t), ())
 
 
 def _giants(ts: Sequence[int], n1: int, style: str, dmax: int) -> list[int]:
@@ -309,10 +291,10 @@ def plan_bsgs(offsets: Iterable[int], n: int, stride: int = 1,
 
     Picks n1 minimizing executed rotations; ties prefer babies per giant
     (giants per side when symmetric) nearest BSGS_RATIO, then smaller n1.
-    The pure-baby plan (every offset its own rotation, n1 = dmax + 1)
-    competes too and loses full ties. The window sizes of all candidates
-    come from one _window_counts sweep over the offsets held as bitsets;
-    the assignment and windows are built for the winner alone.
+    The pure-baby plan (baby_plan) competes too and loses full ties. The
+    window sizes of all candidates come from one _window_counts sweep over
+    the offsets held as bitsets; the assignment and windows are built for
+    the winner alone.
     Raises ValueError for an empty offset set.
     """
     ts = sorted(set(offsets))
@@ -320,7 +302,7 @@ def plan_bsgs(offsets: Iterable[int], n: int, stride: int = 1,
         raise ValueError("empty offset set")
     dmax = max(-ts[0], ts[-1])
     if dmax == 0:
-        return BsgsPlan(n, stride, 1, "trivial", {0: (0, 0)}, (), ())
+        return baby_plan(ts, n, stride, "trivial")
 
     if style is None:
         pos = sorted(t for t in ts if t > 0)
@@ -335,10 +317,9 @@ def plan_bsgs(offsets: Iterable[int], n: int, stride: int = 1,
             style = "sparse"
     halve = style == "symmetric"  # ties weigh the giants of one side
 
-    babies = tuple(t for t in ts if t)
     # (rotations, tie penalty, n1, pure baby): on a full tie min takes the
     # split over the pure-baby plan
-    keys = [(len(babies), math.inf, dmax + 1, True)]
+    keys = [(len(ts) - (0 in ts), math.inf, dmax + 1, True)]
     cands = [n1] if n1 is not None else range(1, dmax + 1)
     if halve:
         cands = [cand for cand in cands if cand <= dmax]
@@ -347,8 +328,7 @@ def plan_bsgs(offsets: Iterable[int], n: int, stride: int = 1,
                      cand, False))
     _, _, best, pure_baby = min(keys)
     if pure_baby:
-        return BsgsPlan(n, stride, best, style, {t: (0, t) for t in ts},
-                        babies, ())
+        return baby_plan(ts, n, stride, style)
     gs = _giants(ts, best, style, dmax)
     assign = {t: (g, t - best * g) for t, g in zip(ts, gs)}
     js = tuple(sorted({j for _, j in assign.values()} - {0}))
@@ -358,7 +338,8 @@ def plan_bsgs(offsets: Iterable[int], n: int, stride: int = 1,
 
 def apply_hlt_bsgs(m: DiagMatrix, plan: BsgsPlan, v: SlotVector,
                    tag: str = "", rot=None) -> SlotVector:
-    """Same output as apply_hlt_direct, rotations per the plan's windows.
+    """U v with one rotation per executed step of the plan's windows (one
+    per non-zero off diagonal under baby_plan) and one rescale.
 
     `rot(vec, step, tag)` overrides how a single window rotation is carried
     out (a caller with a restricted key set chains several smaller rotations);
@@ -392,7 +373,9 @@ def apply_hlt_bsgs(m: DiagMatrix, plan: BsgsPlan, v: SlotVector,
         gstep = (plan.stride * plan.n1 * g) % n
         inner = None
         for j, k in sorted(groups[g]):
-            mask = rotate_tuple(m.mask(k), -gstep)
+            mask = m.mask(k)
+            if gstep:
+                mask = rotate_tuple(mask, -gstep)
             term = baby(j).cmult(mask, tag)
             inner = term if inner is None else inner + term
         out_g = rot(inner, gstep, tag) if gstep else inner

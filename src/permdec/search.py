@@ -108,9 +108,7 @@ class _Searcher:
 
     def __init__(self, u: DiagMatrix, params: SearchParams,
                  rc: int | None = None, r_bound: int | None = None):
-        if u.nnz() != u.n or not u.is_permutation():
-            raise ValueError("search requires a permutation matrix")
-        self.u = u
+        self.perm = to_permutation(u)  # refuses a non-permutation matrix
         self.n = u.n
         self.p = params
         self.rc = rc = params.rc(1) if rc is None else rc
@@ -275,13 +273,11 @@ class _Searcher:
         return frozenset(items)
 
 
-def _build_factors(u: DiagMatrix, placements: frozenset
+def _build_factors(p_u: Permutation, placements: frozenset
                    ) -> tuple[DiagMatrix, DiagMatrix]:
-    n = u.n
-    ur = DiagMatrix(n)
+    ur = DiagMatrix(p_u.n)
     for row, kr in placements:
         ur.set_entry(kr, row, 1)
-    p_u = to_permutation(u)
     p_r = to_permutation(ur)
     ul = perm_to_diag(p_u.compose(p_r.inverse()))
     return ul, ur
@@ -292,16 +288,18 @@ def search_depth1(u: DiagMatrix, params: SearchParams, rc: int | None = None,
                   ) -> tuple[DiagMatrix, DiagMatrix] | None:
     """First (U_L, U_R) with U = U_L U_R, U_R supported on {0, +-rc} and
     U_L within [-(r - rc), r - rc]; None when no such factorization exists."""
-    snap = next(_Searcher(u, params, rc, r_bound).solutions(), None)
-    return None if snap is None else _build_factors(u, snap)
+    searcher = _Searcher(u, params, rc, r_bound)
+    snap = next(searcher.solutions(), None)
+    return None if snap is None else _build_factors(searcher.perm, snap)
 
 
 def enumerate_depth1(u: DiagMatrix, params: SearchParams, rc: int | None = None,
                      r_bound: int | None = None
                      ) -> list[tuple[DiagMatrix, DiagMatrix]]:
     """All distinct factor pairs reachable by the conflict-resolution DFS."""
-    snaps = dict.fromkeys(_Searcher(u, params, rc, r_bound).solutions())
-    return [_build_factors(u, snap) for snap in snaps]
+    searcher = _Searcher(u, params, rc, r_bound)
+    snaps = dict.fromkeys(searcher.solutions())
+    return [_build_factors(searcher.perm, snap) for snap in snaps]
 
 
 def max_ideal_depth(u: DiagMatrix, params: SearchParams | None = None

@@ -39,36 +39,19 @@ class Block:
     size: int
 
 
-@dataclass(frozen=True)
-class BlockPartition:
-    """One round of the recursive split, plus every overlap cell so far.
-
-    Overlap cells are covered by two blocks each (the large corners of an odd
-    split share one cell); they persist through later rounds, so `overlaps`
-    is cumulative and the blocks tile the grid except for those cells.
-    """
-
-    round_index: int
-    blocks: tuple[Block, ...]
-    overlaps: tuple[Cell, ...]
-
-    def sizes(self) -> set[int]:
-        return {b.size for b in self.blocks}
-
-
-def partition_rounds(d: int, rounds: int) -> list[BlockPartition]:
-    """Round-by-round split history of the d x d grid.
+def partition_rounds(d: int, rounds: int) -> list[tuple[Block, ...]]:
+    """The blocks of each round of the recursive split of the d x d grid.
 
     Even blocks split into quadrants. An odd block of size 2h+1 splits into
     corner blocks of sizes h+1, h, h, h+1 with the two large corners sharing
-    the cell at relative (h, h). Size-1 blocks persist unchanged, so any
-    round count is legal; sizes stay within two consecutive values.
+    the cell at relative (h, h); such a cell stays covered twice in every
+    later round, and every other cell once. Size-1 blocks persist unchanged,
+    so any round count is legal; sizes stay within two consecutive values.
     """
     assert rounds >= 1 and d >= 1
     out = []
     blocks = [Block(0, 0, d)]
-    overlaps: list[Cell] = []
-    for r in range(1, rounds + 1):
+    for _ in range(rounds):
         nxt = []
         for b in blocks:
             s = b.size
@@ -84,9 +67,8 @@ def partition_rounds(d: int, rounds: int) -> list[BlockPartition]:
                         Block(b.r0, b.c0 + h + 1, h),
                         Block(b.r0 + h + 1, b.c0, h),
                         Block(b.r0 + h, b.c0 + h, h + 1)]
-                overlaps.append((b.r0 + h, b.c0 + h))
         blocks = nxt
-        out.append(BlockPartition(r, tuple(blocks), tuple(overlaps)))
+        out.append(tuple(blocks))
     return out
 
 
@@ -206,8 +188,8 @@ def decompose_ut(spec: HmtSpec) -> DecompositionChain:
     """
     d = spec.d
     levels = [block_local_perm(d, spec.n, [Block(0, 0, d)], "transpose")]
-    for part in partition_rounds(d, spec.l):
-        levels.append(block_local_perm(d, spec.n, part.blocks, "transpose"))
+    for blocks in partition_rounds(d, spec.l):
+        levels.append(block_local_perm(d, spec.n, blocks, "transpose"))
     return _ladder(spec.n, levels)
 
 
@@ -228,8 +210,8 @@ def decompose_sigma(d: int, l: int, n: int | None = None) -> DecompositionChain:
     if not 1 <= l <= _max_rounds(d):
         raise ValueError(f"depth {l} out of range for d={d}")
     levels = [block_local_perm(d, n, [Block(0, 0, d)], "diag-to-col")]
-    for part in partition_rounds(d, l):
-        levels.append(block_local_perm(d, n, part.blocks, "diag-to-col"))
+    for blocks in partition_rounds(d, l):
+        levels.append(block_local_perm(d, n, blocks, "diag-to-col"))
     return _ladder(n, levels)
 
 
@@ -327,9 +309,9 @@ def build_gamma_xi(d: int, dprime: int | None = None,
     column-vector units for the first map (gamma), row units for the second
     (xi). Each map sends the top unit-row (I=0, J) into the first unit
     column (J, 0). Only those sources carry entries, so the matrices are
-    partial (one entry per used source, none elsewhere): is_permutation()
-    is False, but HLT application is exact on supported inputs and the
-    diagonals stay one-sided: {-(d*dp-1)*J} for gamma, {-d*(dp-1)*J} for xi.
+    partial (one entry per used source, none elsewhere) and to_permutation
+    refuses them, but matvec is exact on supported inputs and the diagonals
+    stay one-sided: {-(d*dp-1)*J} for gamma, {-d*(dp-1)*J} for xi.
     """
     dp = _unit_grid(d, dprime)
     blk = d * dp * dp
@@ -357,8 +339,8 @@ class PaddedChain:
 
     Each right step sends x to x + rotate(x, step); the left stage sums
     rotate(x, s) over {0} + l_steps and applies the region mask once. On an
-    input supported on the packed-operand slots the masked output equals the
-    partial unit-transpose matrix applied directly.
+    input supported on the packed-operand slots the masked output equals
+    matvec of the partial unit-transpose matrix (build_gamma_xi).
     """
 
     n: int

@@ -1,7 +1,8 @@
 import random
 
 from permdec.chain import DecompositionChain
-from permdec.diag import DiagMatrix, perm_to_diag, plan_bsgs, to_permutation
+from permdec.diag import (DiagMatrix, baby_plan, perm_to_diag, plan_bsgs,
+                          to_permutation)
 from permdec.ledger import CostLedger
 from permdec.slots import Permutation, SlotVector
 
@@ -62,13 +63,11 @@ def test_depth_counts_factors(rng):
 # each builds a bad chain or call and must raise ValueError matching the text
 BAD_CHAINS = {
     "plans for": lambda: DecompositionChain(8, [DiagMatrix.identity(8)],
-                                            [None, None]),
+                                            [baby_plan([0], 8)] * 2),
     "factor 1 has n=4": lambda: DecompositionChain(
         8, [DiagMatrix.identity(8), DiagMatrix.identity(4)]),
     "slot length mismatch": lambda: DecompositionChain(
         8, [DiagMatrix.identity(8)]).evaluate(SlotVector.zeros(4)),
-    "key paths need": lambda: DecompositionChain(
-        8, [DiagMatrix.identity(8)], key_paths={}),
 }
 
 

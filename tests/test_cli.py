@@ -294,6 +294,41 @@ def test_verify_failure_sets_exit_code(capsys, monkeypatch):
     assert rep["ok"] is False
 
 
+# ----------------------------------------------- pinned reports by route
+
+# first 16 hex digits of the sha256 of `permdec ARGS` stdout, all with exit
+# status 0: the ladder, padded, search, hmm and verify reports.
+ROUTE_REPORTS = {
+    ("decompose", "ut", "--d", "16", "--l", "3", "--verify"):
+        "a85bd6118f922dac",
+    ("decompose", "ut", "--d", "5", "--l", "1", "--n", "32", "--verify"):
+        "85586f91501b7f7c",
+    ("decompose", "sigma", "--d", "16", "--l", "2", "--verify"):
+        "ffd115a69ab0ec55",
+    ("decompose", "sigma", "--d", "7", "--l", "2", "--verify"):
+        "4676420307e2296f",
+    ("decompose", "tau", "--d", "16", "--l", "3", "--verify"):
+        "ecd1604cb19ab613",
+    ("decompose", "gamma", "--d", "8", "--dp", "4", "--l", "1", "--verify"):
+        "a26966aa542ff385",
+    ("decompose", "xi", "--d", "8", "--dp", "8", "--l", "2", "--verify"):
+        "93acb7cafc155847",
+    ("search", "--d", "16"): "68e4fbf0f6d85ecb",
+    ("search", "--target", "sigma", "--d", "8"): "b8e851d883dd5cc3",
+    ("search", "--target", "tau", "--d", "4"): "01b58465b827ba9f",
+    ("hmm", "--d", "16", "--dp", "4", "--replication", "4,4"):
+        "7831e86376b4cb7f",
+    ("verify", "--n-max", "256"): "c6a3dcebc98432d0",
+}
+
+
+def test_route_reports_pinned(capsys):
+    for args, digest in ROUTE_REPORTS.items():
+        rc, out = run(capsys, *args)
+        got = hashlib.sha256(out.encode()).hexdigest()[:16]
+        assert (rc, got) == (0, digest), args
+
+
 # -------------------------------------------------------------- plumbing
 
 def test_identical_seeds_identical_bytes(capsys):

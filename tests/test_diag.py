@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from permdec.diag import (
     BsgsPlan,
@@ -10,7 +12,7 @@ from permdec.diag import (
     PlanCoverageError,
     _window_counts,
     apply_hlt_bsgs,
-    apply_hlt_direct,
+    baby_plan,
     convert_r,
     matmul,
     matvec,
@@ -59,9 +61,12 @@ def test_perm_roundtrip():
     rng = random.Random(5)
     for _ in range(20):
         p = Permutation.random(32, rng)
-        m = perm_to_diag(p)
-        assert m.is_permutation()
-        assert to_permutation(m) == p
+        assert to_permutation(perm_to_diag(p)) == p
+
+
+def apply_direct(m: DiagMatrix, v: SlotVector) -> SlotVector:
+    """The diagonal method: apply_hlt_bsgs under the all-baby plan."""
+    return apply_hlt_bsgs(m, baby_plan(m.diags, m.n), v)
 
 
 def test_hlt_direct_equals_oracle():
@@ -72,24 +77,54 @@ def test_hlt_direct_equals_oracle():
             m = perm_to_diag(p)
             v = SlotVector(tuple(rng.randrange(1000) for _ in range(n)))
             with CostLedger() as lg:
-                out = apply_hlt_direct(m, v)
+                out = apply_direct(m, v)
             assert list(out.slots) == p.apply(v.slots)
             assert lg.rotation_count == len([k for k in m.diag_set() if k])
             assert len(lg.of_kind("rescale")) == 1
             assert out.level == v.level - 1
 
 
+@st.composite
+def diag_matrices(draw):
+    """A DiagMatrix of up to 16 slots with random non-zero entries on a
+    random set of diagonals (possibly none)."""
+    n = draw(st.integers(1, 16))
+    rows = st.dictionaries(st.integers(0, n - 1),
+                           st.integers(-9, 9).filter(bool), min_size=1)
+    return DiagMatrix(n, draw(st.dictionaries(st.integers(0, n - 1), rows)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(m=diag_matrices(), data=st.data())
+@example(m=DiagMatrix(5), data=None)
+@example(m=DiagMatrix(4, {0: {1: 3, 2: -2}}), data=None)
+def test_baby_plan_is_the_diagonal_method(m, data):
+    # the all-baby plan rotates once per non-zero off diagonal, by that
+    # diagonal, multiplies one mask per diagonal and rescales once
+    vals = list(range(1, m.n + 1)) if data is None else data.draw(
+        st.lists(st.integers(-99, 99), min_size=m.n, max_size=m.n))
+    v = SlotVector.from_list(vals)
+    with CostLedger() as lg:
+        out = apply_direct(m, v)
+    assert out.to_list() == matvec(m, vals)
+    assert sorted(op.step for op in lg.rotations) == \
+        [k for k in m.diag_set() if k]
+    assert lg.cmult_count == len(m.diags)
+    assert len(lg.of_kind("rescale")) == 1
+    assert len(lg.ops) == lg.rotation_count + lg.cmult_count + 1
+
+
 def test_hlt_direct_identity_no_rotations():
     v = SlotVector((5, 6, 7, 8))
     with CostLedger() as lg:
-        out = apply_hlt_direct(DiagMatrix.identity(4), v)
+        out = apply_direct(DiagMatrix.identity(4), v)
     assert out.slots == v.slots
     assert lg.rotation_count == 0
 
 
 def test_hlt_direct_transpose_2x2():
     v = SlotVector((1, 2, 3, 4))
-    out = apply_hlt_direct(perm_to_diag(transpose_perm(2)), v)
+    out = apply_direct(perm_to_diag(transpose_perm(2)), v)
     assert out.slots == (1, 3, 2, 4)
 
 
@@ -348,8 +383,8 @@ def test_bad_entries_raise_without_asserts():
 # must refuse an operand of another slot count with ValueError, also under
 # python -O
 BAD_DIMENSIONS = {
-    "matrix n=8, vector n=4": lambda: apply_hlt_direct(
-        DiagMatrix.identity(8), SlotVector.zeros(4)),
+    "matrix n=8, vector n=4, plan n=8": lambda: apply_hlt_bsgs(
+        DiagMatrix.identity(8), baby_plan([0], 8), SlotVector.zeros(4)),
     "matrix n=16, vector n=8, plan n=16": lambda: apply_hlt_bsgs(
         DiagMatrix.identity(16), plan_bsgs([0, 1], n=16),
         SlotVector.zeros(8)),
@@ -393,8 +428,7 @@ def test_bsgs_equals_direct_symmetric():
     v = SlotVector(tuple(rng.randrange(50) for _ in range(n)))
     with CostLedger() as lg:
         out = apply_hlt_bsgs(m, plan, v)
-    base = apply_hlt_direct(m, v)
-    assert out.slots == base.slots
+    assert out.to_list() == matvec(m, v.to_list())
     assert lg.rotation_count == len(plan.executed_steps()) \
         == len(plan.baby_window) + len(plan.giant_window)
     assert len(lg.of_kind("rescale")) == 1
@@ -409,7 +443,7 @@ def test_bsgs_equals_direct_random_structured():
         m = full_range_matrix(n, stride, dmax, rng)
         plan = plan_bsgs(range(-dmax, dmax + 1), n=n, stride=stride)
         v = SlotVector(tuple(rng.randrange(50) for _ in range(n)))
-        assert apply_hlt_bsgs(m, plan, v).slots == apply_hlt_direct(m, v).slots
+        assert apply_hlt_bsgs(m, plan, v).to_list() == matvec(m, v.to_list())
 
 
 def test_bsgs_full_16_perm_six_rotations():
@@ -433,7 +467,7 @@ def test_bsgs_transpose_d128():
     n = d * d
     p = transpose_perm(d)
     m = perm_to_diag(p)
-    assert m.nnz() == n
+    assert to_permutation(m) == p
     plan = plan_bsgs(range(-(d - 1), d), n=n, stride=d - 1)
     assert plan.style == "symmetric"
     rng = random.Random(13)

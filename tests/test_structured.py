@@ -6,7 +6,8 @@ from collections import Counter
 import pytest
 
 from permdec.chain import DecompositionChain
-from permdec.diag import matvec, perm_to_diag, plan_bsgs, to_permutation
+from permdec.diag import (baby_plan, matvec, perm_to_diag, plan_bsgs,
+                          to_permutation)
 from permdec.ledger import CostLedger
 from permdec.search import SearchParams, search_depth1, validate_ideal_chain
 from permdec.slots import SlotVector
@@ -33,36 +34,46 @@ def right_factor(chain, i):
 # -- partitions ---------------------------------------------------------------
 
 
+def cover(blocks):
+    """How many blocks cover each cell."""
+    return Counter((r, c) for b in blocks for r in range(*row_span(b))
+                   for c in range(*col_span(b)))
+
+
+def twice_covered(blocks):
+    return {cell for cell, count in cover(blocks).items() if count == 2}
+
+
 def test_partition_pow2_halving():
     parts = partition_rounds(8, 3)
-    assert [p.sizes() for p in parts] == [{4}, {2}, {1}]
-    assert all(p.overlaps == () for p in parts)
-    assert [p.round_index for p in parts] == [1, 2, 3]
+    assert [{b.size for b in blocks} for blocks in parts] == [{4}, {2}, {1}]
+    assert all(set(cover(blocks).values()) == {1} for blocks in parts)
 
 
 def test_partition_odd_example():
     (p1,) = partition_rounds(7, 1)
-    assert p1.sizes() == {4, 3}
-    assert p1.overlaps == ((3, 3),)
-    assert sorted(row_span(b) for b in p1.blocks) == [(0, 3), (0, 4), (3, 7), (4, 7)]
+    assert {b.size for b in p1} == {4, 3}
+    assert twice_covered(p1) == {(3, 3)}
+    assert sorted(row_span(b) for b in p1) == [(0, 3), (0, 4), (3, 7), (4, 7)]
 
 
 @pytest.mark.parametrize("d", range(2, 65))
 def test_partition_tiling_and_size_gap(d):
+    # every cell is covered once, except the corner cell of each odd split
+    # so far, which its two large corner blocks share
     rounds = max(1, (d - 1).bit_length())
-    for part in partition_rounds(d, rounds):
-        sizes = part.sizes()
+    corners = set()
+    prev = [Block(0, 0, d)]
+    for blocks in partition_rounds(d, rounds):
+        sizes = {b.size for b in blocks}
         assert len(sizes) <= 2 and max(sizes) - min(sizes) <= 1
-        cover = Counter()
-        for b in part.blocks:
-            for r in range(*row_span(b)):
-                for c in range(*col_span(b)):
-                    cover[(r, c)] += 1
-        assert len(part.overlaps) == len(set(part.overlaps))
-        expected = {cell: 2 for cell in part.overlaps}
-        for r in range(d):
-            for c in range(d):
-                assert cover[(r, c)] == expected.get((r, c), 1)
+        corners |= {(b.r0 + b.size // 2, b.c0 + b.size // 2) for b in prev
+                    if b.size % 2 and b.size > 1}
+        counts = cover(blocks)
+        assert set(counts) == {(r, c) for r in range(d) for c in range(d)}
+        assert set(counts.values()) <= {1, 2}
+        assert twice_covered(blocks) == corners
+        prev = blocks
 
 
 # -- transpose ----------------------------------------------------------------
@@ -72,7 +83,7 @@ def test_build_ut_small_examples():
     assert matvec(build_ut(2), [1, 2, 3, 4]) == [1, 3, 2, 4]
     assert build_ut(4).diag_set() == sorted({(3 * i) % 16 for i in range(-3, 4)})
     assert matvec(build_ut(1), [7]) == [7]
-    assert build_ut(3, 16).is_permutation()
+    assert to_permutation(build_ut(3, 16)).n == 16  # no ValueError
     with pytest.raises(ValueError):
         build_ut(5, 16)
 
@@ -183,7 +194,8 @@ def test_decompose_ut_budget_formula_d4(rng):
     chain = decompose_ut(HmtSpec(4, 16, 1))
     left = chain.factors[0]
     plan = plan_bsgs([-1, 0, 1], 16, stride=3)
-    chain = DecompositionChain(16, chain.factors, [plan, None])
+    right = baby_plan(chain.factors[1].diags, 16)
+    chain = DecompositionChain(16, chain.factors, [plan, right])
     with CostLedger() as lg:
         out = chain.evaluate(SlotVector.from_list(rand_vals(16, rng)))
     assert lg.rotation_count == 2 * 1 + len(plan.executed_steps()) == 4
@@ -202,7 +214,8 @@ def test_hmt_rotation_totals(d, l, total, rng):
     chain = decompose_ut(HmtSpec(d, n, l))
     width = d >> l
     plan = plan_bsgs(range(-(width - 1), width), n, stride=d - 1)
-    chain = DecompositionChain(n, chain.factors, [plan] + [None] * l)
+    rights = [baby_plan(f.diags, n) for f in chain.factors[1:]]
+    chain = DecompositionChain(n, chain.factors, [plan] + rights)
     v = SlotVector.from_list(rand_vals(n, rng))
     with CostLedger() as lg:
         out = chain.evaluate(v)
@@ -333,7 +346,8 @@ def test_build_gamma_xi_d2():
     assert gamma.n == 8 and xi.n == 8
     assert gamma.signed_diag_set() == [-3, 0]
     assert xi.signed_diag_set() == [-2, 0]
-    assert not gamma.is_permutation()
+    with pytest.raises(ValueError, match="must appear once"):
+        to_permutation(gamma)  # partial: only the top unit-row has entries
 
 
 @pytest.mark.parametrize("d,dp", [(2, 2), (3, 3), (4, 4), (4, 2), (6, 2), (8, 4)])
