@@ -21,7 +21,7 @@ from .slots import Permutation
 
 
 def _sample(n: int, seed: int, reduce: bool,
-            collapse: tuple[int, int, int] | None) -> CostReport:
+            collapse: tuple[int, int] | None) -> CostReport:
     """One permutation's priced network."""
     net = build_network(Permutation.random(n, random.Random(seed)))
     if reduce:
@@ -42,10 +42,10 @@ class BenchResult:
 
 def bench_networks(n: int, samples: int = 20, seed: int = 0,
                    reduce: bool = True,
-                   collapse: tuple[int, int, int] | None = None
+                   collapse: tuple[int, int] | None = None
                    ) -> BenchResult:
-    """Aggregate over `samples` networks; `collapse` is (top, bottom,
-    arity) for collapse_levels."""
+    """Aggregate over `samples` networks; `collapse` is (top, bottom) for
+    collapse_levels, whose binary bottom tree adds no rotation key."""
     reps = [_sample(n, seed + i, reduce, collapse) for i in range(samples)]
 
     levels = sorted({lv for rep in reps for lv in rep.per_level})

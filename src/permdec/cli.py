@@ -140,15 +140,9 @@ def _cmd_decompose(cfg: argparse.Namespace):
     return status, report
 
 
-def _parse_replication(text: str):
-    if text in ("naive", ""):
-        return None
-    return tuple(int(x) for x in text.split(","))
-
-
 def _cmd_hmm(cfg: argparse.Namespace):
-    repl = _parse_replication(cfg.replication)
-    hc = HmmConfig(cfg.d, cfg.dp or cfg.d, cfg.m, replication=repl)
+    hc = HmmConfig(cfg.d, cfg.dp or cfg.d, cfg.m,
+                   replication=cfg.replication)
     rng = random.Random(cfg.seed)
     products_ok = True
     rotations = None
@@ -164,7 +158,7 @@ def _cmd_hmm(cfg: argparse.Namespace):
     ok = products_ok and budget_ok
     report = {
         "command": "hmm", "d": hc.d, "dp": hc.d_prime, "m": hc.m,
-        "replication": list(repl) if repl else "naive",
+        "replication": list(hc.replication) if hc.replication else "naive",
         "samples": cfg.samples, "rotations": rotations,
         "budget": {"total": bud.total, "parts": dict(bud.parts),
                    "amortized": [bud.amortized.numerator,
@@ -183,8 +177,7 @@ def _net_for(cfg: argparse.Namespace):
     if cfg.reduce:
         net = reduce_masks(net)
     if cfg.collapse:
-        t, b, ar = cfg.collapse
-        net = collapse_levels(net, t, b, ar)
+        net = collapse_levels(net, *cfg.collapse)
     return p, net
 
 
@@ -310,13 +303,23 @@ def _write(text: str, out: str) -> None:
         fh.write(text)
 
 
-def _int_pair(text: str) -> tuple[int, int, int]:
-    parts = [int(x) for x in text.split(",")]
-    if len(parts) == 2:
-        parts.append(4)
-    if len(parts) != 3:
-        raise argparse.ArgumentTypeError("expected t,b or t,b,arity")
-    return tuple(parts)
+def _collapse(text: str) -> tuple[int, int]:
+    try:
+        top, bottom = (int(x) for x in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected T,B, got {text!r}") from None
+    return top, bottom
+
+
+def _replication(text: str) -> tuple[int, ...] | None:
+    if text == "naive":
+        return None
+    try:
+        return tuple(int(x) for x in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected 'naive' or factors like 4,4, got {text!r}") from None
 
 
 def _positive(text: str) -> int:
@@ -364,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--d", type=int, default=4)
     sp.add_argument("--dp", type=_positive)
     sp.add_argument("--m", type=int, default=1)
-    sp.add_argument("--replication", default="naive",
+    sp.add_argument("--replication", type=_replication, default="naive",
                     help="'naive' or factors like '4,4'")
     sp.add_argument("--samples", type=_positive, default=3)
     common(sp)
@@ -373,8 +376,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("target", choices=["build", "eval", "profile"])
     sp.add_argument("--n", type=_positive, default=256)
     sp.add_argument("--samples", type=_positive, help="default 20")
-    sp.add_argument("--collapse", type=_int_pair, default=None,
-                    metavar="T,B[,ARITY]")
+    sp.add_argument("--collapse", type=_collapse, default=None,
+                    metavar="T,B")
     sp.add_argument("--no-reduce", dest="reduce", action="store_false")
     sp.add_argument("--perm-file", default="")
     common(sp)

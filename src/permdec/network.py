@@ -30,8 +30,9 @@ optimizations operate on a built network:
   from one level higher, so the evaluation stays bit-exact.
 - collapse_levels flattens the top t levels into masked pre-rotations of the
   input and the bottom b levels into masked buckets keyed by remaining
-  distance, recombined along an m-ary digit tree whose keys are shared across
-  buckets.
+  distance, merged lowest bit first: a bucket whose distance has bit k set
+  rotates by 2^k. That distance sums the steps its entries still take in
+  the network, so the tree runs on the network's own keys and adds none.
 
 evaluate_network releases each node's output once the last node reading it
 through an edge has read it (a collapsed bottom reads levels cut - 1 and cut
@@ -85,7 +86,6 @@ class Edge:
 class CollapseSpec:
     top: int
     bottom: int
-    arity: int = 4
 
 
 class MultiGroupNetwork:
@@ -308,20 +308,18 @@ def reduce_masks(net: MultiGroupNetwork) -> MultiGroupNetwork:
     return out
 
 
-def collapse_levels(net: MultiGroupNetwork, top: int = 0, bottom: int = 0,
-                    arity: int = 4) -> MultiGroupNetwork:
+def collapse_levels(net: MultiGroupNetwork, top: int = 0, bottom: int = 0
+                    ) -> MultiGroupNetwork:
     """Attach a collapse descriptor; evaluate_network interprets it."""
     if top < 0 or bottom < 0:
         raise ValueError("collapse counts must be nonnegative")
-    if arity < 2 or arity & (arity - 1):
-        raise ValueError("tree arity must be a power of two >= 2")
     if top == 0 and bottom == 0:
         return net
     lmax = net.max_level
     if top + bottom >= lmax:
         raise ValueError(f"cannot collapse {top}+{bottom} of {lmax} levels")
     out = copy.copy(net)  # a collapse changes no node or edge
-    out.collapse = CollapseSpec(top, bottom, arity)
+    out.collapse = CollapseSpec(top, bottom)
     return out
 
 
@@ -434,18 +432,16 @@ def evaluate_network(net: MultiGroupNetwork, v: SlotVector) -> SlotVector:
             buckets[r] = buckets[r] + part if r in buckets else part
         buckets = {r: vec.rescale("net.collapse.bot")
                    for r, vec in buckets.items()}
-        m = cs.arity
-        scale = 1
+        bit = 1
         while buckets and set(buckets) != {0}:
             merged = {}
             for r, vec in sorted(buckets.items()):
-                d = (r // scale) % m
-                if d:
-                    vec = vec.rotate(d * scale, "net.collapse.bot")
-                r2 = r - d * scale
-                merged[r2] = merged[r2] + vec if r2 in merged else vec
+                if r & bit:
+                    vec = vec.rotate(bit, "net.collapse.bot")
+                    r -= bit
+                merged[r] = merged[r] + vec if r in merged else vec
             buckets = merged
-            scale *= m
+            bit <<= 1
         if buckets:
             terms.append(buckets[0])
     else:

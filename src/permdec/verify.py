@@ -202,7 +202,7 @@ def _collapsed(net):
     room = max(net.max_level - 1, 0)
     b = min(3, room)
     t = min(2, room - b)
-    return collapse_levels(net, t, b) if t or b else net
+    return collapse_levels(net, t, b)
 
 
 # check name -> what becomes of the built network before it runs

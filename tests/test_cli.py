@@ -175,12 +175,12 @@ def test_net_build_report_roundtrips(capsys):
 # many it applied, so the default and --no-reduce differ.
 NET_REPORTS = {
     ("build",): "464140acd84002f0",
-    ("build", "--collapse", "2,3"): "0200cfdbf122cda0",
+    ("build", "--collapse", "2,3"): "e01c1fe4a46f77fa",
     ("eval",): "14da96aec7cbb12c",
     ("eval", "--no-reduce"): "6583cf6d5a09cfe3",
     ("eval", "--collapse", "2,3"): "e4d5a80e0cad7a0e",
-    ("eval", "--collapse", "0,2,2"): "ccf902eaf3bebe47",
-    ("eval", "--n", "1024", "--collapse", "3,3,8"): "393201730139a4d1",
+    ("eval", "--collapse", "0,2"): "ccf902eaf3bebe47",
+    ("eval", "--n", "1024", "--collapse", "3,3"): "393201730139a4d1",
     ("profile", "--samples", "3"): "bd158f9be3ae4db2",
 }
 
@@ -360,7 +360,6 @@ def test_usage_errors_exit_two(capsys, tmp_path):
     assert main(["net", "eval", "--perm-file", str(tmp_path / "absent.json")]) == 2
     assert main(["decompose", "ut", "--d", "4", "--l", "9"]) == 2
     assert main(["search", "--d", "0"]) == 2
-    assert main(["net", "eval", "--collapse", "0,0,3"]) == 2
     assert main(["net", "profile", "--n", "16", "--collapse", "0,0,3"]) == 2
     assert main(["benes", "--budget", "0"]) == 2
     assert main(["benes", "--n", "1", "--budget", "0"]) == 2
@@ -423,6 +422,19 @@ def test_usage_errors_exit_two(capsys, tmp_path):
         assert main(argv) == 2, argv
         cap = capsys.readouterr()
         assert "expected a positive integer" in cap.err and not cap.out
+    # list options name the form they expect
+    for argv, expected in (
+            (["net", "eval", "--collapse", "a,3"], "expected T,B, got 'a,3'"),
+            (["net", "eval", "--collapse", "0,0,3"],
+             "expected T,B, got '0,0,3'"),
+            (["net", "profile", "--collapse", "2"], "expected T,B, got '2'"),
+            (["hmm", "--replication", "x"],
+             "expected 'naive' or factors like 4,4, got 'x'"),
+            (["hmm", "--replication", "4,"],
+             "expected 'naive' or factors like 4,4, got '4,'")):
+        assert main(argv) == 2, argv
+        cap = capsys.readouterr()
+        assert expected in cap.err and not cap.out, cap.err
 
 
 def test_every_subcommand_dispatches():
@@ -439,8 +451,8 @@ def test_net_build_collapsed_report_declares_collapse(capsys):
     rc, rep = run_json(capsys, "net", "build", "--n", "256", "--seed", "5",
                        "--collapse", "2,3")
     assert rc == 0
-    assert rep["network"]["collapse"] == {"top": 2, "bottom": 3, "arity": 4}
-    assert 3 in rep["keys"]
+    assert rep["network"]["collapse"] == {"top": 2, "bottom": 3}
+    assert all(k & (k - 1) == 0 for k in rep["keys"])
 
 
 def test_duplicate_targets_exit_two(capsys, tmp_path):

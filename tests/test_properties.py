@@ -1,13 +1,12 @@
 """Property tests over random permutations.
 
 Rotation networks, raw and mask-reduced, under every collapse spec that
-collapse_levels accepts, must reproduce Permutation.apply, and the cost
-model's report must match what a real-vector run executes. The rotation
-counts and keys predicted from a Benes chain's plans must match the priced
-replay. For every
-route the cost model prices (networks, Benes chains, ladders, searched
-chains), its replay on the zero vector must record the real-vector run's
-ops, Op for Op.
+collapse_levels accepts, must reproduce Permutation.apply on the keys of the
+uncollapsed network, and the cost model's report must match what a
+real-vector run executes. The rotation counts and keys predicted from a
+Benes chain's plans must match the priced replay. For every route the cost
+model prices (networks, Benes chains, ladders, searched chains), its replay
+on the zero vector must record the real-vector run's ops, Op for Op.
 """
 
 from collections import Counter
@@ -47,25 +46,26 @@ def run_replay_exact(source, vals):
 
 
 @settings(max_examples=30, deadline=None)
-@given(p=permutations(2, 8), reduced=st.booleans(),
-       arity=st.sampled_from([2, 4, 8]), data=st.data())
-def test_network_collapses_exact_and_priced_as_executed(p, reduced, arity,
-                                                        data):
+@given(p=permutations(2, 8), reduced=st.booleans(), data=st.data())
+def test_network_collapses_exact_and_priced_as_executed(p, reduced, data):
     vals = data.draw(st.lists(st.integers(-99, 99), min_size=p.n,
                               max_size=p.n))
     net = build_network(p)
     if reduced:
         net = reduce_masks(net)
     nodes = Counter(nd.level for nd in net.rotation_nodes())
+    keys = chain_cost(net).key_set
     lmax = net.max_level
     for top in range(lmax):
         for bottom in range(lmax - top):
-            col = collapse_levels(net, top, bottom, arity)
+            col = collapse_levels(net, top, bottom)
             out, led = run_replay_exact(col, vals)
             assert out.to_list() == p.apply(vals)
             rep = chain_cost(col)
             assert sum(rep.per_level.values()) == led.rotation_count
             assert rep.key_set == led.key_set()
+            # the collapse runs on the network's own keys and adds none
+            assert rep.key_set <= keys
             # a level the collapse keeps runs one rotation per rotation node
             # (all levels when uncollapsed); the top's pre-rotations price on
             # level 1 and the bottom's digit tree just below the cut
