@@ -17,14 +17,15 @@ walking each cycle and alternating the half assignment always succeeds.
 
 from __future__ import annotations
 
-import math
 import operator
 from collections import Counter
 from dataclasses import dataclass, field, replace
-from typing import ClassVar, Sequence
+from typing import ClassVar
 
 from .chain import DecompositionChain
-from .diag import BsgsPlan, _window_counts, perm_to_diag, plan_bsgs
+# plan_bsgs is bound here for the benchmark's tracer, which checks that it
+# rewraps benes' binding (perfbench/selftest.py, check_wrapping)
+from .diag import perm_to_diag, plan_bsgs, plan_factor  # noqa: F401
 from .slots import Permutation, SlotVector
 
 
@@ -55,28 +56,11 @@ def _two_color(dest):
     return color
 
 
-def _plan_for(offs: Sequence[int], n: int) -> BsgsPlan:
-    """BSGS plan for a factor whose signed diagonals are offs (ascending)."""
-    stride = math.gcd(*offs) or 1
-    ts = [o // stride for o in offs]
-    dmax = max(-ts[0], ts[-1])
-    if dmax <= 64:
-        return plan_bsgs(ts, n, stride=stride)
-    # wide spreads: full n1 sweep is wasteful, try small splits and powers,
-    # all counted in one bitset sweep; the first with the fewest rotations
-    # is planned (plan_bsgs swaps in the pure-baby plan only when that is
-    # strictly fewer)
-    cands = sorted(set(range(1, 65))
-                   | {1 << b for b in range(7, dmax.bit_length())})
-    counts = [nj + ng
-              for nj, ng in _window_counts(ts, cands, "sparse", dmax)]
-    return plan_bsgs(ts, n, stride=stride,
-                     n1=cands[counts.index(min(counts))], style="sparse")
-
-
 @dataclass
 class BenesChain(DecompositionChain):
-    """A factor chain of switch stages, planned for BSGS evaluation.
+    """A factor chain of switch stages. A chain given no plans gets
+    diag.plan_factor's plans, as every DecompositionChain does; these are
+    the plans collapse_benes scores its spans by.
 
     `stages[i]` holds the targets of factor i, the routing's own record that
     the factor is built from, and `groups[i]` records which pre-collapse
@@ -90,9 +74,6 @@ class BenesChain(DecompositionChain):
     TAG: ClassVar[str] = "benes"
 
     def __post_init__(self):
-        if not self.plans:
-            self.plans = [_plan_for(f.signed_diag_set(), f.n)
-                          for f in self.factors]
         super().__post_init__()
         if not len(self.factors) == len(self.stages) == len(self.groups):
             raise ValueError("factors, stages and groups differ in length")
@@ -181,7 +162,7 @@ def collapse_benes(chain: BenesChain, target_depth: int | None = None
             ks = {d % n for d in set(map(operator.sub, range(n), q))}
             offs = tuple(sorted(k if k <= n - k else k - n for k in ks))
             if offs not in by_offsets:
-                by_offsets[offs] = len(_plan_for(offs, n).executed_steps())
+                by_offsets[offs] = len(plan_factor(offs, n).executed_steps())
             cost[a, b] = by_offsets[offs]
 
     INF = float("inf")

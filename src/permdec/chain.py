@@ -4,8 +4,9 @@ Every factor chain in the package is a DecompositionChain: the searched and
 structured ladders, and the Beneš baseline (benes.BenesChain, a subclass that
 adds its routing data). Factors are stored in product order (leftmost first),
 so evaluation applies them right to left. Each factor costs one HLT (one
-rescale) under its BSGS plan; a factor given no plan gets diag.baby_plan,
-one rotation per non-zero off diagonal. With `key_paths` set, every window
+rescale) under its BSGS plan; a chain given no plans plans every factor with
+diag.plan_factor on its signed diagonals, the one factor planner for ladder,
+searched and Beneš chains alike. With `key_paths` set, every window
 rotation runs as the chain of key rotations listed for its step. `evaluate`
 is the one chain evaluator; the cost model prices a chain from the ledger of
 its run.
@@ -16,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import ClassVar
 
-from .diag import BsgsPlan, DiagMatrix, apply_hlt_bsgs, baby_plan, matmul
+from .diag import BsgsPlan, DiagMatrix, apply_hlt_bsgs, matmul, plan_factor
 from .slots import SlotVector
 
 
@@ -31,7 +32,8 @@ class DecompositionChain:
 
     def __post_init__(self):
         if not self.plans:
-            self.plans = [baby_plan(f.diags, self.n) for f in self.factors]
+            self.plans = [plan_factor(f.signed_diag_set(), self.n)
+                          for f in self.factors]
         if len(self.plans) != len(self.factors):
             raise ValueError(f"{len(self.plans)} plans for "
                              f"{len(self.factors)} factors")

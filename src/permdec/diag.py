@@ -11,9 +11,13 @@ sum. The one evaluator, apply_hlt_bsgs, groups the sum under a BSGS plan as
 
     U x = sum_g Rot( sum_j Rot(u_{n1 g + j}, -a n1 g) . Rot(x, a j), a n1 g )
 
-so it rotates once per baby step j and once per giant step g. Under
-baby_plan every diagonal is its own baby step and there is no giant step:
-the diagonal method, one rotation per non-zero off diagonal.
+so it rotates once per baby step j and once per giant step g; each
+giant-shifted mask Rot(u_k, -a n1 g) is built in one pass (DiagMatrix.mask).
+Under baby_plan every diagonal is its own baby step and there is no giant
+step: the diagonal method, one rotation per non-zero off diagonal.
+plan_factor is the one factor planner: it plans a factor from its signed
+diagonals, and every chain factor given no plan runs under its plan, which
+never executes more rotations than baby_plan.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
-from .slots import Permutation, SlotVector, rotate_tuple
+from .slots import Permutation, SlotVector
 
 
 def signed_rep(k: int, n: int) -> int:
@@ -74,12 +78,14 @@ class DiagMatrix:
     def signed_diag_set(self) -> list[int]:
         return sorted(signed_rep(k, self.n) for k in self.diags)
 
-    def mask(self, k: int) -> list[int]:
-        """The diagonal k as a full-length mask vector u_k."""
-        rows = self.diags.get(k % self.n, {})
-        out = [0] * self.n
-        for l, val in rows.items():
-            out[l] = val
+    def mask(self, k: int, shift: int = 0) -> list[int]:
+        """The diagonal k as a full-length mask vector u_k, rotated right by
+        `shift` (Rot(u_k, -shift)) in the same pass."""
+        n = self.n
+        out = [0] * n
+        s = shift % n - n  # negative, so out[l + s] is slot (l + shift) mod n
+        for l, val in self.diags.get(k % n, {}).items():
+            out[l + s] = val
         return out
 
     def __eq__(self, other) -> bool:
@@ -336,6 +342,31 @@ def plan_bsgs(offsets: Iterable[int], n: int, stride: int = 1,
                     tuple(sorted(set(gs) - {0})))
 
 
+def plan_factor(offsets: Iterable[int], n: int) -> BsgsPlan:
+    """The BSGS plan of a chain factor whose signed diagonals are `offsets`.
+
+    The offsets' gcd is taken out as the stride. A strided spread up to 64
+    runs plan_bsgs's full n1 sweep. A wider one counts n1 = 1..64 and the
+    powers of two below the spread in one bitset sweep and plans the first
+    n1 with the fewest rotations (plan_bsgs swaps in the pure-baby plan only
+    when that is strictly fewer). An empty set gets the empty baby_plan.
+    """
+    offs = sorted(offsets)  # linear on the sorted sets chains pass
+    if not offs:
+        return baby_plan(offs, n)
+    stride = math.gcd(*offs) or 1
+    ts = [o // stride for o in offs]
+    dmax = max(-ts[0], ts[-1])
+    if dmax <= 64:
+        return plan_bsgs(ts, n, stride=stride)
+    cands = sorted(set(range(1, 65))
+                   | {1 << b for b in range(7, dmax.bit_length())})
+    counts = [nj + ng
+              for nj, ng in _window_counts(ts, cands, "sparse", dmax)]
+    return plan_bsgs(ts, n, stride=stride,
+                     n1=cands[counts.index(min(counts))], style="sparse")
+
+
 def apply_hlt_bsgs(m: DiagMatrix, plan: BsgsPlan, v: SlotVector,
                    tag: str = "", rot=None) -> SlotVector:
     """U v with one rotation per executed step of the plan's windows (one
@@ -373,10 +404,7 @@ def apply_hlt_bsgs(m: DiagMatrix, plan: BsgsPlan, v: SlotVector,
         gstep = (plan.stride * plan.n1 * g) % n
         inner = None
         for j, k in sorted(groups[g]):
-            mask = m.mask(k)
-            if gstep:
-                mask = rotate_tuple(mask, -gstep)
-            term = baby(j).cmult(mask, tag)
+            term = baby(j).cmult(m.mask(k, gstep), tag)
             inner = term if inner is None else inner + term
         out_g = rot(inner, gstep, tag) if gstep else inner
         acc = out_g if acc is None else acc + out_g

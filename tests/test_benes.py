@@ -7,10 +7,11 @@ import statistics
 import pytest
 
 from permdec import benes
+from permdec import chain as chain_module
 from permdec.benes import (BenesChain, benes_decompose, collapse_benes,
                            evaluate_benes, restrict_keys)
 from permdec.chain import DecompositionChain
-from permdec.diag import perm_to_diag, to_permutation
+from permdec.diag import perm_to_diag, plan_factor, to_permutation
 from permdec.ledger import CostLedger
 from permdec.network import build_network
 from permdec.slots import Permutation, SlotVector
@@ -235,24 +236,27 @@ def test_factor_plans_match_per_n1_reference():
         ts = rng.sample(range(-spread, spread + 1),
                         rng.randint(1, min(2 * spread + 1, 200)))
         offs = sorted({stride * t for t in ts})
-        assert benes._plan_for(offs, n) == reference_plan_for(offs, n), offs
+        assert plan_factor(offs, n) == reference_plan_for(offs, n), offs
 
 
 def planned_collapse(monkeypatch, chain):
-    """collapse_benes(chain) with every _plan_for call recorded as
-    (offsets, plan): first the scored spans, then the collapsed chain's
-    factors."""
+    """collapse_benes(chain) with every plan_factor call recorded as
+    (offsets, plan) at both of its call sites: first the spans the collapse
+    scores, then the collapsed chain's factors, planned by the
+    DecompositionChain default."""
     calls = []
-    real = benes._plan_for
+    real = plan_factor
 
     def record(offs, n):
         plan = real(offs, n)
         calls.append((tuple(offs), plan))
         return plan
 
-    monkeypatch.setattr(benes, "_plan_for", record)
+    for module in (benes, chain_module):
+        monkeypatch.setattr(module, "plan_factor", record)
     col = collapse_benes(chain)
-    monkeypatch.setattr(benes, "_plan_for", real)
+    for module in (benes, chain_module):
+        monkeypatch.setattr(module, "plan_factor", real)
     return col, calls
 
 
@@ -313,7 +317,7 @@ def test_wide_span_plans_match_per_n1_reference():
     assert len(wide) >= 8
     assert all(max(-offs[0], offs[-1]) > 2000 for offs in wide)
     for offs in sorted(wide):
-        assert benes._plan_for(offs, n) == reference_plan_for(offs, n), offs
+        assert plan_factor(offs, n) == reference_plan_for(offs, n), offs
 
 
 def test_collapsed_plans_are_the_scored_plans(monkeypatch):
@@ -340,7 +344,8 @@ def test_chain_given_plans_is_not_planned_again(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("planned again")
 
-    monkeypatch.setattr(benes, "plan_bsgs", refuse)
+    for module in (benes, chain_module):
+        monkeypatch.setattr(module, "plan_factor", refuse)
     again = BenesChain(col.n, col.factors, col.plans, stages=col.stages,
                        groups=col.groups)
     assert again.plans == col.plans

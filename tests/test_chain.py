@@ -2,7 +2,7 @@ import random
 
 from permdec.chain import DecompositionChain
 from permdec.diag import (DiagMatrix, baby_plan, perm_to_diag, plan_bsgs,
-                          to_permutation)
+                          plan_factor, to_permutation)
 from permdec.ledger import CostLedger
 from permdec.slots import Permutation, SlotVector
 
@@ -51,6 +51,25 @@ def test_evaluate_with_bsgs_plans(rng):
     assert len(led.of_kind("rescale")) == chain.depth
     budget = sum(len(p.executed_steps()) for p in plans)
     assert led.rotation_count <= budget
+
+
+def test_factor_without_diagonals_plans_and_runs():
+    # the default planner plans a factor with no diagonals: no rotation, no
+    # mask, zeros out and one rescale
+    n = 8
+    chain = DecompositionChain(n, [DiagMatrix(n)])
+    v = SlotVector.from_list(list(range(1, n + 1)))
+    with CostLedger() as led:
+        out = chain.evaluate(v)
+    assert out.to_list() == [0] * n
+    assert [op.kind for op in led.ops] == ["rescale"]
+    assert out.depth_used == 1
+
+
+def test_default_plans_are_plan_factor_plans(rng):
+    chain = random_chain(32, rng)
+    assert chain.plans == [plan_factor(f.signed_diag_set(), 32)
+                           for f in chain.factors]
 
 
 def test_depth_counts_factors(rng):

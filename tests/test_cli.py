@@ -44,6 +44,18 @@ def test_decompose_ut_lists_right_factor_diagonals(capsys):
     assert rep["n"] == 16
 
 
+def test_decompose_ut_left_factor_runs_bsgs(capsys):
+    # L holds the 15 diagonals 15 t, |t| <= 7: its plan splits them into
+    # baby and giant steps (7 rotations), where one rotation per off
+    # diagonal would take 14; R_1 = {0, +-120} rotates twice either way
+    rc, rep = run_json(capsys, "decompose", "ut", "--d", "16", "--l", "1")
+    assert rc == 0
+    by_name = {f["name"]: f for f in rep["factors"]}
+    assert len(by_name["L"]["diagonals"]) == 15
+    assert by_name["L"]["rotations"] == 7
+    assert by_name["R_1"]["rotations"] == 2
+
+
 @pytest.mark.parametrize("target,d,l", [
     ("sigma", 8, 2), ("tau", 8, 1), ("ut", 8, 2),
 ])
@@ -302,9 +314,9 @@ ROUTE_REPORTS = {
     ("decompose", "ut", "--d", "16", "--l", "3", "--verify"):
         "a85bd6118f922dac",
     ("decompose", "ut", "--d", "5", "--l", "1", "--n", "32", "--verify"):
-        "85586f91501b7f7c",
+        "2e97af35a98c1cca",
     ("decompose", "sigma", "--d", "16", "--l", "2", "--verify"):
-        "ffd115a69ab0ec55",
+        "b5b115ba3ee0a5fb",
     ("decompose", "sigma", "--d", "7", "--l", "2", "--verify"):
         "4676420307e2296f",
     ("decompose", "tau", "--d", "16", "--l", "3", "--verify"):

@@ -18,11 +18,12 @@ from permdec.diag import (
     matvec,
     perm_to_diag,
     plan_bsgs,
+    plan_factor,
     signed_rep,
     to_permutation,
 )
 from permdec.ledger import CostLedger
-from permdec.slots import Permutation, SlotVector
+from permdec.slots import Permutation, SlotVector, rotate_tuple
 from permdec.structured import PaddedChain
 
 from util import (assert_value_errors, assert_value_errors_without_asserts,
@@ -41,6 +42,16 @@ def test_perm_to_diag_identity():
     m = perm_to_diag(Permutation.identity(4))
     assert m.diag_set() == [0]
     assert m.mask(0) == [1, 1, 1, 1]
+
+
+def test_mask_shift_is_one_pass_rotation():
+    # mask(k, shift) is Rot(u_k, -shift): the giant-shifted mask of BSGS
+    rng = random.Random(4)
+    m = DiagMatrix(12, {k: {l: rng.randint(1, 9) for l in rng.sample(
+        range(12), 5)} for k in (0, 3, 7)})
+    for k in (0, 3, 7, 5):
+        for shift in (0, 1, 5, 11, 12, -4):
+            assert m.mask(k, shift) == list(rotate_tuple(m.mask(k), -shift))
 
 
 def test_perm_to_diag_rotation():
@@ -205,6 +216,59 @@ def test_plan_onesided():
     assert lg.rotation_count == len(plan.executed_steps()) \
         == len(plan.baby_window) + len(plan.giant_window)
     check_assignment(plan)
+
+
+def test_plan_factor_sorts_its_input():
+    # the factor planner takes offsets in any order: the same plan for a
+    # shuffled set, on both sides of its strided-spread-64 shortcut, and
+    # the empty baby plan for a factor with no diagonals
+    rng = random.Random(31)
+    cases = [list(range(-7, 8)), [3 * t for t in range(-40, 41)],
+             [2 * t for t in rng.sample(range(-200, 201), 90)] + [2, 400],
+             rng.sample(range(-300, 301), 120) + [1]]
+    for offs in cases:
+        plan = plan_factor(sorted(offs), 1024)
+        for _ in range(3):
+            rng.shuffle(offs)
+            assert plan_factor(offs, 1024) == plan
+    wide = [plan_factor(offs, 1024) for offs in cases[2:]]
+    assert [p.stride for p in wide] == [2, 1]
+    assert all(max(abs(t) for t in p.assign) > 64 for p in wide)
+    assert plan_factor([], 16) == baby_plan([], 16)
+    assert plan_factor([], 16).executed_steps() == []
+
+
+@st.composite
+def strided_diag_matrices(draw):
+    """A DiagMatrix of up to 64 slots whose signed diagonals are multiples
+    of a stride of 1, 2 or 4 (possibly none), with random non-zero entries."""
+    stride = draw(st.sampled_from([1, 2, 4]))
+    n = stride * draw(st.integers(1, 64 // stride))
+    half = n // (2 * stride)  # |stride * t| <= n / 2
+    rows = st.dictionaries(st.integers(0, n - 1),
+                           st.integers(-9, 9).filter(bool), min_size=1)
+    ts = draw(st.sets(st.integers(-half, half)))
+    return DiagMatrix(n, {stride * t: draw(rows) for t in ts})
+
+
+@settings(max_examples=200, deadline=None)
+@given(m=strided_diag_matrices(), data=st.data())
+@example(m=DiagMatrix(8), data=None)
+@example(m=DiagMatrix(64, {2 * t: {t % 64: 1, 5: -2} for t in range(-15, 16)}),
+         data=None)
+def test_plan_factor_is_exact_and_no_dearer_than_baby(m, data):
+    # the plan every chain factor gets by default: exact against matvec,
+    # never more rotations than one per off diagonal, one level consumed
+    vals = list(range(1, m.n + 1)) if data is None else data.draw(
+        st.lists(st.integers(-99, 99), min_size=m.n, max_size=m.n))
+    v = SlotVector.from_list(vals)
+    with CostLedger() as lg:
+        out = apply_hlt_bsgs(m, plan_factor(m.signed_diag_set(), m.n), v)
+    with CostLedger() as baby:
+        apply_direct(m, v)
+    assert out.to_list() == matvec(m, vals)
+    assert lg.rotation_count <= baby.rotation_count
+    assert out.depth_used == v.depth_used + 1
 
 
 def test_plan_single_offset_one_rotation():

@@ -6,6 +6,7 @@ from collections import Counter
 import pytest
 
 from permdec.chain import DecompositionChain
+from permdec.costmodel import chain_cost
 from permdec.diag import (baby_plan, matvec, perm_to_diag, plan_bsgs,
                           to_permutation)
 from permdec.ledger import CostLedger
@@ -135,6 +136,52 @@ def test_ladder_table_is_the_public_constructions():
         want = decompose_ut(HmtSpec(d, n or d * d, l))
         assert got.n == want.n and got.factors == want.factors
         assert got.product() == build(d, n)
+
+
+def ladder_chains(d):
+    """(family, l, chain) of every LADDERS family at every legal depth."""
+    for fam, (_, decompose) in LADDERS.items():
+        for l in range(1, (d - 1).bit_length()):
+            yield fam, l, decompose(d, l)
+
+
+def baby_planned(chain):
+    """The chain's factors, each under the diagonal method's plan."""
+    return DecompositionChain(chain.n, chain.factors,
+                              [baby_plan(f.diags, chain.n)
+                               for f in chain.factors])
+
+
+@pytest.mark.parametrize("d", [*range(2, 18), 31, 32, 33, 63, 64])
+def test_ladders_planned_no_dearer_than_baby(d):
+    # every ladder runs its default (plan_factor) plans exactly, and costs
+    # no more than its factors under one rotation per off diagonal, at the
+    # same depth
+    n = d * d
+    vals = rand_vals(n, random.Random(d))
+    v = SlotVector.from_list(vals)
+    for fam, l, chain in ladder_chains(d):
+        build = LADDERS[fam][0]
+        out = chain.evaluate(v)
+        assert out.to_list() == matvec(build(d), vals), (fam, l)
+        baby = baby_planned(chain)
+        assert out.depth_used == baby.evaluate(v).depth_used == l + 1
+        assert chain_cost(chain).total <= chain_cost(baby).total, (fam, l)
+
+
+def test_ladders_mix_ladders_rotate_348_times():
+    # the 36 ladders the benchmark's ladders-mix prices (d = 16, 32, 64,
+    # every family and depth): 348 rotations under the default plans, 625
+    # under one rotation per off diagonal
+    totals = [0, 0]
+    chains = 0
+    for d in (16, 32, 64):
+        for _, _, chain in ladder_chains(d):
+            chains += 1
+            for i, c in enumerate((chain, baby_planned(chain))):
+                totals[i] += sum(chain_cost(c).per_level.values())
+    assert chains == 36
+    assert totals == [348, 625]
 
 
 def test_decompose_ut_d4_depth1(rng):
