@@ -6,9 +6,10 @@ half a block away) and R acts independently on the two halves. Recursing on R
 yields 2m - 1 stage factors whose round-i members only touch diagonals
 {0, +-2^(m-i-1)}. That depth is rarely affordable, so adjacent stages are
 multiplied back together ("collapsed") down to a target depth, each merged
-factor evaluated as one masked-rotation transform. Rotation keys can further
-be restricted to a budget of steps (log n by default), with missing steps
-carried out as short chains of available ones.
+factor evaluated as one masked-rotation transform under its diag.plan_bsgs
+plan, whose executed rotations are what the collapse minimizes. Rotation
+keys can further be restricted to a budget of steps (log n by default),
+with missing steps carried out as short chains of available ones.
 
 The routing is the classical looping construction: pair constraints (input
 partners and output partners must use different halves) form even cycles, so
@@ -23,9 +24,7 @@ from dataclasses import dataclass, field, replace
 from typing import ClassVar
 
 from .chain import DecompositionChain
-# plan_bsgs is bound here for the benchmark's tracer, which checks that it
-# rewraps benes' binding (perfbench/selftest.py, check_wrapping)
-from .diag import perm_to_diag, plan_bsgs, plan_factor  # noqa: F401
+from .diag import perm_to_diag, plan_bsgs
 from .slots import Permutation, SlotVector
 
 
@@ -59,7 +58,7 @@ def _two_color(dest):
 @dataclass
 class BenesChain(DecompositionChain):
     """A factor chain of switch stages. A chain given no plans gets
-    diag.plan_factor's plans, as every DecompositionChain does; these are
+    diag.plan_bsgs's plans, as every DecompositionChain does; these are
     the plans collapse_benes scores its spans by.
 
     `stages[i]` holds the targets of factor i, the routing's own record that
@@ -162,7 +161,7 @@ def collapse_benes(chain: BenesChain, target_depth: int | None = None
             ks = {d % n for d in set(map(operator.sub, range(n), q))}
             offs = tuple(sorted(k if k <= n - k else k - n for k in ks))
             if offs not in by_offsets:
-                by_offsets[offs] = len(plan_factor(offs, n).executed_steps())
+                by_offsets[offs] = len(plan_bsgs(offs, n).executed_steps())
             cost[a, b] = by_offsets[offs]
 
     INF = float("inf")

@@ -5,11 +5,11 @@ structured ladders, and the Beneš baseline (benes.BenesChain, a subclass that
 adds its routing data). Factors are stored in product order (leftmost first),
 so evaluation applies them right to left. Each factor costs one HLT (one
 rescale) under its BSGS plan; a chain given no plans plans every factor with
-diag.plan_factor on its signed diagonals, the one factor planner for ladder,
-searched and Beneš chains alike. With `key_paths` set, every window
-rotation runs as the chain of key rotations listed for its step. `evaluate`
-is the one chain evaluator; the cost model prices a chain from the ledger of
-its run.
+diag.plan_bsgs on its signed diagonals, the one planner for ladder, searched
+and Beneš chains alike. With `key_paths` set, apply_hlt_bsgs runs every
+window rotation as the chain of key rotations listed for its step.
+`evaluate` is the one chain evaluator; the cost model prices a chain from
+the ledger of its run.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import ClassVar
 
-from .diag import BsgsPlan, DiagMatrix, apply_hlt_bsgs, matmul, plan_factor
+from .diag import BsgsPlan, DiagMatrix, apply_hlt_bsgs, matmul, plan_bsgs
 from .slots import SlotVector
 
 
@@ -32,7 +32,7 @@ class DecompositionChain:
 
     def __post_init__(self):
         if not self.plans:
-            self.plans = [plan_factor(f.signed_diag_set(), self.n)
+            self.plans = [plan_bsgs(f.signed_diag_set(), self.n)
                           for f in self.factors]
         if len(self.plans) != len(self.factors):
             raise ValueError(f"{len(self.plans)} plans for "
@@ -55,18 +55,9 @@ class DecompositionChain:
     def evaluate(self, v: SlotVector) -> SlotVector:
         if v.n != self.n:
             raise ValueError(f"slot length mismatch: {v.n} != {self.n}")
-        rot = None
-        if self.key_paths is not None:
-            paths, n = self.key_paths, self.n
-
-            def rot(vec, step, t):
-                for k in paths[step % n]:
-                    vec = vec.rotate(k, t)
-                return vec
-
         for i in range(self.depth - 1, -1, -1):
             v = apply_hlt_bsgs(self.factors[i], self.plans[i], v,
-                               f"{self.TAG}.f{i}", rot=rot)
+                               f"{self.TAG}.f{i}", self.key_paths)
         return v
 
     def diag_counts(self) -> list[int]:

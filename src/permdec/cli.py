@@ -24,7 +24,7 @@ import sys
 
 from .bench import bench_networks
 from .benes import benes_decompose, collapse_benes, restrict_keys
-from .costmodel import chain_cost
+from .costmodel import chain_cost, replay
 from .diag import matvec, perm_to_diag, signed_rep
 from .hmm import (HmmConfig, hmm_multiply, hmm_rotation_budget,
                   reference_products)
@@ -86,9 +86,7 @@ def _cmd_search(cfg: argparse.Namespace):
 
 def _ladder_report(chain, u, cfg: argparse.Namespace):
     names = _factor_names(chain.depth)
-    with CostLedger() as led:  # a run on zeros records the rotations
-        chain.evaluate(SlotVector.zeros(chain.n))
-    by_tag = led.rotations_by_tag()
+    by_tag = replay(chain)[0].rotations_by_tag()
     report = {
         "command": "decompose", "target": cfg.target, "n": u.n,
         "d": cfg.d, "depth_l": cfg.l,
@@ -117,14 +115,12 @@ def _cmd_decompose(cfg: argparse.Namespace):
     gamma, xi = build_gamma_xi(cfg.d, cfg.dp, cfg.n)
     cg, cx, _ = decompose_gamma_xi_pad(cfg.d, cfg.l, cfg.dp, cfg.n)
     chain, u = (cg, gamma) if cfg.target == "gamma" else (cx, xi)
-    with CostLedger() as led:  # a run on zeros records the rotations
-        chain.evaluate(SlotVector.zeros(chain.n))
     report = {
         "command": "decompose", "target": cfg.target, "n": chain.n,
         "d": cfg.d, "dp": cfg.dp or cfg.d, "depth_l": cfg.l,
         "doubling_steps": _signed(chain.n, chain.r_steps),
         "fanout_steps": _signed(chain.n, chain.l_steps),
-        "rotations": led.rotation_count,
+        "rotations": replay(chain)[0].rotation_count,
         "mask_ones": sum(chain.mask),
     }
     status = 0

@@ -14,7 +14,7 @@ Masks (plaintext multiplications) are priced at 2*N*(level+1) each, an
 elementwise product over both ciphertext components; rotation-only totals are
 kept in the separate breakdown entries so the extension is visible.
 
-Every route is priced from one trace and by one loop. `_replay` evaluates the
+Every route is priced from one trace and by one loop. `replay` evaluates the
 structure once on SlotVector.zeros, the vector with no support, under its own
 CostLedger, which takes every op of that scope (an outer ledger sees none of
 the replay). That run records the ops of a run on real slots and, as its
@@ -33,11 +33,12 @@ has dropped fewer levels than the schedule counts (12 of the 69 rotations of
 the raw benchmark network at n = 2^14, seed 1, instance 0, run one or more
 levels higher), and pricing those by operand level would change the network
 reports. Masks are charged at their recorded level in both cases. The CLI
-reports read their rotation counts and key sets from the ledger of a run;
-what they print of the diagonals is read off the factors (the ladder
-reports' diagonal lists, the Beneš report's diag_counts). The one
-independent count is hmm_rotation_budget's closed form, which `permdec hmm`
-requires to equal the ledger of its run exactly.
+reports read their rotation counts and key sets from the ledger of a run
+(the decompose reports from replay's); what they print of the diagonals is
+read off the factors (the ladder reports' diagonal lists, the Beneš
+report's diag_counts). The one independent count is hmm_rotation_budget's
+closed form, which `permdec hmm` requires to equal the ledger of its run
+exactly.
 """
 
 from __future__ import annotations
@@ -141,8 +142,8 @@ class CostReport:
         }
 
 
-def _replay(source, level: int = DEFAULT_LEVEL
-            ) -> tuple[CostLedger, SlotVector]:
+def replay(source, level: int = DEFAULT_LEVEL
+           ) -> tuple[CostLedger, SlotVector]:
     """One run of a network or chain on the zero vector at `level`: the
     ledger of the ops a real run records, and the output vector."""
     v = SlotVector.zeros(source.n, level)
@@ -173,7 +174,7 @@ def chain_cost(source, cp0: CostParams | None = None) -> CostReport:
     if not network and not (hasattr(source, "n")
                             and callable(getattr(source, "evaluate", None))):
         raise TypeError(f"cannot cost a {type(source).__name__}")
-    led, out = _replay(source, cp0.level)
+    led, out = replay(source, cp0.level)
     if network:
         per_level = rotation_profile(source, led)
         depth = max(per_level, default=0)

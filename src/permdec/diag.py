@@ -15,9 +15,10 @@ so it rotates once per baby step j and once per giant step g; each
 giant-shifted mask Rot(u_k, -a n1 g) is built in one pass (DiagMatrix.mask).
 Under baby_plan every diagonal is its own baby step and there is no giant
 step: the diagonal method, one rotation per non-zero off diagonal.
-plan_factor is the one factor planner: it plans a factor from its signed
-diagonals, and every chain factor given no plan runs under its plan, which
-never executes more rotations than baby_plan.
+plan_bsgs is the one planner: it plans a factor from its signed diagonals,
+and every chain factor given no plan runs under its plan, which never
+executes more rotations than baby_plan. Its three splits of t into n1*g + j
+(symmetric, onesided, sparse) are defined once, by their shifts (_shifts).
 """
 
 from __future__ import annotations
@@ -159,7 +160,7 @@ def matvec(m: DiagMatrix, vals: Sequence[int]) -> list[int]:
 # -- BSGS ---------------------------------------------------------------------
 
 
-class PlanCoverageError(Exception):
+class PlanCoverageError(ValueError):
     """A diagonal of the matrix is not covered by the BSGS plan."""
 
 
@@ -201,21 +202,27 @@ def baby_plan(offsets: Iterable[int], n: int, stride: int = 1,
                     tuple(t for t in ts if t), ())
 
 
-def _giants(ts: Sequence[int], n1: int, style: str, dmax: int) -> list[int]:
-    """Giant index g of each offset t under the style's split t = n1*g + j.
+def _shifts(style: str, n1: int, dmax: int) -> tuple[int, int]:
+    """The shifts c (for t >= 0, for t < 0) of the style's split
+    g = floor((t + c) / n1), j = t - n1*g.
 
-    symmetric: plain floor division for t >= 0 (j in [0, n1)) and floor
-    shifted by s = dmax mod n1 for t < 0 (j in [-s, n1-s)), so the union of
-    both sides is exactly the window [-s, n1), every value used; onesided:
-    |t| is split and both parts carry t's sign; sparse: the nearest g.
+    symmetric: 0 and s = dmax mod n1, so j lies in [0, n1) for t >= 0 and in
+    [-s, n1-s) for t < 0, and the union of both sides is exactly the window
+    [-s, n1), every value used; onesided: 0 and n1 - 1, which splits |t|
+    and gives both parts t's sign; sparse: n1 // 2 on both sides, the
+    nearest g.
     """
     if style == "symmetric":
-        s = dmax % n1
-        return [t // n1 if t >= 0 else (t + s) // n1 for t in ts]
+        return 0, dmax % n1
     if style == "onesided":
-        return [t // n1 if t >= 0 else -(-t // n1) for t in ts]
-    h = n1 // 2
-    return [(t + h) // n1 for t in ts]
+        return 0, n1 - 1
+    return n1 // 2, n1 // 2
+
+
+def _giants(ts: Sequence[int], n1: int, style: str, dmax: int) -> list[int]:
+    """Giant index g of each offset t under the style's split (_shifts)."""
+    cp, cn = _shifts(style, n1, dmax)
+    return [(t + (cp if t >= 0 else cn)) // n1 for t in ts]
 
 
 def _fold(x: int, width: int) -> int:
@@ -244,16 +251,14 @@ def _window_counts(ts: Sequence[int], cands: Sequence[int], style: str,
     """Baby and giant window sizes (distinct nonzero j and g) of the split
     at each n1 in cands, counted without building an assignment.
 
-    Every style's split (see _giants) is g = floor((t + c) / n1) and
-    j = t - n1*g with a shift c per sign of t: n1 // 2 for sparse; 0 for
-    t >= 0 and, for t < 0, dmax mod n1 (symmetric) or n1 - 1 (onesided).
     The offsets are held as an int with bit t + dmax set, split by sign. For
-    each n1 a side is lifted so that t sits at bit t + c + K*n1, with
-    K = ceil(dmax / n1) keeping every bit index nonnegative: n1-bit field i
-    then holds the offsets with g = i - K, and bit r of a field the ones
-    with j = r - c. So the distinct g are the nonzero fields of both sides
-    together, and the distinct j the set bits of each side's fields OR-ed
-    into one, aligned on c.
+    each n1 a side with shift c (_shifts) is lifted so that t sits at bit
+    t + c + K*n1, with K = ceil(dmax / n1) keeping every bit index
+    nonnegative: n1-bit field i then holds the offsets with g = i - K, and
+    bit r of a field the ones with j = r - c. So the distinct g are the
+    nonzero fields of both sides together, and the distinct j the set bits
+    of each side's fields OR-ed into one, aligned on c. Sides with equal
+    shifts are lifted as one.
     """
     buf = bytearray((2 * dmax + 8) >> 3)
     for t in ts:
@@ -263,13 +268,10 @@ def _window_counts(ts: Sequence[int], cands: Sequence[int], style: str,
     pos = both ^ neg
     out = []
     for n1 in cands:
-        if style == "sparse":
-            sides = ((both, n1 // 2),)
-        else:
-            sides = ((pos, 0),
-                     (neg, dmax % n1 if style == "symmetric" else n1 - 1))
+        cp, cn = _shifts(style, n1, dmax)
+        sides = ((both, cp),) if cp == cn else ((pos, cp), (neg, cn))
         zero = -(-dmax // n1) * n1  # K*n1, the first bit of field g = 0
-        shift = sides[-1][1]  # the largest c; bit j + shift holds j
+        shift = max(cp, cn)  # bit j + shift of the folded babies holds j
         lifted = js = 0
         for bits, c in sides:
             x = bits << (zero - dmax + c)
@@ -283,6 +285,9 @@ def _window_counts(ts: Sequence[int], cands: Sequence[int], style: str,
 
 # preferred babies per giant among n1 that execute equally many rotations
 BSGS_RATIO = 4.0
+# a strided spread up to this is swept at every n1 and may take a
+# symmetric or one-sided split; a wider one takes the sparse split
+FULL_SWEEP = 64
 
 
 def _tie_penalty(babies: int, giants: int) -> float:
@@ -291,49 +296,55 @@ def _tie_penalty(babies: int, giants: int) -> float:
     return abs(math.log2((babies / giants) / BSGS_RATIO))
 
 
-def plan_bsgs(offsets: Iterable[int], n: int, stride: int = 1,
-              n1: int | None = None, style: str | None = None) -> BsgsPlan:
-    """Plan for diagonal offsets given in stride units (k = stride*t mod n).
+def plan_bsgs(offsets: Iterable[int], n: int) -> BsgsPlan:
+    """The BSGS plan of a factor whose signed diagonals are `offsets`.
 
-    Picks n1 minimizing executed rotations; ties prefer babies per giant
-    (giants per side when symmetric) nearest BSGS_RATIO, then smaller n1.
-    The pure-baby plan (baby_plan) competes too and loses full ties. The
-    window sizes of all candidates come from one _window_counts sweep over
-    the offsets held as bitsets; the assignment and windows are built for
-    the winner alone.
-    Raises ValueError for an empty offset set.
+    The offsets' gcd is taken out as the stride. A strided spread dmax up
+    to FULL_SWEEP picks its split (symmetric for the full range -dmax..dmax,
+    onesided for 0 or 1..dmax of one sign, else sparse) and counts every
+    n1; ties prefer babies per giant (giants per side when symmetric)
+    nearest BSGS_RATIO, then smaller n1. A wider spread counts the sparse
+    split at n1 = 1..FULL_SWEEP and the powers of two below dmax, and
+    takes the first n1 with the fewest rotations. The pure-baby plan
+    (baby_plan) wins only with strictly fewer rotations. All candidates are
+    counted in one _window_counts sweep over the offsets held as bitsets;
+    the assignment and windows are built for the winner alone. No offsets
+    give the empty baby_plan, and {0} the trivial plan.
     """
-    ts = sorted(set(offsets))
+    ts = sorted(offsets)  # linear on the sorted sets chains pass
     if not ts:
-        raise ValueError("empty offset set")
+        return baby_plan(ts, n)
+    stride = math.gcd(*ts) or 1
+    if stride > 1:
+        ts = [t // stride for t in ts]
     dmax = max(-ts[0], ts[-1])
     if dmax == 0:
         return baby_plan(ts, n, stride, "trivial")
 
-    if style is None:
-        pos = sorted(t for t in ts if t > 0)
-        neg = sorted(-t for t in ts if t < 0)
-        full_pos = pos == list(range(1, dmax + 1))
-        full_neg = neg == list(range(1, dmax + 1))
-        if full_pos and full_neg and 0 in ts:
-            style = "symmetric"
-        elif (full_pos and not neg) or (full_neg and not pos):
-            style = "onesided"
-        else:
-            style = "sparse"
-    halve = style == "symmetric"  # ties weigh the giants of one side
+    has_zero = 0 in ts
+    babies = len(set(ts)) - has_zero
+    sweep = dmax <= FULL_SWEEP
+    if not sweep:
+        style = "sparse"
+    elif babies == 2 * dmax and has_zero:
+        style = "symmetric"
+    elif babies == dmax and (ts[0] >= 0 or ts[-1] <= 0):
+        style = "onesided"
+    else:
+        style = "sparse"
+    cands = range(1, dmax + 1) if sweep else [
+        *range(1, FULL_SWEEP + 1),
+        *(1 << b for b in range(FULL_SWEEP.bit_length(), dmax.bit_length()))]
 
-    # (rotations, tie penalty, n1, pure baby): on a full tie min takes the
-    # split over the pure-baby plan
-    keys = [(len(ts) - (0 in ts), math.inf, dmax + 1, True)]
-    cands = [n1] if n1 is not None else range(1, dmax + 1)
-    if halve:
-        cands = [cand for cand in cands if cand <= dmax]
+    # (rotations, tie penalty, n1); n1 = dmax + 1 is the pure-baby plan,
+    # which loses every full tie. Symmetric ties weigh one side's giants.
+    keys = [(babies, math.inf, dmax + 1)]
     for cand, (nj, ng) in zip(cands, _window_counts(ts, cands, style, dmax)):
-        keys.append((nj + ng, _tie_penalty(nj, ng // 2 if halve else ng),
-                     cand, False))
-    _, _, best, pure_baby = min(keys)
-    if pure_baby:
+        tie = (_tie_penalty(nj, ng // 2 if style == "symmetric" else ng)
+               if sweep else 0)
+        keys.append((nj + ng, tie, cand))
+    best = min(keys)[2]
+    if best > dmax:
         return baby_plan(ts, n, stride, style)
     gs = _giants(ts, best, style, dmax)
     assign = {t: (g, t - best * g) for t, g in zip(ts, gs)}
@@ -342,45 +353,26 @@ def plan_bsgs(offsets: Iterable[int], n: int, stride: int = 1,
                     tuple(sorted(set(gs) - {0})))
 
 
-def plan_factor(offsets: Iterable[int], n: int) -> BsgsPlan:
-    """The BSGS plan of a chain factor whose signed diagonals are `offsets`.
-
-    The offsets' gcd is taken out as the stride. A strided spread up to 64
-    runs plan_bsgs's full n1 sweep. A wider one counts n1 = 1..64 and the
-    powers of two below the spread in one bitset sweep and plans the first
-    n1 with the fewest rotations (plan_bsgs swaps in the pure-baby plan only
-    when that is strictly fewer). An empty set gets the empty baby_plan.
-    """
-    offs = sorted(offsets)  # linear on the sorted sets chains pass
-    if not offs:
-        return baby_plan(offs, n)
-    stride = math.gcd(*offs) or 1
-    ts = [o // stride for o in offs]
-    dmax = max(-ts[0], ts[-1])
-    if dmax <= 64:
-        return plan_bsgs(ts, n, stride=stride)
-    cands = sorted(set(range(1, 65))
-                   | {1 << b for b in range(7, dmax.bit_length())})
-    counts = [nj + ng
-              for nj, ng in _window_counts(ts, cands, "sparse", dmax)]
-    return plan_bsgs(ts, n, stride=stride,
-                     n1=cands[counts.index(min(counts))], style="sparse")
-
-
 def apply_hlt_bsgs(m: DiagMatrix, plan: BsgsPlan, v: SlotVector,
-                   tag: str = "", rot=None) -> SlotVector:
+                   tag: str = "",
+                   key_paths: dict[int, tuple[int, ...]] | None = None
+                   ) -> SlotVector:
     """U v with one rotation per executed step of the plan's windows (one
     per non-zero off diagonal under baby_plan) and one rescale.
 
-    `rot(vec, step, tag)` overrides how a single window rotation is carried
-    out (a caller with a restricted key set chains several smaller rotations);
-    it must still shift by exactly `step`.
+    With `key_paths` (step mod n -> key steps summing to it) every window
+    rotation runs as its chain of key rotations; a step with no path raises
+    KeyError.
     """
     if not m.n == v.n == plan.n:
         raise ValueError(f"dimension mismatch: matrix n={m.n}, vector "
                          f"n={v.n}, plan n={plan.n}")
-    if rot is None:
-        rot = lambda vec, step, t: vec.rotate(step, t)
+
+    def rot(vec: SlotVector, step: int) -> SlotVector:
+        for k in (step,) if key_paths is None else key_paths[step]:
+            vec = vec.rotate(k, tag)
+        return vec
+
     n = m.n
     diag_for = {}
     for t in plan.assign:
@@ -396,7 +388,7 @@ def apply_hlt_bsgs(m: DiagMatrix, plan: BsgsPlan, v: SlotVector,
 
     def baby(j: int) -> SlotVector:
         if j not in babies:
-            babies[j] = rot(v, (plan.stride * j) % n, tag)
+            babies[j] = rot(v, (plan.stride * j) % n)
         return babies[j]
 
     acc = None
@@ -406,7 +398,7 @@ def apply_hlt_bsgs(m: DiagMatrix, plan: BsgsPlan, v: SlotVector,
         for j, k in sorted(groups[g]):
             term = baby(j).cmult(m.mask(k, gstep), tag)
             inner = term if inner is None else inner + term
-        out_g = rot(inner, gstep, tag) if gstep else inner
+        out_g = rot(inner, gstep) if gstep else inner
         acc = out_g if acc is None else acc + out_g
     if acc is None:
         acc = v.zeros_like()

@@ -106,17 +106,14 @@ class HmmConfig:
     layered scheme (one masked-sum layer per upper factor, srep_replicate
     for the last). Measured depth is one level per upper factor plus the
     product's: the final unit mask is not rescaled on its own, although a
-    real CKKS scheme would need a level for it.
-
-    n, the slot count, defaults to the m packed spans; a larger n must be a
-    multiple of d^2, the span of the row layout that B is replicated in.
+    real CKKS scheme would need a level for it. The vector holds exactly
+    the m packed spans.
     """
 
     d: int
     d_prime: int
     m: int = 1
     replication: tuple[int, ...] | None = None
-    n: int | None = None
 
     def __post_init__(self):
         _log2(self.d, "d")
@@ -133,12 +130,6 @@ class HmmConfig:
                 prod *= f
             if prod != self.d:
                 raise ValueError("replication factors must multiply to d")
-        if self.n is not None:
-            if self.n < self.m * self.group_span:
-                raise ValueError("vector too small for m groups")
-            if self.n % self.data_span:
-                raise ValueError(f"n must be a multiple of d^2 = "
-                                 f"{self.data_span}, got {self.n}")
 
     @property
     def group_span(self) -> int:
@@ -150,7 +141,7 @@ class HmmConfig:
 
     @property
     def vector_size(self) -> int:
-        return self.m * self.group_span if self.n is None else self.n
+        return self.m * self.group_span
 
     @property
     def groups(self) -> int:

@@ -51,8 +51,9 @@ DEFAULT_LEVEL = 17
 MAX_SPARSE_SHARE = 1 / 4
 
 
-class DepthExhaustedError(Exception):
-    """Raised when a rescale is requested at level 0."""
+class DepthExhaustedError(ValueError):
+    """Raised when a rescale is requested at level 0, or a structure is
+    priced deeper than its modulus chain."""
 
 
 class _Sparse:

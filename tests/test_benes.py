@@ -11,7 +11,7 @@ from permdec import chain as chain_module
 from permdec.benes import (BenesChain, benes_decompose, collapse_benes,
                            evaluate_benes, restrict_keys)
 from permdec.chain import DecompositionChain
-from permdec.diag import perm_to_diag, plan_factor, to_permutation
+from permdec.diag import perm_to_diag, plan_bsgs, to_permutation
 from permdec.ledger import CostLedger
 from permdec.network import build_network
 from permdec.slots import Permutation, SlotVector
@@ -236,16 +236,16 @@ def test_factor_plans_match_per_n1_reference():
         ts = rng.sample(range(-spread, spread + 1),
                         rng.randint(1, min(2 * spread + 1, 200)))
         offs = sorted({stride * t for t in ts})
-        assert plan_factor(offs, n) == reference_plan_for(offs, n), offs
+        assert plan_bsgs(offs, n) == reference_plan_for(offs, n), offs
 
 
-def planned_collapse(monkeypatch, chain):
-    """collapse_benes(chain) with every plan_factor call recorded as
-    (offsets, plan) at both of its call sites: first the spans the collapse
-    scores, then the collapsed chain's factors, planned by the
-    DecompositionChain default."""
+def recorded_collapse(monkeypatch, chain):
+    """collapse_benes(chain) with every plan_bsgs call recorded as
+    (offsets, plan) at both of its bindings: first benes', for the spans the
+    collapse scores, then chain's, for the collapsed chain's factors planned
+    by the DecompositionChain default."""
     calls = []
-    real = plan_factor
+    real = plan_bsgs
 
     def record(offs, n):
         plan = real(offs, n)
@@ -253,10 +253,10 @@ def planned_collapse(monkeypatch, chain):
         return plan
 
     for module in (benes, chain_module):
-        monkeypatch.setattr(module, "plan_factor", record)
+        monkeypatch.setattr(module, "plan_bsgs", record)
     col = collapse_benes(chain)
     for module in (benes, chain_module):
-        monkeypatch.setattr(module, "plan_factor", real)
+        monkeypatch.setattr(module, "plan_bsgs", real)
     return col, calls
 
 
@@ -283,7 +283,7 @@ def test_collapse_plans_match_per_n1_reference(monkeypatch, m):
     n = 1 << m
     for seed in range(3 if m < 10 else 2):
         chain = benes_decompose(rand_perm(n, 300 * m + seed))
-        col, calls = planned_collapse(monkeypatch, chain)
+        col, calls = recorded_collapse(monkeypatch, chain)
         distinct = set(span_offsets(chain).values())
         assert len(calls) == len(distinct) + col.depth
         assert {offs for offs, _ in calls} == distinct
@@ -298,7 +298,7 @@ def test_collapse_scores_each_span_offset_set_once_at_2e12(monkeypatch):
     # of the validated compose + perm_to_diag reference once, in scan
     # order, and then each collapsed factor
     chain = benes_decompose(rand_perm(1 << 12, 4096))
-    col, calls = planned_collapse(monkeypatch, chain)
+    col, calls = recorded_collapse(monkeypatch, chain)
     distinct = list(dict.fromkeys(span_offsets(chain).values()))
     assert len(calls) == len(distinct) + col.depth
     assert [offs for offs, _ in calls[:len(distinct)]] == distinct
@@ -317,7 +317,7 @@ def test_wide_span_plans_match_per_n1_reference():
     assert len(wide) >= 8
     assert all(max(-offs[0], offs[-1]) > 2000 for offs in wide)
     for offs in sorted(wide):
-        assert plan_factor(offs, n) == reference_plan_for(offs, n), offs
+        assert plan_bsgs(offs, n) == reference_plan_for(offs, n), offs
 
 
 def test_collapsed_plans_are_the_scored_plans(monkeypatch):
@@ -325,7 +325,7 @@ def test_collapsed_plans_are_the_scored_plans(monkeypatch):
     # steps add up to the cheapest contiguous split
     for n, seed in ((16, 1), (32, 2), (64, 3), (64, 4)):
         chain = benes_decompose(rand_perm(n, seed))
-        col, calls = planned_collapse(monkeypatch, chain)
+        col, calls = recorded_collapse(monkeypatch, chain)
         scored = dict(calls[:len(calls) - col.depth])
         assert col.plans == [scored[tuple(f.signed_diag_set())]
                              for f in col.factors]
@@ -345,7 +345,7 @@ def test_chain_given_plans_is_not_planned_again(monkeypatch):
         raise AssertionError("planned again")
 
     for module in (benes, chain_module):
-        monkeypatch.setattr(module, "plan_factor", refuse)
+        monkeypatch.setattr(module, "plan_bsgs", refuse)
     again = BenesChain(col.n, col.factors, col.plans, stages=col.stages,
                        groups=col.groups)
     assert again.plans == col.plans

@@ -2,7 +2,7 @@ import random
 
 from permdec.chain import DecompositionChain
 from permdec.diag import (DiagMatrix, baby_plan, perm_to_diag, plan_bsgs,
-                          plan_factor, to_permutation)
+                          to_permutation)
 from permdec.ledger import CostLedger
 from permdec.slots import Permutation, SlotVector
 
@@ -68,7 +68,7 @@ def test_factor_without_diagonals_plans_and_runs():
 
 def test_default_plans_are_plan_factor_plans(rng):
     chain = random_chain(32, rng)
-    assert chain.plans == [plan_factor(f.signed_diag_set(), 32)
+    assert chain.plans == [plan_bsgs(f.signed_diag_set(), 32)
                            for f in chain.factors]
 
 

@@ -1,6 +1,7 @@
 """Command line round trips: flags, reports, exit codes."""
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -11,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from permdec import cli, verify
+from permdec import bench, cli, costmodel, verify
 from permdec.cli import main
 from permdec.costmodel import chain_cost
 from permdec.network import build_network, evaluate_network, reduce_masks
@@ -530,6 +531,23 @@ def test_deep_benes_chain_exits_two_without_asserts():
                       "--no-collapse")
     assert proc.returncode == 2
     assert "19 factors" in proc.stderr and not proc.stdout
+
+
+def test_network_deeper_than_the_modulus_chain_exits_two(capsys,
+                                                          monkeypatch):
+    # a network whose schedule underflows the pricer's modulus chain (at
+    # the default level, n = 2^18) is refused with exit 2 and a message,
+    # by build and profile alike. Pricing n = 64 (schedule levels 1..6,
+    # five rescales run) from level 5 stands in for it
+    low = functools.partial(costmodel.CostParams, level=5)
+    for module in (costmodel, bench):
+        monkeypatch.setattr(module, "CostParams", low)
+    for argv in (["net", "build", "--n", "64"],
+                 ["net", "profile", "--n", "64", "--samples", "1"]):
+        assert main(argv) == 2, argv
+        cap = capsys.readouterr()
+        assert cap.err == ("permdec: network level 6 underflows the modulus "
+                           "chain at 5\n") and not cap.out, argv
 
 
 def test_network_file_is_not_a_permutation_file(capsys, tmp_path):

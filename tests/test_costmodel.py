@@ -17,7 +17,7 @@ import pytest
 
 from permdec.benes import benes_decompose, collapse_benes, restrict_keys
 from permdec.chain import DecompositionChain
-from permdec.costmodel import (CostParams, CostReport, _replay, chain_cost,
+from permdec.costmodel import (CostParams, CostReport, chain_cost, replay,
                                submodule_cost)
 from permdec.diag import perm_to_diag
 from permdec.ledger import CostLedger
@@ -359,7 +359,7 @@ def test_replay_stays_on_an_empty_support(rng):
     # empty (a mask, dense or by positions, included), and it records the
     # ops of a run on real slots
     for name, source in _replayed_sources(rng).items():
-        led, out = _replay(source)
+        led, out = replay(source)
         assert type(out.slots) is _Sparse and out.slots.vals == {}, name
         vals = [rng.randint(-9, 9) for _ in range(source.n)]
         with CostLedger() as real:

@@ -1,5 +1,6 @@
 """Diagonal representation, HLT evaluation, and BSGS plans."""
 
+import inspect
 import random
 
 import pytest
@@ -10,6 +11,7 @@ from permdec.diag import (
     BsgsPlan,
     DiagMatrix,
     PlanCoverageError,
+    _giants,
     _window_counts,
     apply_hlt_bsgs,
     baby_plan,
@@ -18,7 +20,6 @@ from permdec.diag import (
     matvec,
     perm_to_diag,
     plan_bsgs,
-    plan_factor,
     signed_rep,
     to_permutation,
 )
@@ -27,8 +28,8 @@ from permdec.slots import Permutation, SlotVector, rotate_tuple
 from permdec.structured import PaddedChain
 
 from util import (assert_value_errors, assert_value_errors_without_asserts,
-                  reference_plan_bsgs, reference_window_sizes, to_dense,
-                  transpose_perm)
+                  reference_plan_for, reference_split,
+                  reference_window_sizes, to_dense, transpose_perm)
 
 
 def test_signed_rep():
@@ -195,10 +196,9 @@ def check_assignment(plan: BsgsPlan):
     (3, 2, 2, 1),     # range 4
     (15, 5, 4, 3),    # range 16
     (31, 10, 10, 3),  # range 32
-    (127, 18, 18, 7),  # range 128
 ])
 def test_plan_symmetric_frozen(dmax, n1, d1, d2):
-    plan = plan_bsgs(range(-dmax, dmax + 1), n=4 * (dmax + 1), stride=1)
+    plan = plan_bsgs(range(-dmax, dmax + 1), n=4 * (dmax + 1))
     assert plan.style == "symmetric"
     assert plan.n1 == n1
     # d1 babies, d2 giants on each side
@@ -207,8 +207,21 @@ def test_plan_symmetric_frozen(dmax, n1, d1, d2):
     check_assignment(plan)
 
 
+def test_plan_wide_full_range_is_sparse():
+    # a full range of strided spread above 64 takes the sparse split, as
+    # every wide chain factor does: range 256 runs 14 babies and 16 giants
+    # at n1 = 15, at any stride
+    for stride in (1, 127):
+        offs = [stride * t for t in range(-127, 128)]
+        plan = plan_bsgs(offs, n=4 * 128 * stride)
+        assert (plan.style, plan.stride, plan.n1) == ("sparse", stride, 15)
+        assert (len(plan.baby_window), len(plan.giant_window)) == (14, 16)
+        assert len(plan.executed_steps()) == 30
+        check_assignment(plan)
+
+
 def test_plan_onesided():
-    plan = plan_bsgs(range(16), n=64, stride=1)
+    plan = plan_bsgs(range(16), n=64)
     assert plan.style == "onesided"
     m = DiagMatrix(64, {k: {0: 1, 5: 2} for k in range(16)})
     with CostLedger() as lg:
@@ -219,23 +232,23 @@ def test_plan_onesided():
 
 
 def test_plan_factor_sorts_its_input():
-    # the factor planner takes offsets in any order: the same plan for a
-    # shuffled set, on both sides of its strided-spread-64 shortcut, and
-    # the empty baby plan for a factor with no diagonals
+    # the planner takes offsets in any order: the same plan for a shuffled
+    # set, on both sides of its strided-spread-64 shortcut, and the empty
+    # baby plan for a factor with no diagonals
     rng = random.Random(31)
     cases = [list(range(-7, 8)), [3 * t for t in range(-40, 41)],
              [2 * t for t in rng.sample(range(-200, 201), 90)] + [2, 400],
              rng.sample(range(-300, 301), 120) + [1]]
     for offs in cases:
-        plan = plan_factor(sorted(offs), 1024)
+        plan = plan_bsgs(sorted(offs), 1024)
         for _ in range(3):
             rng.shuffle(offs)
-            assert plan_factor(offs, 1024) == plan
-    wide = [plan_factor(offs, 1024) for offs in cases[2:]]
+            assert plan_bsgs(offs, 1024) == plan
+    wide = [plan_bsgs(offs, 1024) for offs in cases[2:]]
     assert [p.stride for p in wide] == [2, 1]
     assert all(max(abs(t) for t in p.assign) > 64 for p in wide)
-    assert plan_factor([], 16) == baby_plan([], 16)
-    assert plan_factor([], 16).executed_steps() == []
+    assert plan_bsgs([], 16) == baby_plan([], 16)
+    assert plan_bsgs([], 16).executed_steps() == []
 
 
 @st.composite
@@ -263,7 +276,7 @@ def test_plan_factor_is_exact_and_no_dearer_than_baby(m, data):
         st.lists(st.integers(-99, 99), min_size=m.n, max_size=m.n))
     v = SlotVector.from_list(vals)
     with CostLedger() as lg:
-        out = apply_hlt_bsgs(m, plan_factor(m.signed_diag_set(), m.n), v)
+        out = apply_hlt_bsgs(m, plan_bsgs(m.signed_diag_set(), m.n), v)
     with CostLedger() as baby:
         apply_direct(m, v)
     assert out.to_list() == matvec(m, vals)
@@ -272,14 +285,19 @@ def test_plan_factor_is_exact_and_no_dearer_than_baby(m, data):
 
 
 def test_plan_single_offset_one_rotation():
-    plan = plan_bsgs([5], n=32, stride=1, n1=1)
+    plan = plan_bsgs([5], n=32)
     assert len(plan.executed_steps()) == 1
 
 
-# each bad plan request must raise ValueError matching the text, also under
-# python -O
+# each plan that does not cover its matrix must be refused with ValueError
+# matching the text, also under python -O
 BAD_PLANS = {
-    "empty offset set": lambda: plan_bsgs([], n=16),
+    "diagonal 7 not covered by plan": lambda: apply_hlt_bsgs(
+        DiagMatrix(16, {7: {0: 1}}), plan_bsgs([0, 1, 2], n=16),
+        SlotVector.zeros(16)),
+    "diagonal 3 not covered by plan": lambda: apply_hlt_bsgs(
+        DiagMatrix(16, {3: {0: 1}, 6: {1: 1}}), plan_bsgs([6], n=16),
+        SlotVector.zeros(16)),
 }
 
 
@@ -292,15 +310,13 @@ def test_bad_plans_raise_without_asserts():
 
 
 def random_offset_sets(rng, count):
-    """Seeded (offsets, n, n1, style) cases: full symmetric ranges, one-sided
-    ranges of either sign and sparse sets, at n = 2^3..2^12, with n1 free
-    (spread capped so the reference sweep stays quick) or fixed (any spread,
-    sometimes past dmax), and the style detected or forced."""
+    """Seeded (offsets, n) cases: full symmetric ranges, one-sided ranges of
+    either sign and sparse sets, of strided spread up to 80 (sparse: 300),
+    so both sides of the spread-64 shortcut are drawn, at strides 1 to 5."""
     for i in range(count):
-        n = 1 << rng.randint(3, 12)
-        fixed = rng.random() < 0.5
-        dmax = rng.randint(0, n // 2 if fixed else min(n // 2, 96))
+        stride = rng.choice([1, 1, 2, 3, 5])
         kind = i % 3
+        dmax = rng.randint(0, rng.choice([64, 300]) if kind == 2 else 80)
         if kind == 0:
             ts = range(-dmax, dmax + 1)
         elif kind == 1:
@@ -309,21 +325,33 @@ def random_offset_sets(rng, count):
                 ts = [-t for t in ts]
         else:
             ts = rng.sample(range(-dmax, dmax + 1),
-                            rng.randint(1, min(2 * dmax + 1, 300)))
-        n1 = rng.randint(1, dmax + 3) if fixed else None
-        style = rng.choice([None, None, "symmetric", "onesided", "sparse"])
-        yield list(ts), n, n1, style
+                            rng.randint(1, min(2 * dmax + 1, 100)))
+        n = 1 << max(3, (2 * stride * dmax + 1).bit_length())
+        yield [stride * t for t in ts], n
+
+
+def test_plan_bsgs_is_the_one_planner_of_offsets_and_n():
+    # no stride, n1 or style to force: a plan follows from its offsets
+    assert list(inspect.signature(plan_bsgs).parameters) == ["offsets", "n"]
 
 
 def test_plan_bsgs_matches_per_candidate_reference():
     # counting the candidates and building only the winner must give the
     # plan, field for field, that building every candidate gave
     rng = random.Random(2024)
-    for ts, n, n1, style in random_offset_sets(rng, 1500):
-        stride = rng.choice([1, 1, 3])
-        got = plan_bsgs(ts, n, stride=stride, n1=n1, style=style)
-        want = reference_plan_bsgs(ts, n, stride=stride, n1=n1, style=style)
-        assert got == want, (ts, n, n1, style)
+    seen = set()
+    for offs, n in random_offset_sets(rng, 1500):
+        plan = plan_bsgs(offs, n)
+        assert plan == reference_plan_for(offs, n), (offs, n)
+        dmax = max(abs(o) for o in offs) // plan.stride
+        wide_full = dmax > 64 and len(offs) == 2 * dmax + 1
+        seen.add((plan.style, plan.stride > 1, wide_full))
+    # every split, strided and not, and strided and unstrided full ranges
+    # wider than 64 are drawn
+    assert {(st, strided) for st, strided, _ in seen} >= {
+        (st, strided) for st in ("symmetric", "onesided", "sparse")
+        for strided in (False, True)}
+    assert {("sparse", False, True), ("sparse", True, True)} <= seen
 
 
 def window_offset_sets(rng, count):
@@ -340,7 +368,7 @@ def window_offset_sets(rng, count):
         elif kind == 1:  # sparse
             ts = rng.sample(span, rng.randint(1, max(1, dmax // 8)))
         elif kind in (2, 3):  # one side only
-            ts = rng.sample(range(rng.randint(0, 1), dmax + 1),
+            ts = rng.sample(range(rng.randint(0, min(1, dmax)), dmax + 1),
                             rng.randint(1, max(1, dmax)))
             ts = ts if kind == 2 else [-t for t in ts]
         elif kind == 4:
@@ -361,6 +389,18 @@ def test_window_counts_match_set_reference():
             want = [reference_window_sizes(ts, n1, style, dmax)
                     for n1 in cands]
             assert _window_counts(ts, cands, style, dmax) == want, (ts, style)
+
+
+def test_giants_match_reference_splits():
+    # _giants must split every offset as the style's definition does, at
+    # every n1 from 1 past dmax
+    rng = random.Random(13)
+    for ts in window_offset_sets(rng, 120):
+        dmax = max(abs(t) for t in ts)
+        for style in ("sparse", "symmetric", "onesided"):
+            for n1 in range(1, dmax + 4):
+                want = [reference_split(t, n1, style, dmax)[0] for t in ts]
+                assert _giants(ts, n1, style, dmax) == want, (ts, style, n1)
 
 
 # each non-permutation matrix must be refused with ValueError, also under
@@ -488,7 +528,8 @@ def test_bsgs_equals_direct_symmetric():
     rng = random.Random(10)
     n, stride, dmax = 64, 3, 7
     m = full_range_matrix(n, stride, dmax, rng)
-    plan = plan_bsgs(range(-dmax, dmax + 1), n=n, stride=stride)
+    plan = plan_bsgs([stride * t for t in range(-dmax, dmax + 1)], n=n)
+    assert (plan.style, plan.stride) == ("symmetric", stride)
     v = SlotVector(tuple(rng.randrange(50) for _ in range(n)))
     with CostLedger() as lg:
         out = apply_hlt_bsgs(m, plan, v)
@@ -505,17 +546,19 @@ def test_bsgs_equals_direct_random_structured():
         stride = rng.choice([1, 2, 3, 5])
         dmax = rng.randrange(2, 9)
         m = full_range_matrix(n, stride, dmax, rng)
-        plan = plan_bsgs(range(-dmax, dmax + 1), n=n, stride=stride)
+        plan = plan_bsgs([stride * t for t in range(-dmax, dmax + 1)], n=n)
         v = SlotVector(tuple(rng.randrange(50) for _ in range(n)))
         assert apply_hlt_bsgs(m, plan, v).to_list() == matvec(m, v.to_list())
 
 
 def test_bsgs_full_16_perm_six_rotations():
-    # generic 16x16 permutation, unsigned diagonals [0,16) with n1 = n2 = 4
+    # generic 16x16 permutation, unsigned diagonals [0,16): the planner
+    # splits them with n1 = n2 = 4
     rng = random.Random(12)
     p = Permutation.random(16, rng)
     m = perm_to_diag(p)
-    plan = plan_bsgs(range(16), n=16, stride=1, n1=4, style="onesided")
+    plan = plan_bsgs(range(16), n=16)
+    assert (plan.style, plan.n1) == ("onesided", 4)
     v = SlotVector(tuple(rng.randrange(100) for _ in range(16)))
     with CostLedger() as lg:
         out = apply_hlt_bsgs(m, plan, v)
@@ -525,33 +568,33 @@ def test_bsgs_full_16_perm_six_rotations():
 
 def test_bsgs_transpose_d128():
     # transpose for d=128: diagonals 127*t, t in [-127, 127]; the planned
-    # split (d1, d2) = (18, 7), as in test_plan_symmetric_frozen, runs one
+    # sparse split, as in test_plan_wide_full_range_is_sparse, runs one
     # rotation per executed step
     d = 128
     n = d * d
     p = transpose_perm(d)
     m = perm_to_diag(p)
     assert to_permutation(m) == p
-    plan = plan_bsgs(range(-(d - 1), d), n=n, stride=d - 1)
-    assert plan.style == "symmetric"
+    plan = plan_bsgs([(d - 1) * t for t in range(-(d - 1), d)], n=n)
+    assert (plan.style, plan.stride) == ("sparse", d - 1)
     rng = random.Random(13)
     v = SlotVector(tuple(rng.randrange(100) for _ in range(n)))
     with CostLedger() as lg:
         out = apply_hlt_bsgs(m, plan, v)
     assert list(out.slots) == p.apply(v.slots)
-    assert lg.rotation_count == len(plan.executed_steps()) == 18 + 2 * 7
+    assert lg.rotation_count == len(plan.executed_steps()) == 14 + 16
 
 
 def test_bsgs_plan_coverage_error():
     m = DiagMatrix(16)
     m.set_entry(7, 0, 1)
-    plan = plan_bsgs([0, 1, 2], n=16, stride=1)
+    plan = plan_bsgs([0, 1, 2], n=16)
     with pytest.raises(PlanCoverageError):
         apply_hlt_bsgs(m, plan, SlotVector.zeros(16))
 
 
 def test_bsgs_key_steps():
-    plan = plan_bsgs(range(-7, 8), n=64, stride=3)
+    plan = plan_bsgs([3 * t for t in range(-7, 8)], n=64)
     m = full_range_matrix(64, 3, 7, random.Random(14))
     with CostLedger() as lg:
         apply_hlt_bsgs(m, plan, SlotVector.zeros(64))

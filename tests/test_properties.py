@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from util import benes_key_set, benes_rotation_counts
 
 from permdec.benes import benes_decompose, collapse_benes, restrict_keys
-from permdec.costmodel import _replay, chain_cost
+from permdec.costmodel import chain_cost, replay
 from permdec.ledger import CostLedger
 from permdec.network import (MultiGroupNetwork, build_network,
                              collapse_levels, evaluate_network, reduce_masks)
@@ -41,7 +41,7 @@ def run_replay_exact(source, vals):
             out = evaluate_network(source, v)
         else:
             out = source.evaluate(v)
-    assert _replay(source)[0].ops == led.ops
+    assert replay(source)[0].ops == led.ops
     return out, led
 
 

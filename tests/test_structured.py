@@ -154,7 +154,7 @@ def baby_planned(chain):
 
 @pytest.mark.parametrize("d", [*range(2, 18), 31, 32, 33, 63, 64])
 def test_ladders_planned_no_dearer_than_baby(d):
-    # every ladder runs its default (plan_factor) plans exactly, and costs
+    # every ladder runs its default (plan_bsgs) plans exactly, and costs
     # no more than its factors under one rotation per off diagonal, at the
     # same depth
     n = d * d
@@ -240,7 +240,7 @@ def test_decompose_ut_zero_pad(rng):
 def test_decompose_ut_budget_formula_d4(rng):
     chain = decompose_ut(HmtSpec(4, 16, 1))
     left = chain.factors[0]
-    plan = plan_bsgs([-1, 0, 1], 16, stride=3)
+    plan = plan_bsgs([-3, 0, 3], 16)
     right = baby_plan(chain.factors[1].diags, 16)
     chain = DecompositionChain(16, chain.factors, [plan, right])
     with CostLedger() as lg:
@@ -260,7 +260,7 @@ def test_hmt_rotation_totals(d, l, total, rng):
     n = d * d
     chain = decompose_ut(HmtSpec(d, n, l))
     width = d >> l
-    plan = plan_bsgs(range(-(width - 1), width), n, stride=d - 1)
+    plan = plan_bsgs([(d - 1) * t for t in range(-(width - 1), width)], n)
     rights = [baby_plan(f.diags, n) for f in chain.factors[1:]]
     chain = DecompositionChain(n, chain.factors, [plan] + rights)
     v = SlotVector.from_list(rand_vals(n, rng))

@@ -11,8 +11,8 @@ from pathlib import Path
 import pytest
 
 from permdec import slots
-from permdec.costmodel import _replay
-from permdec.diag import BsgsPlan, DiagMatrix, _giants, _tie_penalty
+from permdec.costmodel import replay
+from permdec.diag import BsgsPlan, DiagMatrix, _tie_penalty
 from permdec.network import rotation_profile
 from permdec.slots import Permutation
 
@@ -60,7 +60,7 @@ def entry_routes(net) -> list[list[tuple]]:
 
 def zero_ledger(net):
     """CostLedger of the cost model's replay of net on the zero vector."""
-    return _replay(net)[0]
+    return replay(net)[0]
 
 
 def zero_profile(net):
@@ -68,21 +68,36 @@ def zero_profile(net):
     return rotation_profile(net, zero_ledger(net))
 
 
+def reference_split(t, n1, style, dmax):
+    """(g, j) of offset t under the style's split t = n1*g + j, by the
+    definitions: symmetric floors t >= 0 and shifts t < 0 by dmax mod n1,
+    onesided splits |t| and gives both parts t's sign, sparse takes the
+    nearest g."""
+    if style == "symmetric":
+        g = t // n1 if t >= 0 else (t + dmax % n1) // n1
+    elif style == "onesided":
+        g = abs(t) // n1 * (1 if t >= 0 else -1)
+    else:
+        g = (t + n1 // 2) // n1
+    return g, t - n1 * g
+
+
 def reference_window_sizes(ts, n1, style, dmax):
     """Baby and giant window sizes (distinct nonzero j and g) of the split
     at n1, counted on Python sets: the counter before the bitset sweep."""
-    giants = _giants(ts, n1, style, dmax)
-    js = {t - n1 * g for t, g in zip(ts, giants)}
-    gs = set(giants)
+    split = [reference_split(t, n1, style, dmax) for t in ts]
+    js = {j for _, j in split}
+    gs = {g for g, _ in split}
     return len(js) - (0 in js), len(gs) - (0 in gs)
 
 
 def reference_plan_bsgs(offsets, n, stride=1, n1=None, style=None):
     """The per-candidate BSGS planner that plan_bsgs replaced: every n1
     candidate builds its full assignment and plan, and the plans are sorted
-    by (rotations, tie penalty, n1)."""
+    by (rotations, tie penalty, n1). A test that needs a plan at a forced
+    stride, n1 or style builds it here."""
     ts = sorted(set(offsets))
-    dmax = max(abs(t) for t in ts)
+    dmax = max(-ts[0], ts[-1])
     if dmax == 0:
         return BsgsPlan(n, stride, 1, "trivial", {0: (0, 0)}, (), ())
     if style is None:
@@ -104,21 +119,9 @@ def reference_plan_bsgs(offsets, n, stride=1, n1=None, style=None):
 
     candidates = []
     for cand in [n1] if n1 is not None else range(1, dmax + 1):
-        if style == "symmetric":
-            if cand >= dmax + 1:
-                continue
-            s = dmax % cand
-            assign = {}
-            for t in ts:
-                g = t // cand if t >= 0 else (t + s) // cand
-                assign[t] = (g, t - cand * g)
-        elif style == "onesided":
-            assign = {t: ((abs(t) // cand) * (1 if t >= 0 else -1),
-                          (abs(t) % cand) * (1 if t >= 0 else -1))
-                      for t in ts}
-        else:
-            assign = {t: ((t + cand // 2) // cand,
-                          t - cand * ((t + cand // 2) // cand)) for t in ts}
+        if style == "symmetric" and cand >= dmax + 1:
+            continue
+        assign = {t: reference_split(t, cand, style, dmax) for t in ts}
         js, gs = windows(assign)
         pd1 = len(js)
         pd2 = len(gs) // 2 if style == "symmetric" else len(gs)
@@ -133,9 +136,12 @@ def reference_plan_bsgs(offsets, n, stride=1, n1=None, style=None):
 
 
 def reference_plan_for(offs, n):
-    """The Beneš factor planner before the count-only sweep: on wide spreads
-    one full plan per n1 candidate, keeping the first with the fewest
-    rotations."""
+    """The factor planner before the count-only sweep: the gcd taken out as
+    the stride, the full sweep up to a strided spread of 64 and, on wider
+    spreads, one full sparse plan per n1 candidate, keeping the first with
+    the fewest rotations."""
+    if not offs:
+        return BsgsPlan(n, 1, 1, "sparse", {}, (), ())
     stride = 0
     for o in offs:
         stride = math.gcd(stride, abs(o))
