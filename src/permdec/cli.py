@@ -3,8 +3,10 @@
 Subcommands cover the whole pipeline: ideal-form search, the structured
 decompositions, batched matrix products, routing networks, the key-routed
 baseline, and the oracle suite. The ladder targets come from
-`structured.LADDERS`, and the random inputs and the product oracle are those
-of `permdec verify`, so a subcommand checks a route the way the suite does.
+`structured.LADDERS`. Every route subcommand (decompose, hmm, net eval and
+benes) runs its route once through the helpers of `permdec verify`
+(`checked_run`, `supported_slots`, `hmm_trial`), so it checks the route the
+way the suite does, and its verdict and its counts come from that one run.
 Every run writes a machine-readable report (json or flat text) to stdout or
 to --out; relative --out paths land in $PERMDEC_OUTDIR when that is set.
 Exit status: 0 on success, 1 when a verification fails, 2 on usage errors,
@@ -21,21 +23,21 @@ import json
 import os
 import random
 import sys
+from functools import partial
 
 from .bench import bench_networks
 from .benes import benes_decompose, collapse_benes, restrict_keys
-from .costmodel import chain_cost, replay
+from .costmodel import chain_cost
 from .diag import matvec, perm_to_diag, signed_rep
-from .hmm import (HmmConfig, hmm_multiply, hmm_rotation_budget,
-                  reference_products)
-from .ledger import CostLedger
+from .hmm import HmmConfig, hmm_rotation_budget
 from .network import (build_network, collapse_levels, evaluate_network,
                       reduce_masks)
 from .search import diag_profile, max_ideal_depth, validate_ideal_chain
-from .slots import DEFAULT_LEVEL, Permutation, SlotVector
+from .slots import DEFAULT_LEVEL, Permutation
 from .structured import (LADDERS, build_gamma_xi, decompose_gamma_xi_pad,
                          unit_input_slots)
-from .verify import DEFAULT_SEED, random_matrices, random_slots, run_suite
+from .verify import (DEFAULT_SEED, checked_run, hmm_trial, random_slots,
+                     run_suite, supported_slots)
 
 OUTDIR_ENV = "PERMDEC_OUTDIR"
 
@@ -84,71 +86,52 @@ def _cmd_search(cfg: argparse.Namespace):
     return (0 if rep.ok else 1), report
 
 
-def _ladder_report(chain, u, cfg: argparse.Namespace):
-    names = _factor_names(chain.depth)
-    by_tag = replay(chain)[0].rotations_by_tag()
-    report = {
-        "command": "decompose", "target": cfg.target, "n": u.n,
-        "d": cfg.d, "depth_l": cfg.l,
-        "factors": [{"name": nm, "diagonals": f.signed_diag_set(),
-                     "rotations": by_tag[f"{chain.TAG}.f{i}"]}
-                    for i, (nm, f) in enumerate(zip(names, chain.factors))],
-    }
-    status = 0
-    if cfg.verify:
-        vals = random_slots(random.Random(cfg.seed), u.n)
-        out = chain.evaluate(SlotVector.from_list(vals))
-        ok = chain.product() == u and out.to_list() == matvec(u, vals)
-        report["verified"] = ok
-        status = 0 if ok else 1
-    return status, report
-
-
 def _cmd_decompose(cfg: argparse.Namespace):
+    rng = random.Random(cfg.seed)
     if cfg.target in LADDERS:
         _refuse(cfg, f"decompose {cfg.target} has no unit grid", "dp")
         build, decompose = LADDERS[cfg.target]
-        chain = decompose(cfg.d, cfg.l, cfg.n)
-        return _ladder_report(chain, build(cfg.d, cfg.n), cfg)
-
-    # padded fan-out pair; report the requested map
-    gamma, xi = build_gamma_xi(cfg.d, cfg.dp, cfg.n)
-    cg, cx, _ = decompose_gamma_xi_pad(cfg.d, cfg.l, cfg.dp, cfg.n)
-    chain, u = (cg, gamma) if cfg.target == "gamma" else (cx, xi)
-    report = {
-        "command": "decompose", "target": cfg.target, "n": chain.n,
-        "d": cfg.d, "dp": cfg.dp or cfg.d, "depth_l": cfg.l,
-        "doubling_steps": _signed(chain.n, chain.r_steps),
-        "fanout_steps": _signed(chain.n, chain.l_steps),
-        "rotations": replay(chain)[0].rotation_count,
-        "mask_ones": sum(chain.mask),
-    }
-    status = 0
-    if cfg.verify:
-        rng = random.Random(cfg.seed)
+        chain, u = decompose(cfg.d, cfg.l, cfg.n), build(cfg.d, cfg.n)
+        vals = random_slots(rng, u.n)
+        ok, led, _ = checked_run(chain.evaluate, vals, matvec(u, vals))
+        # the run checks the slots; the product checks the factors
+        ok = chain.product() == u and ok
+        by_tag = led.rotations_by_tag()
+        names = _factor_names(chain.depth)
+        factors = [{"name": nm, "diagonals": f.signed_diag_set(),
+                    "rotations": by_tag[f"{chain.TAG}.f{i}"]}
+                   for i, (nm, f) in enumerate(zip(names, chain.factors))]
+        report = {
+            "command": "decompose", "target": cfg.target, "n": u.n,
+            "d": cfg.d, "depth_l": cfg.l, "factors": factors,
+        }
+    else:
+        # padded fan-out pair; report the requested map
+        gamma, xi = build_gamma_xi(cfg.d, cfg.dp, cfg.n)
+        cg, cx, _ = decompose_gamma_xi_pad(cfg.d, cfg.l, cfg.dp, cfg.n)
+        chain, u = (cg, gamma) if cfg.target == "gamma" else (cx, xi)
         support = set(unit_input_slots(cfg.d, cfg.dp, chain.n))
-        vals = [rng.randint(-30, 30) if s in support else 0
-                for s in range(chain.n)]
-        out = chain.evaluate(SlotVector.from_list(vals))
-        ok = out.to_list() == matvec(u, vals)
-        report["verified"] = ok
-        status = 0 if ok else 1
-    return status, report
+        vals = supported_slots(rng, chain.n, support)
+        ok, led, _ = checked_run(chain.evaluate, vals, matvec(u, vals))
+        report = {
+            "command": "decompose", "target": cfg.target, "n": chain.n,
+            "d": cfg.d, "dp": cfg.dp or cfg.d, "depth_l": cfg.l,
+            "doubling_steps": _signed(chain.n, chain.r_steps),
+            "fanout_steps": _signed(chain.n, chain.l_steps),
+            "rotations": led.rotation_count,
+            "mask_ones": sum(chain.mask),
+        }
+    report["verified"] = ok
+    return (0 if ok else 1), report
 
 
 def _cmd_hmm(cfg: argparse.Namespace):
     hc = HmmConfig(cfg.d, cfg.dp or cfg.d, cfg.m,
                    replication=cfg.replication)
     rng = random.Random(cfg.seed)
-    products_ok = True
-    rotations = None
-    for _ in range(cfg.samples):
-        a, b = random_matrices(rng, hc), random_matrices(rng, hc)
-        with CostLedger() as led:
-            got = hmm_multiply(a, b, hc)
-        if rotations is None:
-            rotations = led.rotation_count
-        products_ok = products_ok and got == reference_products(a, b)
+    trials = [hmm_trial(rng, hc) for _ in range(cfg.samples)]
+    products_ok = all(ok for ok, _ in trials)
+    rotations = trials[0][1]
     bud = hmm_rotation_budget(hc)
     budget_ok = rotations == bud.total
     ok = products_ok and budget_ok
@@ -209,9 +192,8 @@ def _cmd_net(cfg: argparse.Namespace):
         return 0, report
 
     vals = random_slots(random.Random(cfg.seed + 1), net.n)
-    with CostLedger() as led:
-        out = evaluate_network(net, SlotVector.from_list(vals))
-    ok = out.to_list() == p.apply(vals)
+    ok, led, out = checked_run(partial(evaluate_network, net), vals,
+                               p.apply(vals))
     report = {
         "command": "net", "action": "eval", "n": net.n, "seed": cfg.seed,
         "reduced": cfg.reduce, "rotations": led.rotation_count,
@@ -236,9 +218,8 @@ def _cmd_benes(cfg: argparse.Namespace):
     if not cfg.no_restrict:
         bc = restrict_keys(bc, cfg.budget)
     vals = random_slots(random.Random(cfg.seed + 1), p.n)
-    with CostLedger() as led:
-        out = bc.evaluate(SlotVector.from_list(vals))
-    ok = bc.product() == perm_to_diag(p) and out.to_list() == p.apply(vals)
+    ok, led, _ = checked_run(bc.evaluate, vals, p.apply(vals))
+    ok = bc.product() == perm_to_diag(p) and ok
     by_tag = led.rotations_by_tag()
     report = {
         "command": "benes", "n": p.n, "seed": cfg.seed, "depth": bc.depth,
@@ -356,7 +337,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--dp", type=_positive)
     sp.add_argument("--l", type=int, default=1)
     sp.add_argument("--n", type=_positive)
-    sp.add_argument("--verify", action="store_true")
     common(sp)
 
     sp = sub.add_parser("hmm", help="batched matrix products")

@@ -33,12 +33,13 @@ has dropped fewer levels than the schedule counts (12 of the 69 rotations of
 the raw benchmark network at n = 2^14, seed 1, instance 0, run one or more
 levels higher), and pricing those by operand level would change the network
 reports. Masks are charged at their recorded level in both cases. The CLI
-reports read their rotation counts and key sets from the ledger of a run
-(the decompose reports from replay's); what they print of the diagonals is
-read off the factors (the ladder reports' diagonal lists, the Beneš
-report's diag_counts). The one independent count is hmm_rotation_budget's
-closed form, which `permdec hmm` requires to equal the ledger of its run
-exactly.
+reports read their rotation counts and key sets from the ledger of a run:
+a route report (decompose, hmm, net eval, benes) from its one checked run
+(verify.checked_run or verify.hmm_trial), and what they print of the
+diagonals is read off the factors (the ladder reports' diagonal lists, the
+Beneš report's diag_counts). The one independent count is
+hmm_rotation_budget's closed form, which `permdec hmm` requires to equal the
+ledger of its run exactly.
 """
 
 from __future__ import annotations

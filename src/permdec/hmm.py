@@ -21,9 +21,10 @@ targets: each upper factor is one masked-sum layer over anchored windows,
 and f_0 is finished per target by `srep_replicate`. Each masked-sum layer
 rescales once, but the final unit mask is never rescaled and shares the
 product's rescale, so the simulated depth is 1 + (number of upper factors):
-2 for factors (4, 4), as for one mask, and 3 for (2, 2, 4). A real CKKS
-scheme would spend a level on that mask. `hmm_rotation_budget` counts the
-rotations of both schemes exactly, from the window definitions.
+2 for factors (4, 4) and 3 for (2, 2, 4). A real CKKS scheme would spend a
+level on that mask. Single-mask replication is the one-factor layered case
+(d,), rescaled per unit, so its depth is 2 as well. `hmm_rotation_budget`
+counts the rotations of both schemes exactly, from the window definitions.
 """
 
 from __future__ import annotations
@@ -101,13 +102,13 @@ def srep_replicate(v: SlotVector, k: int, layout: UnitLayout,
 class HmmConfig:
     """Shape of a batched multiply: m pairs of d x d matrices, redundancy d'.
 
-    replication=None replicates each column group with one mask and log d
-    doubling steps; a factor tuple [f_top, .., f_1, f_0] switches to the
-    layered scheme (one masked-sum layer per upper factor, srep_replicate
-    for the last). Measured depth is one level per upper factor plus the
-    product's: the final unit mask is not rescaled on its own, although a
-    real CKKS scheme would need a level for it. The vector holds exactly
-    the m packed spans.
+    A factor tuple [f_top, .., f_1, f_0] selects layered replication (one
+    masked-sum layer per upper factor, srep_replicate for the last).
+    Measured depth is one level per upper factor plus the product's: the
+    final unit mask is not rescaled on its own, although a real CKKS scheme
+    would need a level for it. replication=None, a single mask and log d
+    doubling steps per column group, is the one-factor layered case (d,),
+    rescaled per unit. The vector holds exactly the m packed spans.
     """
 
     d: int
@@ -199,16 +200,13 @@ def hmm_evaluate(pa: SlotVector, pb: SlotVector, cfg: HmmConfig) -> SlotVector:
     cols = UnitLayout(d, 1)
     rows = UnitLayout(d, d)
     units = [k * dp for k in range(cfg.groups)]
+    factors = cfg.replication or (d,)
+    reps_a = _layered_replicate(va, units, cols, factors, tag="hmm.a.rep")
+    reps_b = _layered_replicate(vb, units, rows, factors, tag="hmm.b.rep")
     if cfg.replication is None:
-        reps_a = [srep_replicate(va, u, cols, tag="hmm.a.rep").rescale(tag="hmm.a.rep")
-                  for u in units]
-        reps_b = [srep_replicate(vb, u, rows, tag="hmm.b.rep").rescale(tag="hmm.b.rep")
-                  for u in units]
-    else:
-        reps_a = _layered_replicate(va, units, cols, cfg.replication,
-                                    tag="hmm.a.rep")
-        reps_b = _layered_replicate(vb, units, rows, cfg.replication,
-                                    tag="hmm.b.rep")
+        # a single mask is the one-factor layered case, rescaled per unit
+        reps_a = [r.rescale(tag="hmm.a.rep") for r in reps_a]
+        reps_b = [r.rescale(tag="hmm.b.rep") for r in reps_b]
     acc = None
     for ta, tb in zip(reps_a, reps_b):
         p = ta.mult(tb, tag="hmm.prod")

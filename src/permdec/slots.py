@@ -159,8 +159,8 @@ class SlotVector:
         return cls(_Sparse(n, {}), level)
 
     def zeros_like(self) -> "SlotVector":
-        """All zeros at this vector's level."""
-        return SlotVector.zeros(self.n, self.level)
+        """All zeros at this vector's level and depth."""
+        return SlotVector(_Sparse(self.n, {}), self.level, self.depth_used)
 
     def _dense(self) -> Sequence[int]:
         s = self.slots

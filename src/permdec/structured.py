@@ -48,7 +48,8 @@ def partition_rounds(d: int, rounds: int) -> list[tuple[Block, ...]]:
     later round, and every other cell once. Size-1 blocks persist unchanged,
     so any round count is legal; sizes stay within two consecutive values.
     """
-    assert rounds >= 1 and d >= 1
+    if d < 1 or rounds < 1:
+        raise ValueError(f"need d, rounds >= 1, got d={d}, rounds={rounds}")
     out = []
     blocks = [Block(0, 0, d)]
     for _ in range(rounds):

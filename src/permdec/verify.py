@@ -7,17 +7,19 @@ permutation application, or plain matrix arithmetic by
 `structured.LADDERS`, and the network checks one routine over a table of
 network preparations. Each check owns a generator derived from the seed and
 its report name, `Random(f"{seed}:{name}")`, so a (seed, n_max) pair fixes
-the whole suite bit for bit. The command line draws its inputs with the same
-`random_slots` and `random_matrices`.
+the whole suite bit for bit. `checked_run`, `supported_slots` and `hmm_trial`
+are the one way a route is checked: the suite and the command line's route
+reports alike run through them.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import partial
 
 from .benes import benes_decompose, collapse_benes, restrict_keys
-from .diag import DiagMatrix, matvec, perm_to_diag
+from .diag import matvec, perm_to_diag
 from .hmm import (HmmConfig, Matrix, hmm_multiply, hmm_rotation_budget,
                   reference_products)
 from .ledger import CostLedger
@@ -87,10 +89,30 @@ def random_matrices(rng, cfg: HmmConfig) -> list[Matrix]:
             for _ in range(cfg.m)]
 
 
-def _eval_matches(chain, m: DiagMatrix, rng) -> bool:
-    vals = random_slots(rng, m.n)
-    out = chain.evaluate(SlotVector.from_list(vals))
-    return out.to_list() == matvec(m, vals)
+def supported_slots(rng, n: int, support) -> list[int]:
+    """n slot values, uniform in [-30, 30] on the slots of `support` and
+    zero elsewhere: the input of a padded route."""
+    return [rng.randint(-30, 30) if s in support else 0 for s in range(n)]
+
+
+def checked_run(evaluate, vals: list[int], want: list[int]
+                ) -> tuple[bool, CostLedger, SlotVector]:
+    """Run a route once on vals under its own CostLedger: whether the output
+    is `want` slot for slot, the ledger of the run, and the output.
+    `evaluate` is a chain's `evaluate`, or `partial(evaluate_network, net)`.
+    """
+    with CostLedger() as led:
+        out = evaluate(SlotVector.from_list(vals))
+    return out.to_list() == want, led, out
+
+
+def hmm_trial(rng, cfg: HmmConfig) -> tuple[bool, int]:
+    """One product of random operands: whether it equals
+    `reference_products`, and the rotations it ran."""
+    a, b = random_matrices(rng, cfg), random_matrices(rng, cfg)
+    with CostLedger() as led:
+        got = hmm_multiply(a, b, cfg)
+    return got == reference_products(a, b), led.rotation_count
 
 
 def _per_config(budget: int, configs: int) -> int:
@@ -111,8 +133,9 @@ def check_ideal_search(rng, budget: int) -> CheckResult:
         res.flag(rep.ok and depth >= 1,
                  f"d={d}: ideal chain invalid ({rep.details[:1]})")
         for _ in range(per):
-            res.flag(_eval_matches(chain, u, rng),
-                     f"d={d}: searched chain output mismatch")
+            vals = random_slots(rng, u.n)
+            ok, _, _ = checked_run(chain.evaluate, vals, matvec(u, vals))
+            res.flag(ok, f"d={d}: searched chain output mismatch")
     return res
 
 
@@ -133,8 +156,9 @@ def check_ladder(name: str, family: str, rng, budget: int) -> CheckResult:
         chain = decompose(d, l)
         res.flag(chain.product() == u, f"d={d} l={l}: product differs")
         for _ in range(per):
-            res.flag(_eval_matches(chain, u, rng),
-                     f"d={d} l={l}: ladder output mismatch")
+            vals = random_slots(rng, u.n)
+            ok, _, _ = checked_run(chain.evaluate, vals, matvec(u, vals))
+            res.flag(ok, f"d={d} l={l}: ladder output mismatch")
     return res
 
 
@@ -150,11 +174,9 @@ def check_padded_fanout(rng, budget: int) -> CheckResult:
         support = set(unit_input_slots(d, dp))
         for chain, ref, which in ((cg, gamma, "gamma"), (cx, xi, "xi")):
             for _ in range(per):
-                vals = [rng.randint(-30, 30) if s in support else 0
-                        for s in range(n)]
-                out = chain.evaluate(SlotVector.from_list(vals))
-                res.flag(out.to_list() == matvec(ref, vals),
-                         f"d={d} dp={dp} l={l}: padded {which} mismatch")
+                vals = supported_slots(rng, n, support)
+                ok, _, _ = checked_run(chain.evaluate, vals, matvec(ref, vals))
+                res.flag(ok, f"d={d} dp={dp} l={l}: padded {which} mismatch")
     return res
 
 
@@ -175,14 +197,10 @@ def check_batched_matmul(rng, budget: int) -> CheckResult:
     for cfg in configs:
         tag = f"d={cfg.d} dp={cfg.d_prime} rep={cfg.replication}"
         for it in range(per):
-            a, b = random_matrices(rng, cfg), random_matrices(rng, cfg)
-            with CostLedger() as led:
-                got = hmm_multiply(a, b, cfg)
-            res.flag(got == reference_products(a, b),
-                     f"{tag}: product mismatch")
+            ok, rot = hmm_trial(rng, cfg)
+            res.flag(ok, f"{tag}: product mismatch")
             if it == 0:
                 bud = hmm_rotation_budget(cfg)
-                rot = led.rotation_count
                 res.flag(rot == bud.total,
                          f"{tag}: rotations {rot} vs budget {bud.total}")
     return res
@@ -219,9 +237,9 @@ def check_network(name: str, rng, budget: int, n_max: int) -> CheckResult:
             p = Permutation.random(n, rng)
             net = prepare(build_network(p))
             vals = random_slots(rng, n)
-            out = evaluate_network(net, SlotVector.from_list(vals))
-            res.flag(out.to_list() == p.apply(vals),
-                     f"n={n}: network output differs from permutation")
+            ok, _, _ = checked_run(partial(evaluate_network, net), vals,
+                                   p.apply(vals))
+            res.flag(ok, f"n={n}: network output differs from permutation")
     return res
 
 
@@ -234,13 +252,12 @@ def check_benes(rng, budget: int, n_max: int) -> CheckResult:
             res.flag(bc.product() == perm_to_diag(p),
                      f"n={n}: collapsed product differs")
             vals = random_slots(rng, n)
-            out = bc.evaluate(SlotVector.from_list(vals))
-            res.flag(out.to_list() == p.apply(vals),
+            want = p.apply(vals)
+            res.flag(checked_run(bc.evaluate, vals, want)[0],
                      f"n={n}: collapsed evaluation mismatch")
             if it % 4 == 0:
                 rc = restrict_keys(bc)
-                out = rc.evaluate(SlotVector.from_list(vals))
-                res.flag(out.to_list() == p.apply(vals),
+                res.flag(checked_run(rc.evaluate, vals, want)[0],
                          f"n={n}: key-restricted evaluation mismatch")
     return res
 

@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 from permdec import bench, cli, costmodel, verify
+from permdec.chain import DecompositionChain
 from permdec.cli import main
 from permdec.costmodel import chain_cost
 from permdec.network import build_network, evaluate_network, reduce_masks
@@ -36,8 +37,7 @@ def run_json(capsys, *args):
 # ------------------------------------------------------------- decompose
 
 def test_decompose_ut_lists_right_factor_diagonals(capsys):
-    rc, rep = run_json(capsys, "decompose", "ut", "--d", "4", "--l", "1",
-                       "--verify")
+    rc, rep = run_json(capsys, "decompose", "ut", "--d", "4", "--l", "1")
     assert rc == 0
     assert rep["verified"] is True
     by_name = {f["name"]: f["diagonals"] for f in rep["factors"]}
@@ -62,18 +62,40 @@ def test_decompose_ut_left_factor_runs_bsgs(capsys):
 ])
 def test_decompose_ladders_verify(capsys, target, d, l):
     rc, rep = run_json(capsys, "decompose", target, "--d", str(d),
-                       "--l", str(l), "--verify")
+                       "--l", str(l))
     assert rc == 0 and rep["verified"] is True
     assert len(rep["factors"]) == l + 1
 
 
 def test_decompose_padded_gamma(capsys):
     rc, rep = run_json(capsys, "decompose", "gamma", "--d", "4", "--dp", "2",
-                       "--l", "1", "--verify")
+                       "--l", "1")
     assert rc == 0 and rep["verified"] is True
     assert rep["rotations"] == len(rep["doubling_steps"]) + len(
         rep["fanout_steps"])
     assert rep["mask_ones"] > 0
+
+
+def test_decompose_always_checks_and_has_no_verify_flag(capsys):
+    # every decompose checks its route, so the flag that asked for it is gone
+    assert main(["decompose", "ut", "--verify"]) == 2
+    cap = capsys.readouterr()
+    assert "unrecognized arguments: --verify" in cap.err and not cap.out
+
+
+def test_decompose_wrong_chain_fails_verification(capsys, monkeypatch):
+    # a ut chain missing its left factor is not the transpose: the report
+    # says so and the run exits 1
+    build, decompose = cli.LADDERS["ut"]
+
+    def short(d, l, n=None):
+        chain = decompose(d, l, n)
+        return DecompositionChain(chain.n, chain.factors[1:])
+
+    monkeypatch.setitem(cli.LADDERS, "ut", (build, short))
+    rc, rep = run_json(capsys, "decompose", "ut", "--d", "4", "--l", "1")
+    assert rc == 1 and rep["verified"] is False
+    assert len(rep["factors"]) == 1
 
 
 # ---------------------------------------------------------------- search
@@ -312,19 +334,19 @@ def test_verify_failure_sets_exit_code(capsys, monkeypatch):
 # first 16 hex digits of the sha256 of `permdec ARGS` stdout, all with exit
 # status 0: the ladder, padded, search, hmm and verify reports.
 ROUTE_REPORTS = {
-    ("decompose", "ut", "--d", "16", "--l", "3", "--verify"):
+    ("decompose", "ut", "--d", "16", "--l", "3"):
         "a85bd6118f922dac",
-    ("decompose", "ut", "--d", "5", "--l", "1", "--n", "32", "--verify"):
+    ("decompose", "ut", "--d", "5", "--l", "1", "--n", "32"):
         "2e97af35a98c1cca",
-    ("decompose", "sigma", "--d", "16", "--l", "2", "--verify"):
+    ("decompose", "sigma", "--d", "16", "--l", "2"):
         "b5b115ba3ee0a5fb",
-    ("decompose", "sigma", "--d", "7", "--l", "2", "--verify"):
+    ("decompose", "sigma", "--d", "7", "--l", "2"):
         "4676420307e2296f",
-    ("decompose", "tau", "--d", "16", "--l", "3", "--verify"):
+    ("decompose", "tau", "--d", "16", "--l", "3"):
         "ecd1604cb19ab613",
-    ("decompose", "gamma", "--d", "8", "--dp", "4", "--l", "1", "--verify"):
+    ("decompose", "gamma", "--d", "8", "--dp", "4", "--l", "1"):
         "a26966aa542ff385",
-    ("decompose", "xi", "--d", "8", "--dp", "8", "--l", "2", "--verify"):
+    ("decompose", "xi", "--d", "8", "--dp", "8", "--l", "2"):
         "93acb7cafc155847",
     ("search", "--d", "16"): "68e4fbf0f6d85ecb",
     ("search", "--target", "sigma", "--d", "8"): "b8e851d883dd5cc3",

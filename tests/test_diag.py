@@ -24,7 +24,7 @@ from permdec.diag import (
     to_permutation,
 )
 from permdec.ledger import CostLedger
-from permdec.slots import Permutation, SlotVector, rotate_tuple
+from permdec.slots import DEFAULT_LEVEL, Permutation, SlotVector, rotate_tuple
 from permdec.structured import PaddedChain
 
 from util import (assert_value_errors, assert_value_errors_without_asserts,
@@ -132,6 +132,17 @@ def test_hlt_direct_identity_no_rotations():
         out = apply_direct(DiagMatrix.identity(4), v)
     assert out.slots == v.slots
     assert lg.rotation_count == 0
+
+
+def test_empty_hlt_keeps_the_depth_of_its_input():
+    # a matrix without diagonals gives zeros one rescale down; their depth
+    # counts the levels the input had consumed, as the level does
+    v = SlotVector((1, 2, 3, 4)).rescale().rescale()
+    assert (v.level, v.depth_used) == (DEFAULT_LEVEL - 2, 2)
+    out = apply_hlt_bsgs(DiagMatrix(4), plan_bsgs([], 4), v)
+    assert out.to_list() == [0] * 4
+    assert (out.level, out.depth_used) == (DEFAULT_LEVEL - 3, 3)
+    assert out.depth_used == DEFAULT_LEVEL - out.level
 
 
 def test_hlt_direct_transpose_2x2():

@@ -89,14 +89,16 @@ def test_build_ut_small_examples():
         build_ut(5, 16)
 
 
-# each builder must refuse a matrix dimension below 1 with ValueError, also
-# under python -O (the keys cut one message at different points to stay
-# distinct)
+# each builder must refuse a matrix dimension below 1, and the grid split a
+# grid or a round count below 1, with ValueError, also under python -O (the
+# keys cut one message at different points to stay distinct)
 BAD_BUILDS = {
     "got d=-2": lambda: build_ut(-2),
     ">= 1, got d=-2": lambda: build_sigma(-2),
     "matrix dimension must be >= 1, got d=-2": lambda: build_tau(-2),
     "got d=0": lambda: build_sigma(0, 16),
+    "got d=0, rounds=2": lambda: partition_rounds(0, 2),
+    "got d=4, rounds=0": lambda: partition_rounds(4, 0),
 }
 
 
