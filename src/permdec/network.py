@@ -20,8 +20,10 @@ step k moves an entry from position p to (p - k) mod n, so entry i at position
 p has travelled (i - p) mod n (exact, as that is at most r_org < n) and has
 (p - targets[i]) mod n still to go; it is home once p == targets[i].
 
-Edges carry 0/1 masks selecting the entries they transmit. Two cost
-optimizations operate on a built network:
+Edges carry 0/1 masks (slots.PositionMask) selecting the entries they
+transmit. build_network makes each mask once, when its level is routed, and
+the mask checks its positions then; derived networks share those objects and
+never copy or change one. Two cost optimizations operate on a built network:
 
 - reduce_masks replaces standby-chain masks with free copies, keeping one
   masked hop per column right above the bottom. Copies let stale values ride
@@ -33,16 +35,20 @@ optimizations operate on a built network:
   distance, merged lowest bit first: a bucket whose distance has bit k set
   rotates by 2^k. That distance sums the steps its entries still take in
   the network, so the tree runs on the network's own keys and adds none.
+  collapse_levels derives these masks once, the top's per node and
+  pre-rotation and the bottom's per source node and distance, and keeps them
+  on the collapsed network; evaluate_network only applies them.
 
 evaluate_network releases each node's output once the last node reading it
 through an edge has read it (a collapsed bottom reads levels cut - 1 and cut
 again at the end), so a run holds a few levels of vectors, not the whole
-network. Edge masks go to SlotVector.cmult as position sets, so a product
-holds only the values on its support, a few percent of n. Sums of products,
-and their rotations and rescales, stay in that sparse form until their
-support passes slots.MAX_SPARSE_SHARE of n; then they are stored dense. The
-cost model's replay runs on SlotVector.zeros, so every vector of it holds no
-values at all.
+network. Masked products hold only the values on their support, a few
+percent of n. The products feeding a node, the collapsed bottom's buckets
+and the final terms are each added in one pass (SlotVector.sum). Sums of
+products, and their rotations and rescales, stay in that sparse form until
+their support passes slots.MAX_SPARSE_SHARE of n; then they are stored
+dense. The cost model's replay runs on SlotVector.zeros, so every vector of
+it holds no values at all.
 
 Rescales are merged into rotations: every non-bottom rotation node rescales
 its summed input before rotating, bottom rotation nodes do not, and the final
@@ -76,10 +82,11 @@ class Node:
 class Edge:
     __slots__ = ("src", "dst", "mask")
 
-    def __init__(self, src: int, dst: int, mask=None):
+    def __init__(self, src: int, dst: int, mask: PositionMask | None):
         self.src = src
         self.dst = dst
-        self.mask = mask  # set of positions, or None for a copy
+        # a mask shared between networks and never changed; None for a copy
+        self.mask = mask
 
 
 @dataclass(frozen=True)
@@ -101,6 +108,12 @@ class MultiGroupNetwork:
         # node narrowed by reduce_masks -> the parent re-feeding its entries
         self.filtered: dict[int, int] = {}
         self.collapse: CollapseSpec | None = None
+        # masks of the collapse, derived by collapse_levels: the collapsed
+        # top's (node, final) -> [(pre-rotation r, mask)] by r, and the
+        # bottom's [(source node, remaining distance r, mask)] by (src, r)
+        self.top_masks: dict[tuple[int, bool],
+                             list[tuple[int, PositionMask]]] = {}
+        self.bottom_masks: list[tuple[int, int, PositionMask]] = []
 
     def add_node(self, kind, group, level, step=0) -> Node:
         node = Node(len(self.nodes), kind, group, level, step)
@@ -109,13 +122,11 @@ class MultiGroupNetwork:
         self.in_edges[node.idx] = []
         return node
 
-    def edge(self, src: int, dst: int) -> Edge:
-        e = self.edges.get((src, dst))
-        if e is None:
-            e = Edge(src, dst, set())
-            self.edges[(src, dst)] = e
-            self.out_edges[src].append(e)
-            self.in_edges[dst].append(e)
+    def add_edge(self, src: int, dst: int, mask: PositionMask | None) -> Edge:
+        e = Edge(src, dst, mask)
+        self.edges[(src, dst)] = e
+        self.out_edges[src].append(e)
+        self.in_edges[dst].append(e)
         return e
 
     def drop_edge(self, e: Edge):
@@ -147,7 +158,8 @@ class MultiGroupNetwork:
         items = sorted(node.occ.items())
         if node.idx in self.filtered:
             feed = self.edges.get((self.filtered[node.idx], node.idx))
-            items = [(p, ei) for p, ei in items if feed and p in feed.mask]
+            keep = set(feed.mask.positions) if feed else set()
+            items = [(p, ei) for p, ei in items if p in keep]
         return items
 
     def rotation_nodes(self) -> list[Node]:
@@ -169,7 +181,8 @@ class MultiGroupNetwork:
                         if e.mask is None:
                             edges.append({"to": e.dst, "copy": True})
                         else:
-                            edges.append({"to": e.dst, "mask": sorted(e.mask)})
+                            edges.append({"to": e.dst,
+                                          "mask": sorted(e.mask.positions)})
                     item = {"id": nd.idx, "kind": nd.kind, "edges": edges}
                     if nd.kind == "rotation":
                         item["step"] = nd.step
@@ -187,14 +200,18 @@ def build_network(p: Permutation) -> MultiGroupNetwork:
     n, targets = p.n, p.targets
     net = MultiGroupNetwork(targets)
     net.add_node("standby", group=0, level=0).occ = {i: i for i in range(n)}
-    # per entry: its current node and its position on that node's output
+    # per entry: its current node, its position on that node's output and
+    # the distance it still has to go from there
     at = [0] * n
     pos = list(range(n))
+    rem = [(i - t) % n for i, t in enumerate(targets)]
 
     unsolved = list(range(n))
     g = 0
     while unsolved:
-        if all(pos[ei] == targets[ei] for ei in unsolved):
+        # entries of this group not yet home; the group ends when none is
+        away = sum(rem[ei] > 0 for ei in unsolved)
+        if not away:
             break  # nothing left to rotate: entries are already home
         by_level: dict[int, list[int]] = {}
         for ei in unsolved:
@@ -204,39 +221,61 @@ def build_network(p: Permutation) -> MultiGroupNetwork:
         while True:
             lvl = min(by_level)
             active = sorted(by_level.pop(lvl))
-            rot_max = max((pos[ei] - targets[ei]) % n for ei in active)
+            rot_max = max(map(rem.__getitem__, active))
             rot = 1 << (rot_max.bit_length() - 1) if rot_max else 0
-            rot_node = None
-            col_map = {}  # source node -> standby column node at lvl+1
-            moved = []
+            # with nothing to rotate (rot == 0) every entry stands by: no
+            # distance reaches n
+            least = rot or n
+            rot_node = rot_occ = None
+            cols = {}  # source node -> standby column at lvl+1
+            rot_masks = {}  # source node -> its positions into rot_node
+            # (source, destination, positions) per edge, by first use; a
+            # column's positions are the keys of its occupancy
+            masks = []
+            deferred_before = len(deferred)
             for ei in active:
                 src = at[ei]
                 q = pos[ei]
-                if rot and (q - targets[ei]) % n >= rot:
+                r = rem[ei]
+                if r >= least:
+                    away -= 1
                     if rot_node is None:
-                        rot_node = net.add_node("rotation", g, lvl + 1, step=rot)
-                    if q in rot_node.occ:
+                        rot_node = net.add_node("rotation", g, lvl + 1,
+                                                step=rot)
+                        rot_occ = rot_node.occ
+                    if q in rot_occ:
                         deferred.append(ei)
                         continue
-                    rot_node.occ[q] = ei
-                    net.edge(src, rot_node.idx).mask.add(q)
-                    at[ei] = rot_node.idx
+                    rot_occ[q] = ei
+                    dst = rot_node.idx
+                    ps = rot_masks.get(src)
+                    if ps is None:
+                        ps = rot_masks[src] = []
+                        masks.append((src, dst, ps))
+                    ps.append(q)
                     pos[ei] = (q - rot) % n
+                    rem[ei] = r = r - rot
+                    away += r > 0
                 else:
-                    dst = col_map.get(src)
-                    if dst is None:
+                    col = cols.get(src)
+                    if col is None:
                         # one column per source node keeps positions disjoint
-                        dst = net.add_node("standby", g, lvl + 1)
-                        col_map[src] = dst
-                    assert q not in dst.occ, "standby slot collision"
-                    dst.occ[q] = ei
-                    net.edge(src, dst.idx).mask.add(q)
-                    at[ei] = dst.idx
-                moved.append(ei)
+                        col = cols[src] = net.add_node("standby", g, lvl + 1)
+                        masks.append((src, col.idx, col.occ))
+                    assert q not in col.occ, "standby slot collision"
+                    col.occ[q] = ei
+                    dst = col.idx
+                at[ei] = dst
+            for src, dst, ps in masks:
+                net.add_edge(src, dst, PositionMask(n, ps))
+            if len(deferred) > deferred_before:
+                skip = set(deferred[deferred_before:])
+                moved = [ei for ei in active if ei not in skip]
+            else:
+                moved = active
             if moved:
                 by_level.setdefault(lvl + 1, []).extend(moved)
-            if all(pos[ei] == targets[ei]
-                   for lst in by_level.values() for ei in lst):
+            if not away:
                 net.group_spans.append((start, lvl + 1 if moved else lvl))
                 break
         unsolved = deferred
@@ -245,15 +284,15 @@ def build_network(p: Permutation) -> MultiGroupNetwork:
 
 
 def _clone(net: MultiGroupNetwork) -> MultiGroupNetwork:
+    """The graph of net with fresh edges sharing its masks, uncollapsed."""
     out = MultiGroupNetwork(net.targets)
     for nd in net.nodes:
         out.add_node(nd.kind, nd.group, nd.level, nd.step).occ = nd.occ
     for e in net.edges.values():
-        out.edge(e.src, e.dst).mask = None if e.mask is None else set(e.mask)
+        out.add_edge(e.src, e.dst, e.mask)
     out.group_spans = list(net.group_spans)
     out.reduced = net.reduced
     out.filtered = dict(net.filtered)
-    out.collapse = net.collapse
     return out
 
 
@@ -268,7 +307,9 @@ def reduce_masks(net: MultiGroupNetwork) -> MultiGroupNetwork:
     entries that stay put across the final hop, and the edges of entries
     that still rotate (or defer) at the bottom are re-fed from the column's
     parent, where the same values sit at the same positions, so nothing is
-    counted twice.
+    counted twice. The narrowed feed takes over the final hop's mask object;
+    no mask is copied or changed. A collapsed network keeps its collapse,
+    derived again on the reduced graph.
     """
     if net.reduced:
         return net
@@ -295,22 +336,24 @@ def reduce_masks(net: MultiGroupNetwork) -> MultiGroupNetwork:
                         # bottom rotation or cross-group exit: source the
                         # entries one level up, where they also sit
                         out.rewire_source(e, feed.src)
-                feed.mask = set(stay.mask) if stay is not None else set()
                 out.filtered[nd.idx] = feed.src
-                if stay is not None:
-                    stay.mask = None
-                if not feed.mask:
+                if stay is None or not stay.mask.positions:
                     # whole column moved on; prune the dead tail
                     if stay is not None:
                         out.drop_edge(stay)
                     out.drop_edge(feed)
+                else:
+                    feed.mask, stay.mask = stay.mask, None
     out.reduced = True
-    return out
+    cs = net.collapse
+    return collapse_levels(out, cs.top, cs.bottom) if cs else out
 
 
 def collapse_levels(net: MultiGroupNetwork, top: int = 0, bottom: int = 0
                     ) -> MultiGroupNetwork:
-    """Attach a collapse descriptor; evaluate_network interprets it."""
+    """Collapse the top `top` and the bottom `bottom` levels of net: a copy
+    sharing its nodes and edges, with the collapse spec and, derived here
+    once, the masks evaluate_network applies in place of those levels."""
     if top < 0 or bottom < 0:
         raise ValueError("collapse counts must be nonnegative")
     if top == 0 and bottom == 0:
@@ -320,17 +363,53 @@ def collapse_levels(net: MultiGroupNetwork, top: int = 0, bottom: int = 0
         raise ValueError(f"cannot collapse {top}+{bottom} of {lmax} levels")
     out = copy.copy(net)  # a collapse changes no node or edge
     out.collapse = CollapseSpec(top, bottom)
+    n, nodes, cut = out.n, out.nodes, out.cut
+
+    # the bottom: the values still in flight at the cut, bucketed by source
+    # node and remaining distance (entries that finished above the cut are
+    # direct terms)
+    groups = {}
+    if bottom:
+        for nd in nodes:
+            if nd.level != cut:
+                continue
+            kept = {p for p, _ in out.held(nd)}
+            for p, ei in nd.occ.items():
+                # re-fed entries sit at the same position one level up
+                src = nd.idx if p in kept else out.filtered[nd.idx]
+                q = (p - nd.step) % n
+                r = (q - out.targets[ei]) % n
+                groups.setdefault((src, r), []).append(q)
+    out.bottom_masks = [(src, r, PositionMask(n, ps))
+                        for (src, r), ps in sorted(groups.items())]
+
+    # the top: the input of each node on level top + 1, and the output of
+    # each node above it that evaluation reads (a group's last node, a
+    # re-fed edge's source, a bucket's source), as masked pre-rotations
+    def rebuilt(node, final):
+        by_r = {}
+        for p, ei in out.held(node):
+            q = (p - node.step) % n if final else p
+            by_r.setdefault((ei - q) % n, []).append(q)
+        return [(r, PositionMask(n, by_r[r])) for r in sorted(by_r)]
+
+    out.top_masks = {}
+    if top:
+        read = {e.src for e in out.edges.values()
+                if top + 1 < nodes[e.dst].level <= cut}
+        read.update(src for src, _, _ in out.bottom_masks)
+        for nd in nodes:
+            if nd.level == top + 1:
+                out.top_masks[nd.idx, False] = rebuilt(nd, False)
+            elif nd.level <= top and (nd.idx in read
+                                      or not out.out_edges[nd.idx]):
+                out.top_masks[nd.idx, True] = rebuilt(nd, True)
     return out
-
-
-def _masked(v: SlotVector, positions, tag) -> SlotVector:
-    return v.cmult(PositionMask(v.n, positions), tag)
 
 
 def evaluate_network(net: MultiGroupNetwork, v: SlotVector) -> SlotVector:
     if v.n != net.n:
         raise ValueError(f"vector length {v.n} != network length {net.n}")
-    n = net.n
     bottoms = {g: b for g, (_, b) in enumerate(net.group_spans)}
     cs = net.collapse
     t = cs.top if cs else 0
@@ -345,24 +424,17 @@ def evaluate_network(net: MultiGroupNetwork, v: SlotVector) -> SlotVector:
             rotants[r] = rotant(r - low).rotate(low, "net.collapse.top")
         return rotants[r]
 
-    def rebuilt(node, final=False) -> SlotVector:
-        """Recreate a node's input (or, with final, its output) from masked
+    def rebuilt(idx, final=False) -> SlotVector:
+        """A node's input (or, with final, its output) from masked
         pre-rotations of v."""
-        by_r = {}
-        for p, ei in net.held(node):
-            q = (p - node.step) % n if final else p
-            by_r.setdefault((ei - q) % n, []).append(q)
-        acc = None
-        for r in sorted(by_r):
-            part = _masked(rotant(r), by_r[r], "net.collapse.top")
-            acc = part if acc is None else acc + part
-        return acc if acc is not None else v.zeros_like()
+        parts = [rotant(r).cmult(mask, "net.collapse.top")
+                 for r, mask in net.top_masks[idx, final]]
+        return SlotVector.sum(parts) if parts else v.zeros_like()
 
     def output(idx) -> SlotVector:
         """A node's output; a node inside the collapsed top keeps none, so
         its output is rebuilt. A released output raises KeyError."""
-        node = net.nodes[idx]
-        return rebuilt(node, final=True) if t and node.level <= t \
+        return rebuilt(idx, final=True) if t and net.nodes[idx].level <= t \
             else outputs[idx]
 
     # a node's output is dropped once the last node reading it through an
@@ -381,12 +453,12 @@ def evaluate_network(net: MultiGroupNetwork, v: SlotVector) -> SlotVector:
         if t and nd.level <= t:
             # interior of the collapsed top; groups that finish inside it
             # contribute their final values directly
-            if not net.out_edges[nd.idx] and net.held(nd):
-                terms.append(rebuilt(nd, final=True))
+            if not net.out_edges[nd.idx] and net.top_masks[nd.idx, True]:
+                terms.append(rebuilt(nd.idx, final=True))
             continue
         tag = f"net.g{nd.group}.l{nd.level}"
         if t and nd.level == t + 1:
-            inp = rebuilt(nd)
+            inp = rebuilt(nd.idx)
         else:
             ine = net.in_edges[nd.idx]
             if not ine:
@@ -395,15 +467,15 @@ def evaluate_network(net: MultiGroupNetwork, v: SlotVector) -> SlotVector:
                         and nd.level < cut:
                     terms.append(v)
                 continue
-            inp = None
+            parts = []
             for e in ine:
                 # a re-fed edge may start inside the collapsed top
                 src = output(e.src)
-                part = src if e.mask is None else _masked(src, e.mask, tag)
-                inp = part if inp is None else inp + part
+                parts.append(src if e.mask is None else src.cmult(e.mask, tag))
                 reads[e.src] -= 1
                 if not reads[e.src] and net.nodes[e.src].level != held:
                     outputs.pop(e.src, None)
+            inp = SlotVector.sum(parts)
         if nd.kind == "rotation":
             if nd.level < bottoms.get(nd.group, nd.level):
                 inp = inp.rescale(tag)
@@ -413,34 +485,23 @@ def evaluate_network(net: MultiGroupNetwork, v: SlotVector) -> SlotVector:
             terms.append(inp)
 
     if cs and cs.bottom:
-        # bucket the values still in flight at the cut by remaining distance
-        # (entries that finished above it are already direct terms)
-        groups = {}
-        for nd in net.nodes:
-            if nd.level != cut:
-                continue
-            kept = {p for p, _ in net.held(nd)}
-            for p, ei in nd.occ.items():
-                # re-fed entries sit at the same position one level up
-                src = nd.idx if p in kept else net.filtered[nd.idx]
-                q = (p - nd.step) % n
-                r = (q - net.targets[ei]) % n
-                groups.setdefault((src, r), []).append(q)
-        buckets = {}
-        for (src, r), ps in sorted(groups.items()):
-            part = _masked(output(src), ps, "net.collapse.bot")
-            buckets[r] = buckets[r] + part if r in buckets else part
-        buckets = {r: vec.rescale("net.collapse.bot")
-                   for r, vec in buckets.items()}
+        by_r = {}
+        for src, r, mask in net.bottom_masks:
+            by_r.setdefault(r, []).append(
+                output(src).cmult(mask, "net.collapse.bot"))
+        buckets = {r: SlotVector.sum(ps).rescale("net.collapse.bot")
+                   for r, ps in by_r.items()}
+        # merge lowest bit first: a bucket whose distance has the bit set
+        # rotates by it and joins the bucket without it
         bit = 1
         while buckets and set(buckets) != {0}:
-            merged = {}
+            by_r = {}
             for r, vec in sorted(buckets.items()):
                 if r & bit:
                     vec = vec.rotate(bit, "net.collapse.bot")
                     r -= bit
-                merged[r] = merged[r] + vec if r in merged else vec
-            buckets = merged
+                by_r.setdefault(r, []).append(vec)
+            buckets = {r: SlotVector.sum(ps) for r, ps in by_r.items()}
             bit <<= 1
         if buckets:
             terms.append(buckets[0])
@@ -449,11 +510,7 @@ def evaluate_network(net: MultiGroupNetwork, v: SlotVector) -> SlotVector:
             if nd.level == cut and not net.out_edges[nd.idx] \
                     and nd.idx in outputs:
                 terms.append(outputs[nd.idx])
-
-    out = terms[0]
-    for part in terms[1:]:
-        out = out + part
-    return out
+    return SlotVector.sum(terms)
 
 
 def rotation_profile(net: MultiGroupNetwork, led: CostLedger

@@ -7,16 +7,19 @@ exact (Python ints), so any two evaluation strategies for the same linear
 map can be compared for bit equality.
 
 A 0/1 mask may be given to cmult as a PositionMask, the positions of its
-ones, instead of an n-long list. The product then holds only its support: a
-map from position to value, zero everywhere else. rotate re-keys the map,
-rescale keeps it, cmult selects from it (a PositionMask) or scales it (an
-n-long mask), and add merges two maps or adds one into a copy of a dense
-operand; mult reads the dense value. A vector whose support passes
-MAX_SPARSE_SHARE of its n slots is stored dense, so repeated doublings cannot
-grow a map towards n entries, which would take more memory than the n-long
-tuple. Reads (.slots with its length, indexing and iteration, to_list, ==,
-hash) give the dense value, and the ledger records the same ops as for the
-dense 0/1 list.
+ones, instead of an n-long list. A PositionMask checks and normalises its
+positions once, when it is made, and keeps them immutably, so a mask made
+once may be applied any number of times at no further check. The product
+then holds only its support: a map from position to value, zero everywhere
+else. rotate re-keys the map, rescale keeps it, cmult selects from it (a
+PositionMask) or scales it (an n-long mask), and SlotVector.sum adds any
+number of vectors in one pass, merging their maps or adding them into a copy
+of a dense operand (add is its two-operand case); mult reads the dense
+value. A vector whose support passes MAX_SPARSE_SHARE of its n slots is
+stored dense, so repeated doublings cannot grow a map towards n entries,
+which would take more memory than the n-long tuple. Reads (.slots with its
+length, indexing and iteration, to_list, ==, hash) give the dense value, and
+the ledger records the same ops as for the dense 0/1 list.
 
 SlotVector.zeros is the vector with no support. rotate, rescale, cmult and
 add keep it empty, so they do no slot arithmetic on it, and each records the
@@ -28,7 +31,7 @@ Rotation is a left cyclic shift: rotate(v, k)[i] = v[(i + k) mod n].
 
 rotate, cmult, mult and rescale each append one op (kind, operand level, tag,
 step) to the innermost active CostLedger, the one op stream every cost figure
-is read from. add is exact but not recorded.
+is read from. add and sum are exact but not recorded.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from __future__ import annotations
 import json
 import operator
 from dataclasses import dataclass
-from typing import Collection, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .ledger import record
 
@@ -107,14 +110,25 @@ def _from_map(n: int, vals: dict[int, int]) -> "_Sparse | tuple[int, ...]":
 class PositionMask:
     """A 0/1 plaintext mask of n slots, given by the positions of its ones.
 
-    Positions index like a list's: one outside -n..n-1 raises IndexError.
+    The mask checks its positions once, when it is made: they index like a
+    list's, so one outside -n..n-1 raises IndexError there. It keeps them as
+    a tuple in 0..n-1, in the order given (a repeat names the same slot), so
+    changing the collection it was made from changes nothing, and cmult
+    selects by them without checking again.
     """
 
     __slots__ = ("n", "positions")
 
-    def __init__(self, n: int, positions: Collection[int]):
+    def __init__(self, n: int, positions: Iterable[int]):
+        ps = tuple(positions)
+        if ps:
+            lo, hi = min(ps), max(ps)
+            if not -n <= lo <= hi < n:
+                raise IndexError("mask position out of range")
+            if lo < 0:
+                ps = tuple(p % n for p in ps)
         self.n = n
-        self.positions = positions
+        self.positions = ps
 
     def __len__(self) -> int:
         return self.n
@@ -170,20 +184,14 @@ class SlotVector:
         """op slot by slot with values."""
         return tuple(map(op, self._dense(), values))
 
-    def _select(self, positions: Collection[int]) -> Slots:
-        """The slots at positions, zero elsewhere."""
-        n = self.n
-        if positions:
-            lo, hi = min(positions), max(positions)
-            if not -n <= lo <= hi < n:
-                raise IndexError("mask position out of range")
-            if lo < 0:
-                positions = [p % n for p in positions]
+    def _select(self, positions: tuple[int, ...]) -> Slots:
+        """The slots at positions (checked, in 0..n-1), zero elsewhere."""
         src = self.slots
         if type(src) is _Sparse:
             vals = src.vals
-            return _Sparse(n, {p: vals[p] for p in vals.keys() & positions})
-        return _from_map(n, {p: src[p] for p in positions})
+            return _Sparse(self.n, {p: vals[p] for p in positions
+                                    if p in vals} if vals else {})
+        return _from_map(self.n, {p: src[p] for p in positions})
 
     # -- homomorphic ops (all exact, all recorded) ---------------------------
 
@@ -224,26 +232,49 @@ class SlotVector:
                           max(self.depth_used, other.depth_used))
 
     def add(self, other: "SlotVector") -> "SlotVector":
-        _check_length(other.n, self.n)
-        a, b = self.slots, other.slots
-        if type(a) is _Sparse and type(b) is _Sparse:
-            x, y = a.vals, b.vals
-            vals = {**x, **y}
-            for p in x.keys() & y.keys():
-                vals[p] = x[p] + y[p]
-            out = _from_map(self.n, vals)
-        elif type(a) is _Sparse or type(b) is _Sparse:
-            if type(a) is _Sparse:
-                a, b = b, a
-            # a is dense: copy it and add b over its support
-            acc = list(a)
-            for p, x in b.vals.items():
-                acc[p] += x
+        return SlotVector.sum((self, other))
+
+    @staticmethod
+    def sum(parts: Sequence["SlotVector"]) -> "SlotVector":
+        """The sum of one or more vectors in one pass, at their lowest level
+        and deepest depth; one vector is returned as it is. Sparse operands
+        merge their maps, adding where supports meet; with a dense operand
+        the maps are added into a copy of it."""
+        first = parts[0]
+        if len(parts) == 1:
+            return first
+        n = first.n
+        maps, dense = [], []
+        for v in parts:
+            _check_length(v.n, n)
+            s = v.slots
+            if type(s) is _Sparse:
+                maps.append(s.vals)
+            else:
+                dense.append(s)
+        if dense:
+            acc = dense[0]
+            for d in dense[1:]:
+                acc = tuple(map(operator.add, acc, d))
+            if maps:
+                acc = list(acc)
+                for vals in maps:
+                    for p, x in vals.items():
+                        acc[p] += x
             out = tuple(acc)
         else:
-            out = self._map(operator.add, b)
-        return SlotVector(out, min(self.level, other.level),
-                          max(self.depth_used, other.depth_used))
+            vals = dict(maps[0])
+            for m in maps[1:]:
+                common = vals.keys() & m.keys()
+                if common:
+                    both = {p: vals[p] + m[p] for p in common}
+                    vals.update(m)
+                    vals.update(both)
+                else:
+                    vals.update(m)
+            out = _from_map(n, vals)
+        return SlotVector(out, min(v.level for v in parts),
+                          max(v.depth_used for v in parts))
 
     def __add__(self, other: "SlotVector") -> "SlotVector":
         return self.add(other)

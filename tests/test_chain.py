@@ -1,5 +1,3 @@
-import random
-
 from permdec.chain import DecompositionChain
 from permdec.diag import (DiagMatrix, baby_plan, perm_to_diag, plan_bsgs,
                           to_permutation)

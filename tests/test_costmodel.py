@@ -17,7 +17,7 @@ import pytest
 
 from permdec.benes import benes_decompose, collapse_benes, restrict_keys
 from permdec.chain import DecompositionChain
-from permdec.costmodel import (CostParams, CostReport, chain_cost, replay,
+from permdec.costmodel import (CostParams, chain_cost, replay,
                                submodule_cost)
 from permdec.diag import perm_to_diag
 from permdec.ledger import CostLedger

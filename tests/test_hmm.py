@@ -8,7 +8,7 @@ import pytest
 
 from permdec.hmm import (HmmConfig, UnitLayout, _doubling_spread, _slab_mask,
                          hmm_evaluate, hmm_multiply, hmm_rotation_budget,
-                         pack_matrices, read_products, reference_products,
+                         pack_matrices, reference_products,
                          srep_replicate)
 from permdec.ledger import CostLedger
 from permdec.slots import SlotVector

@@ -5,6 +5,7 @@ transformed network must reproduce it exactly. Aggregate rotation counts are
 checked against frozen per-level reference rows (20-seed means).
 """
 
+import hashlib
 import json
 import random
 import statistics
@@ -149,9 +150,63 @@ def test_node_masks_are_disjoint_per_destination():
         seen = set()
         for e in net.in_edges[nd.idx]:
             assert e.mask is not None
-            assert not (seen & e.mask)
-            seen |= e.mask
+            positions = set(e.mask.positions)
+            assert not (seen & positions)
+            seen |= positions
         assert seen == set(nd.occ)
+
+
+# digests of build_network's output for fixed inputs: a faster build must
+# give the same network node for node, edge for edge and mask for mask
+BUILD_DIGESTS = {
+    "random-256-1": "d10c529175c8ae4c",
+    "random-256-2": "541e2c7e16698e62",
+    "random-256-3": "4a0d0266803b2f68",
+    "random-1024-1": "cd8b679e341e145a",
+    "random-1024-2": "2d93e73096eba4d9",
+    "random-1024-3": "a1647bbd8d6bd1c1",
+    "identity-16": "302946175d85d5ce",
+    "rotation-8-3": "f1ee8efd142981cb",
+    "rotation-256-77": "d7919a97d019c7e2",
+}
+
+
+def _build_input(name):
+    kind, n, *arg = name.split("-")
+    n, arg = int(n), [int(a) for a in arg]
+    if kind == "random":
+        return Permutation.random(n, random.Random(*arg))
+    if kind == "identity":
+        return Permutation.identity(n)
+    return Permutation.rotation(n, *arg)
+
+
+def _build_digest(net):
+    """Nodes in order (kind, group, level, step, occupancy), edges in the
+    order of edges and of each node's out_edges and in_edges, their masks,
+    and the group spans."""
+    h = hashlib.sha256()
+
+    def put(x):
+        h.update(repr(x).encode() + b";")
+
+    for nd in net.nodes:
+        put((nd.idx, nd.kind, nd.group, nd.level, nd.step,
+             sorted(nd.occ.items())))
+    for e in net.edges.values():
+        put((e.src, e.dst,
+             None if e.mask is None else sorted(e.mask.positions)))
+    for nd in net.nodes:
+        put([(e.src, e.dst) for e in net.out_edges[nd.idx]])
+        put([(e.src, e.dst) for e in net.in_edges[nd.idx]])
+    put(net.group_spans)
+    return h.hexdigest()[:16]
+
+
+@pytest.mark.parametrize("name", sorted(BUILD_DIGESTS))
+def test_build_matches_pinned_network(name):
+    net = build_network(_build_input(name))
+    assert _build_digest(net) == BUILD_DIGESTS[name]
 
 
 def test_construction_is_deterministic():
@@ -496,6 +551,46 @@ def test_derived_networks_share_but_never_write_routing_state():
             assert out.to_list() == p.apply(vals)
         assert _routing_state(raw) == raw_state
         assert _routing_state(red) == red_state
+
+
+def test_derived_networks_share_the_raw_masks():
+    # every mask is made once, by build_network: reduce_masks and
+    # collapse_levels hand on the same objects and change none of them
+    p, rng = build_random(256, 4950)
+    vals = rand_vec(256, rng)
+    raw = build_network(p)
+    made = {id(e.mask): e.mask for e in raw.edges.values()}
+    before = {k: m.positions for k, m in made.items()}
+    red = reduce_masks(raw)
+    nets = [raw, red] + [collapse_levels(src, 2, 3) for src in (raw, red)]
+    for net in nets:
+        masks = [e.mask for e in net.edges.values() if e.mask is not None]
+        assert masks and all(m is made[id(m)] for m in masks)
+        out = evaluate_network(net, SlotVector.from_list(vals))
+        assert out.to_list() == p.apply(vals)
+    assert {k: m.positions for k, m in made.items()} == before
+
+
+@pytest.mark.parametrize("top,bottom", [(2, 3), (0, 2), (3, 0), (1, 1)])
+def test_collapsed_network_evaluates_alike_every_time(top, bottom):
+    # the collapse's masks are derived once, by collapse_levels; a second
+    # run applies them again and records what the first run and the replay
+    # record
+    p, rng = build_random(512, 4960 + 10 * top + bottom)
+    vals = rand_vec(512, rng)
+    raw = build_network(p)
+    # a collapsed network reduced afterwards derives its collapse again
+    for col in (collapse_levels(raw, top, bottom),
+                collapse_levels(reduce_masks(raw), top, bottom),
+                reduce_masks(collapse_levels(raw, top, bottom))):
+        runs = []
+        for _ in range(2):
+            with CostLedger() as led:
+                out = evaluate_network(col, SlotVector.from_list(vals))
+            runs.append((out.to_list(), led.ops))
+        assert runs[0] == runs[1]
+        assert runs[0][0] == p.apply(vals)
+        assert runs[0][1] == zero_ledger(col).ops
 
 
 # ----------------------------------------------------------------- profile

@@ -126,6 +126,27 @@ def test_sparse_ops_refuse_bad_operands():
         assert lg.ops == []
 
 
+def test_position_mask_checks_once_when_made():
+    # a position past either end raises when the mask is made, before any
+    # vector sees it
+    for bad in ([1, 4], [-5], (0, 9)):
+        with pytest.raises(IndexError):
+            PositionMask(4, bad)
+    # negative positions index from the end, and are kept in 0..n-1
+    assert PositionMask(4, [-1, 0, -4]).positions == (3, 0, 0)
+    assert PositionMask(4, []).positions == ()
+
+
+def test_position_mask_keeps_its_own_positions():
+    picks = [0, 2]
+    mask = PositionMask(4, picks)
+    picks.append(9)
+    picks[0] = 1
+    v = SlotVector((1, 2, 3, 4))
+    assert mask.positions == (0, 2)
+    assert v.cmult(mask).to_list() == [1, 0, 3, 0]
+
+
 def test_equality_ignores_support():
     v = SlotVector((1, 2, 3, 4), level=6)
     sparse = v.cmult(PositionMask(4, [0, 3]))
@@ -248,6 +269,36 @@ def test_random_sparse_runs_match_dense_mask_runs(n):
                 assert lg.ops == []
     # the runs must reach the sparse form, or they compared dense to dense
     assert held_sparse > 0
+
+
+def test_sum_matches_pairwise_adds():
+    # the one-pass sum of dense, sparse and empty vectors at mixed levels
+    # equals the slot-by-slot sum of their dense values; one vector comes
+    # back as it is
+    rng = random.Random(14)
+    n = 32
+    for _ in range(200):
+        parts = []
+        for _ in range(rng.randrange(1, 7)):
+            level = rng.randrange(1, DEFAULT_LEVEL + 1)
+            v = SlotVector(tuple(rng.randrange(-99, 100) for _ in range(n)),
+                           level, rng.randrange(3))
+            kind = rng.randrange(3)
+            if kind == 1:
+                v = v.cmult(_random_mask(rng, n))
+            elif kind == 2:
+                v = v.zeros_like()
+            parts.append(v)
+        got = SlotVector.sum(parts)
+        want = SlotVector(tuple(map(sum, zip(*(v.to_list() for v in parts)))),
+                          min(v.level for v in parts),
+                          max(v.depth_used for v in parts))
+        assert got.slots == want.slots and got == want
+        if len(parts) == 1:
+            assert got is parts[0]
+    with pytest.raises(ValueError, match="slot length mismatch: 8 != 4"):
+        SlotVector.sum([SlotVector.zeros(4), SlotVector((1,) * 4),
+                        SlotVector.zeros(8)])
 
 
 def test_add_levels():
