@@ -1,10 +1,11 @@
 """Rotation-count and scalar-mult statistics over sampled permutations.
 
 `permdec net profile` is the one caller. It samples uniform random
-permutations (per-sample seed = base seed + index), builds the routing
-network (mask-reduced unless asked otherwise, optionally level-collapsed),
-and aggregates the per-level rotation profile, the distinct rotation keys
-and the priced scalar-multiplication total. Samples run one after another
+permutations (per-sample seed = base seed + index), builds each routing
+network from the route table (verify.ROUTES["network"]: mask-reduced unless
+asked otherwise, optionally level-collapsed), and aggregates the per-level
+rotation profile, the distinct rotation keys and the priced
+scalar-multiplication total. Samples run one after another
 in this process. Each is priced from a replay on the zero vector
 (costmodel.chain_cost), which takes a small fraction of the network build.
 """
@@ -15,20 +16,9 @@ import random
 import statistics
 from dataclasses import dataclass
 
-from .costmodel import CostParams, CostReport, chain_cost
-from .network import build_network, collapse_levels, reduce_masks
+from .costmodel import CostParams, chain_cost
 from .slots import Permutation
-
-
-def _sample(n: int, seed: int, reduce: bool,
-            collapse: tuple[int, int] | None) -> CostReport:
-    """One permutation's priced network."""
-    net = build_network(Permutation.random(n, random.Random(seed)))
-    if reduce:
-        net = reduce_masks(net)
-    if collapse:
-        net = collapse_levels(net, *collapse)
-    return chain_cost(net, CostParams())
+from .verify import ROUTES
 
 
 @dataclass
@@ -46,7 +36,10 @@ def bench_networks(n: int, samples: int = 20, seed: int = 0,
                    ) -> BenchResult:
     """Aggregate over `samples` networks; `collapse` is (top, bottom) for
     collapse_levels, whose binary bottom tree adds no rotation key."""
-    reps = [_sample(n, seed + i, reduce, collapse) for i in range(samples)]
+    perms = (Permutation.random(n, random.Random(seed + i))
+             for i in range(samples))
+    reps = [chain_cost(ROUTES["network"](p, reduce, collapse).obj,
+                       CostParams()) for p in perms]
 
     levels = sorted({lv for rep in reps for lv in rep.per_level})
     per_mean = {lv: sum(rep.per_level.get(lv, 0) for rep in reps) / samples

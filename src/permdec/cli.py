@@ -3,10 +3,11 @@
 Subcommands cover the whole pipeline: ideal-form search, the structured
 decompositions, batched matrix products, routing networks, the key-routed
 baseline, and the oracle suite. The ladder targets come from
-`structured.LADDERS`. Every route subcommand (decompose, hmm, net eval and
-benes) runs its route once through the helpers of `permdec verify`
-(`checked_run`, `supported_slots`, `hmm_trial`), so it checks the route the
-way the suite does, and its verdict and its counts come from that one run.
+`structured.LADDERS`. The route subcommands build their routes from
+`verify.ROUTES`, and all but net build run theirs once through the suite's
+`checked_run` (hmm through `hmm_trial`): the verdict and the rotation counts
+and keys come from that run's ledger, and a chain's verdict also needs its
+factors (their product, or a searched chain's ideal-form conditions).
 Every run writes a machine-readable report (json or flat text) to stdout or
 to --out; relative --out paths land in $PERMDEC_OUTDIR when that is set.
 Exit status: 0 on success, 1 when a verification fails, 2 on usage errors,
@@ -23,21 +24,15 @@ import json
 import os
 import random
 import sys
-from functools import partial
 
 from .bench import bench_networks
-from .benes import benes_decompose, collapse_benes, restrict_keys
 from .costmodel import chain_cost
-from .diag import matvec, perm_to_diag, signed_rep
+from .diag import perm_to_diag, signed_rep
 from .hmm import HmmConfig, hmm_rotation_budget
-from .network import (build_network, collapse_levels, evaluate_network,
-                      reduce_masks)
-from .search import diag_profile, max_ideal_depth, validate_ideal_chain
-from .slots import DEFAULT_LEVEL, Permutation
-from .structured import (LADDERS, build_gamma_xi, decompose_gamma_xi_pad,
-                         unit_input_slots)
-from .verify import (DEFAULT_SEED, checked_run, hmm_trial, random_slots,
-                     run_suite, supported_slots)
+from .search import diag_profile, validate_ideal_chain
+from .slots import Permutation
+from .structured import LADDERS
+from .verify import DEFAULT_SEED, ROUTES, checked_run, hmm_trial, run_suite
 
 OUTDIR_ENV = "PERMDEC_OUTDIR"
 
@@ -56,9 +51,17 @@ def _signed(n: int, steps) -> list[int]:
     return sorted(signed_rep(s % n, n) for s in steps)
 
 
-def _factor_names(depth: int) -> list[str]:
-    """L, R_l, ..., R_1: the names of a ladder chain's factors in order."""
-    return ["L"] + [f"R_{depth - i}" for i in range(1, depth)]
+def _factors(chain, led=None) -> list[dict]:
+    """The factors L, R_l, ..., R_1 of a ladder or searched chain with their
+    diagonals and, given the ledger of a run, their rotations."""
+    names = ["L"] + [f"R_{chain.depth - i}" for i in range(1, chain.depth)]
+    out = [{"name": nm, "diagonals": f.signed_diag_set()}
+           for nm, f in zip(names, chain.factors)]
+    if led is not None:
+        by_tag = led.rotations_by_tag()
+        for i, factor in enumerate(out):
+            factor["rotations"] = by_tag[f"{chain.TAG}.f{i}"]
+    return out
 
 
 def _cmd_search(cfg: argparse.Namespace):
@@ -70,57 +73,46 @@ def _cmd_search(cfg: argparse.Namespace):
     else:
         target = cfg.target or "ut"
         u = LADDERS[target][0](cfg.d or 4, cfg.n)
+    route = ROUTES["search"](u)
+    chain = route.obj
     params = diag_profile(u)
-    depth, chain = max_ideal_depth(u, params)
+    # depth 0 is an answer here: the verdict is the conditions and one run
     rep = validate_ideal_chain(u, chain, params)
-    names = _factor_names(chain.depth)
+    ran, _, _ = checked_run(route, route.draw(random.Random(DEFAULT_SEED)))
+    ok = rep.ok and ran
     report = {
         "command": "search", "target": target, "n": u.n,
         "stride": params.a, "radius": params.r,
-        "depth": depth, "depth_cap": params.max_depth_cap(),
+        "depth": chain.depth - 1, "depth_cap": params.max_depth_cap(),
         "rc_sequence": rep.rc_sequence, "residual_radius": rep.r_prime,
-        "factors": [{"name": nm, "diagonals": f.signed_diag_set()}
-                    for nm, f in zip(names, chain.factors)],
-        "ok": rep.ok,
+        "factors": _factors(chain), "ok": ok,
     }
-    return (0 if rep.ok else 1), report
+    return (0 if ok else 1), report
 
 
 def _cmd_decompose(cfg: argparse.Namespace):
-    rng = random.Random(cfg.seed)
-    if cfg.target in LADDERS:
+    ladder = cfg.target in LADDERS
+    if ladder:
         _refuse(cfg, f"decompose {cfg.target} has no unit grid", "dp")
-        build, decompose = LADDERS[cfg.target]
-        chain, u = decompose(cfg.d, cfg.l, cfg.n), build(cfg.d, cfg.n)
-        vals = random_slots(rng, u.n)
-        ok, led, _ = checked_run(chain.evaluate, vals, matvec(u, vals))
+        route = ROUTES[cfg.target](cfg.d, cfg.l, cfg.n)
+    else:  # padded fan-out pair; the requested map
+        route = ROUTES[cfg.target](cfg.d, cfg.l, cfg.dp, cfg.n)
+    chain = route.obj
+    ok, led, _ = checked_run(route, route.draw(random.Random(cfg.seed)))
+    report = {"command": "decompose", "target": cfg.target, "n": chain.n,
+              "d": cfg.d, "depth_l": cfg.l}
+    if ladder:
         # the run checks the slots; the product checks the factors
-        ok = chain.product() == u and ok
-        by_tag = led.rotations_by_tag()
-        names = _factor_names(chain.depth)
-        factors = [{"name": nm, "diagonals": f.signed_diag_set(),
-                    "rotations": by_tag[f"{chain.TAG}.f{i}"]}
-                   for i, (nm, f) in enumerate(zip(names, chain.factors))]
-        report = {
-            "command": "decompose", "target": cfg.target, "n": u.n,
-            "d": cfg.d, "depth_l": cfg.l, "factors": factors,
-        }
+        ok = route.structure() and ok
+        report["factors"] = _factors(chain, led)
     else:
-        # padded fan-out pair; report the requested map
-        gamma, xi = build_gamma_xi(cfg.d, cfg.dp, cfg.n)
-        cg, cx, _ = decompose_gamma_xi_pad(cfg.d, cfg.l, cfg.dp, cfg.n)
-        chain, u = (cg, gamma) if cfg.target == "gamma" else (cx, xi)
-        support = set(unit_input_slots(cfg.d, cfg.dp, chain.n))
-        vals = supported_slots(rng, chain.n, support)
-        ok, led, _ = checked_run(chain.evaluate, vals, matvec(u, vals))
-        report = {
-            "command": "decompose", "target": cfg.target, "n": chain.n,
-            "d": cfg.d, "dp": cfg.dp or cfg.d, "depth_l": cfg.l,
+        report.update({
+            "dp": cfg.dp or cfg.d,
             "doubling_steps": _signed(chain.n, chain.r_steps),
             "fanout_steps": _signed(chain.n, chain.l_steps),
             "rotations": led.rotation_count,
             "mask_ones": sum(chain.mask),
-        }
+        })
     report["verified"] = ok
     return (0 if ok else 1), report
 
@@ -147,17 +139,11 @@ def _cmd_hmm(cfg: argparse.Namespace):
     return (0 if ok else 1), report
 
 
-def _net_for(cfg: argparse.Namespace):
+def _perm(cfg: argparse.Namespace) -> Permutation:
+    """The permutation of --perm-file, or a random one of --n slots."""
     if cfg.perm_file:
-        p = Permutation.load(cfg.perm_file)
-    else:
-        p = Permutation.random(cfg.n, random.Random(cfg.seed))
-    net = build_network(p)
-    if cfg.reduce:
-        net = reduce_masks(net)
-    if cfg.collapse:
-        net = collapse_levels(net, *cfg.collapse)
-    return p, net
+        return Permutation.load(cfg.perm_file)
+    return Permutation.random(cfg.n, random.Random(cfg.seed))
 
 
 def _cmd_net(cfg: argparse.Namespace):
@@ -178,7 +164,8 @@ def _cmd_net(cfg: argparse.Namespace):
         return 0, report
 
     _refuse(cfg, f"net {cfg.target} runs one permutation", "samples")
-    p, net = _net_for(cfg)
+    route = ROUTES["network"](_perm(cfg), cfg.reduce, cfg.collapse)
+    net = route.obj
     if cfg.target == "build":
         rep = chain_cost(net)
         report = {
@@ -191,9 +178,7 @@ def _cmd_net(cfg: argparse.Namespace):
         }
         return 0, report
 
-    vals = random_slots(random.Random(cfg.seed + 1), net.n)
-    ok, led, out = checked_run(partial(evaluate_network, net), vals,
-                               p.apply(vals))
+    ok, led, out = checked_run(route, route.draw(random.Random(cfg.seed + 1)))
     report = {
         "command": "net", "action": "eval", "n": net.n, "seed": cfg.seed,
         "reduced": cfg.reduce, "rotations": led.rotation_count,
@@ -207,26 +192,18 @@ def _cmd_benes(cfg: argparse.Namespace):
         _refuse(cfg, "benes --no-collapse keeps every factor", "depth")
     if cfg.no_restrict:
         _refuse(cfg, "benes --no-restrict keeps every key", "budget")
-    p = (Permutation.load(cfg.perm_file) if cfg.perm_file
-         else Permutation.random(cfg.n, random.Random(cfg.seed)))
-    bc = benes_decompose(p)
-    if not cfg.no_collapse:
-        bc = collapse_benes(bc, cfg.depth)
-    if bc.depth > DEFAULT_LEVEL:  # each factor rescales once
-        raise ValueError(f"a chain of {bc.depth} factors needs {bc.depth} "
-                         f"levels; only {DEFAULT_LEVEL} are available")
-    if not cfg.no_restrict:
-        bc = restrict_keys(bc, cfg.budget)
-    vals = random_slots(random.Random(cfg.seed + 1), p.n)
-    ok, led, _ = checked_run(bc.evaluate, vals, p.apply(vals))
-    ok = bc.product() == perm_to_diag(p) and ok
+    route = ROUTES["benes"](_perm(cfg), cfg.depth, cfg.budget,
+                            not cfg.no_collapse, not cfg.no_restrict)
+    bc = route.obj
+    ok, led, _ = checked_run(route, route.draw(random.Random(cfg.seed + 1)))
+    ok = route.structure() and ok
     by_tag = led.rotations_by_tag()
     report = {
-        "command": "benes", "n": p.n, "seed": cfg.seed, "depth": bc.depth,
+        "command": "benes", "n": bc.n, "seed": cfg.seed, "depth": bc.depth,
         "rotation_counts": [by_tag[f"{bc.TAG}.f{i}"]
                             for i in range(bc.depth)],
         "total_rotations": led.rotation_count,
-        "keys": _signed(p.n, led.key_set()),
+        "keys": _signed(bc.n, led.key_set()),
         "diag_counts": bc.diag_counts(),
         "ok": ok,
     }

@@ -15,8 +15,9 @@ elementwise product over both ciphertext components; rotation-only totals are
 kept in the separate breakdown entries so the extension is visible.
 
 Every route is priced from one trace and by one loop. `replay` evaluates the
-structure once on SlotVector.zeros, the vector with no support, under its own
-CostLedger, which takes every op of that scope (an outer ledger sees none of
+structure once, by its own `.evaluate(v)` (a network's runs evaluate_network),
+on SlotVector.zeros, the vector with no support, under its own CostLedger,
+which takes every op of that scope (an outer ledger sees none of
 the replay). That run records the ops of a run on real slots and, as its
 vectors stay empty, does no slot arithmetic. `chain_cost` then puts each
 rotation at a position p, 1 for the input side, and charges it at width
@@ -32,14 +33,7 @@ value that reaches a rotation through standby columns or the collapsed top
 has dropped fewer levels than the schedule counts (12 of the 69 rotations of
 the raw benchmark network at n = 2^14, seed 1, instance 0, run one or more
 levels higher), and pricing those by operand level would change the network
-reports. Masks are charged at their recorded level in both cases. The CLI
-reports read their rotation counts and key sets from the ledger of a run:
-a route report (decompose, hmm, net eval, benes) from its one checked run
-(verify.checked_run or verify.hmm_trial), and what they print of the
-diagonals is read off the factors (the ladder reports' diagonal lists, the
-Beneš report's diag_counts). The one independent count is
-hmm_rotation_budget's closed form, which `permdec hmm` requires to equal the
-ledger of its run exactly.
+reports. Masks are charged at their recorded level in both cases.
 """
 
 from __future__ import annotations
@@ -47,6 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from .ledger import CostLedger
+# unused here, but the benchmark's check_wrapping needs the binding
 from .network import MultiGroupNetwork, evaluate_network, rotation_profile
 from .slots import DEFAULT_LEVEL, DepthExhaustedError, SlotVector
 
@@ -149,16 +144,13 @@ def replay(source, level: int = DEFAULT_LEVEL
     ledger of the ops a real run records, and the output vector."""
     v = SlotVector.zeros(source.n, level)
     with CostLedger() as led:
-        if isinstance(source, MultiGroupNetwork):
-            out = evaluate_network(source, v)
-        else:
-            out = source.evaluate(v)
+        out = source.evaluate(v)
     return led, out
 
 
 def chain_cost(source, cp0: CostParams | None = None) -> CostReport:
-    """Price a network, or anything with .n and .evaluate(v), starting from
-    level cp0.level.
+    """Price anything with .n and .evaluate(v), a network included, starting
+    from level cp0.level.
 
     A rotation at position p is priced at width cp0.level - p + 2. Network
     rotations take the fused ModDown onto level cp0.level - p, and the
@@ -171,10 +163,10 @@ def chain_cost(source, cp0: CostParams | None = None) -> CostReport:
     """
     if cp0 is None:
         cp0 = CostParams()
-    network = isinstance(source, MultiGroupNetwork)
-    if not network and not (hasattr(source, "n")
-                            and callable(getattr(source, "evaluate", None))):
+    if not (hasattr(source, "n")
+            and callable(getattr(source, "evaluate", None))):
         raise TypeError(f"cannot cost a {type(source).__name__}")
+    network = isinstance(source, MultiGroupNetwork)
     led, out = replay(source, cp0.level)
     if network:
         per_level = rotation_profile(source, led)

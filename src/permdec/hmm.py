@@ -137,10 +137,6 @@ class HmmConfig:
         return self.d * self.d * self.d_prime
 
     @property
-    def data_span(self) -> int:
-        return self.d * self.d
-
-    @property
     def vector_size(self) -> int:
         return self.m * self.group_span
 

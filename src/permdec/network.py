@@ -165,6 +165,11 @@ class MultiGroupNetwork:
     def rotation_nodes(self) -> list[Node]:
         return [nd for nd in self.nodes if nd.kind == "rotation"]
 
+    def evaluate(self, v: SlotVector) -> SlotVector:
+        """evaluate_network(self, v), looked up as a module global so that a
+        tracer rebinding it sees every network run."""
+        return evaluate_network(self, v)
+
     def to_json(self) -> dict:
         """The graph, plus the collapse spec when one is set: a report form
         (no routing state), not a file to rebuild the network from."""

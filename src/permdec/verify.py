@@ -1,32 +1,31 @@
-"""End-to-end oracle equivalence suite.
+"""The route table, and the end-to-end oracle equivalence suite over it.
 
-Every decomposition route the package offers is replayed on seeded random
-instances and compared, slot for slot, against the free reference (direct
-permutation application, or plain matrix arithmetic by
-`hmm.reference_products`). The ladder checks run the families of
-`structured.LADDERS`, and the network checks one routine over a table of
-network preparations. Each check owns a generator derived from the seed and
-its report name, `Random(f"{seed}:{name}")`, so a (seed, n_max) pair fixes
-the whole suite bit for bit. `checked_run`, `supported_slots` and `hmm_trial`
-are the one way a route is checked: the suite and the command line's route
-reports alike run through them.
+`ROUTES` maps each route family (the ut/sigma/tau ladders, padded gamma/xi,
+searched chains, raw, reduced and collapsed networks, collapsed and
+key-restricted Beneš chains) to a builder of its `Route`. The command line,
+`bench` and the suite build every route there, and `checked_run` runs one.
+
+The suite compares seeded random runs of every family, slot for slot, with
+their oracles (batched matrix products, with two operands, run through
+`hmm_trial`). Each check draws from `Random(f"{seed}:{name}")`, so a
+(seed, n_max) pair fixes the whole suite bit for bit.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
+from typing import Any, Callable
 
 from .benes import benes_decompose, collapse_benes, restrict_keys
-from .diag import matvec, perm_to_diag
+from .diag import DiagMatrix, matvec, perm_to_diag
 from .hmm import (HmmConfig, Matrix, hmm_multiply, hmm_rotation_budget,
                   reference_products)
 from .ledger import CostLedger
-from .network import (build_network, collapse_levels, evaluate_network,
-                      reduce_masks)
+from .network import build_network, collapse_levels, reduce_masks
 from .search import diag_profile, max_ideal_depth, validate_ideal_chain
-from .slots import Permutation, SlotVector
+from .slots import DEFAULT_LEVEL, Permutation, SlotVector
 from .structured import (LADDERS, build_gamma_xi, build_ut,
                          decompose_gamma_xi_pad, unit_input_slots)
 
@@ -78,32 +77,10 @@ class SuiteReport:
                 "checks": [c.to_json() for c in self.checks]}
 
 
-def random_slots(rng, n: int) -> list[int]:
-    """n slot values, each uniform in [-50, 50]."""
-    return [rng.randint(-50, 50) for _ in range(n)]
-
-
 def random_matrices(rng, cfg: HmmConfig) -> list[Matrix]:
     """cfg.m d x d operands, each entry uniform in [-9, 9]."""
     return [[[rng.randint(-9, 9) for _ in range(cfg.d)] for _ in range(cfg.d)]
             for _ in range(cfg.m)]
-
-
-def supported_slots(rng, n: int, support) -> list[int]:
-    """n slot values, uniform in [-30, 30] on the slots of `support` and
-    zero elsewhere: the input of a padded route."""
-    return [rng.randint(-30, 30) if s in support else 0 for s in range(n)]
-
-
-def checked_run(evaluate, vals: list[int], want: list[int]
-                ) -> tuple[bool, CostLedger, SlotVector]:
-    """Run a route once on vals under its own CostLedger: whether the output
-    is `want` slot for slot, the ledger of the run, and the output.
-    `evaluate` is a chain's `evaluate`, or `partial(evaluate_network, net)`.
-    """
-    with CostLedger() as led:
-        out = evaluate(SlotVector.from_list(vals))
-    return out.to_list() == want, led, out
 
 
 def hmm_trial(rng, cfg: HmmConfig) -> tuple[bool, int]:
@@ -115,73 +92,176 @@ def hmm_trial(rng, cfg: HmmConfig) -> tuple[bool, int]:
     return got == reference_products(a, b), led.rotation_count
 
 
-def _per_config(budget: int, configs: int) -> int:
-    return -(-budget // configs)
+# ------------------------------------------------------------- route table
+
+@dataclass
+class Route:
+    """A built route: `obj` runs it (`.n`, `.evaluate(v)`), `want(vals)` is
+    its oracle, `structure()` its structural check (None when the family has
+    none) and `support` the slots its input may use (None: every slot)."""
+
+    obj: Any
+    want: Callable[[list[int]], list[int]]
+    structure: Callable[[], bool] | None = None
+    support: set[int] | None = None
+
+    def draw(self, rng) -> list[int]:
+        """One random input: every slot uniform in [-50, 50], or, on a
+        padded route, [-30, 30] on its support and zero elsewhere."""
+        n = self.obj.n
+        if self.support is None:
+            return [rng.randint(-50, 50) for _ in range(n)]
+        return [rng.randint(-30, 30) if s in self.support else 0
+                for s in range(n)]
+
+
+def _ladder(family: str, d: int, l: int, n: int | None = None) -> Route:
+    target, decompose = LADDERS[family]  # read per call: tests patch it
+    chain = decompose(d, l, n)
+    u = target(d, n)
+    return Route(chain, partial(matvec, u), lambda: chain.product() == u)
+
+
+def _padded(which: int, d: int, l: int, dp: int | None = None,
+            n: int | None = None) -> Route:
+    u = build_gamma_xi(d, dp, n)[which]
+    chain = decompose_gamma_xi_pad(d, l, dp, n)[which]
+    return Route(chain, partial(matvec, u),
+                 support=set(unit_input_slots(d, dp, chain.n)))
+
+
+def _searched(u: DiagMatrix) -> Route:
+    """The deepest ideal-form chain of u the search finds. Its check asks for
+    the ideal-form conditions and a split: depth 0 decomposes nothing."""
+    params = diag_profile(u)
+    _, chain = max_ideal_depth(u, params)
+    return Route(chain, partial(matvec, u), lambda: chain.depth > 1 and
+                 validate_ideal_chain(u, chain, params).ok)
+
+
+def prepare(p: Permutation, reduce: bool = True,
+            collapse: tuple[int, int] | None = None) -> Route:
+    """The network routing p, mask-reduced when `reduce`, then collapsed by
+    collapse_levels(net, *collapse) when `collapse` is given."""
+    net = build_network(p)
+    if reduce:
+        net = reduce_masks(net)
+    if collapse:
+        net = collapse_levels(net, *collapse)
+    return Route(net, p.apply)
+
+
+def _benes(p: Permutation, depth: int | None = None,
+           budget: int | None = None, collapse: bool = True,
+           restrict: bool = True) -> Route:
+    """The Beneš chain of p, collapsed to `depth` factors when `collapse`,
+    and routed through `budget` keys when `restrict`."""
+    bc = benes_decompose(p)
+    if collapse:
+        bc = collapse_benes(bc, depth)
+    if bc.depth > DEFAULT_LEVEL:  # each factor rescales once
+        raise ValueError(f"a chain of {bc.depth} factors needs {bc.depth} "
+                         f"levels; only {DEFAULT_LEVEL} are available")
+    if restrict:
+        bc = restrict_keys(bc, budget)
+    return Route(bc, p.apply, lambda: bc.product() == perm_to_diag(p))
+
+
+# family -> builder of its Route
+ROUTES: dict[str, Callable[..., Route]] = {
+    **{family: partial(_ladder, family) for family in LADDERS},
+    "gamma": partial(_padded, 0), "xi": partial(_padded, 1),
+    "search": _searched,
+    "network": prepare, "benes": _benes,
+}
+
+
+def checked_run(route: Route, vals: list[int]
+                ) -> tuple[bool, CostLedger, SlotVector]:
+    """Run a route once on vals under its own CostLedger: whether the output
+    is `route.want(vals)` slot for slot, the ledger of the run, and the
+    output. Networks run through `.evaluate` like chains."""
+    with CostLedger() as led:
+        out = route.obj.evaluate(SlotVector.from_list(vals))
+    return out.to_list() == route.want(vals), led, out
+
+
+def _sizes(weights: dict[int, float], n_max: int) -> list[tuple[int, float]]:
+    """The (size, weight) pairs of weights up to n_max. When none fits, the
+    largest power of two up to n_max, as Beneš needs a power of two."""
+    sizes = [(n, w) for n, w in weights.items() if n <= n_max]
+    return sizes or [(1 << (n_max.bit_length() - 1), 1.0)]
 
 
 # ---------------------------------------------------------------- checks
+# A check yields one (condition, message) flag per instance it counts.
 
-def check_ideal_search(rng, budget: int) -> CheckResult:
-    res = CheckResult("ideal-search")
-    dims = (4, 8, 16)
-    per = _per_config(budget, len(dims))
-    for d in dims:
-        u = build_ut(d)
-        params = diag_profile(u)
-        depth, chain = max_ideal_depth(u, params)
-        rep = validate_ideal_chain(u, chain, params)
-        res.flag(rep.ok and depth >= 1,
-                 f"d={d}: ideal chain invalid ({rep.details[:1]})")
-        for _ in range(per):
-            vals = random_slots(rng, u.n)
-            ok, _, _ = checked_run(chain.evaluate, vals, matvec(u, vals))
-            res.flag(ok, f"d={d}: searched chain output mismatch")
-    return res
+def _runs(tag: str, routes: list[Route], runs: int, rng):
+    """A case's flags: each route's structural check once, then, on each of
+    `runs` random inputs, one checked run of every route."""
+    for route in routes:
+        if route.structure is not None:
+            yield route.structure(), f"{tag}: structure differs"
+    for _ in range(runs):
+        vals = routes[0].draw(rng)
+        for route in routes:
+            yield (checked_run(route, vals)[0],
+                   f"{tag}: output differs from the oracle")
 
 
-# check name -> family of structured.LADDERS
-_LADDER_CHECKS = {"transpose-ladder": "ut", "diag-to-col-ladder": "sigma",
-                  "diag-to-row-ladder": "tau"}
+def _shared(cases: list[tuple[str, Route]], budget: int, rng):
+    """The flags of (tag, route) cases that split the budget's runs."""
+    per = -(-budget // len(cases))
+    for tag, route in cases:
+        yield from _runs(tag, [route], per, rng)
 
 
-def check_ladder(name: str, family: str, rng, budget: int) -> CheckResult:
-    build, decompose = LADDERS[family]
-    res = CheckResult(name)
+def _ideal_search(rng, budget: int, n_max: int):
+    cases = [(f"d={d}", ROUTES["search"](build_ut(d))) for d in (4, 8, 16)]
+    return _shared(cases, budget, rng)
+
+
+def _ladders(family: str, rng, budget: int, n_max: int):
     # depth caps at floor(log2(d - 1)) splitting rounds
-    configs = [(d, l) for d in (4, 8, 16)
-               for l in range(1, (d - 1).bit_length())]
-    per = _per_config(budget, len(configs))
-    for d, l in configs:
-        u = build(d)
-        chain = decompose(d, l)
-        res.flag(chain.product() == u, f"d={d} l={l}: product differs")
-        for _ in range(per):
-            vals = random_slots(rng, u.n)
-            ok, _, _ = checked_run(chain.evaluate, vals, matvec(u, vals))
-            res.flag(ok, f"d={d} l={l}: ladder output mismatch")
-    return res
+    return _shared([(f"d={d} l={l}", ROUTES[family](d, l)) for d in (4, 8, 16)
+                    for l in range(1, (d - 1).bit_length())], budget, rng)
 
 
-def check_padded_fanout(rng, budget: int) -> CheckResult:
-    res = CheckResult("padded-fanout")
+def _padded_fanout(rng, budget: int, n_max: int):
     configs = [(2, 2, 1), (4, 4, 1), (4, 4, 2), (4, 2, 1), (8, 8, 2),
                (8, 8, 3), (8, 4, 2), (16, 8, 2), (16, 16, 3)]
-    per = _per_config(budget, 2 * len(configs))
-    for d, dp, l in configs:
-        n = d * d * dp
-        gamma, xi = build_gamma_xi(d, dp)
-        cg, cx, _ = decompose_gamma_xi_pad(d, l, dp)
-        support = set(unit_input_slots(d, dp))
-        for chain, ref, which in ((cg, gamma, "gamma"), (cx, xi, "xi")):
-            for _ in range(per):
-                vals = supported_slots(rng, n, support)
-                ok, _, _ = checked_run(chain.evaluate, vals, matvec(ref, vals))
-                res.flag(ok, f"d={d} dp={dp} l={l}: padded {which} mismatch")
-    return res
+    return _shared([(f"d={d} dp={dp} l={l} {which}", ROUTES[which](d, l, dp))
+                    for d, dp, l in configs for which in ("gamma", "xi")],
+                   budget, rng)
 
 
-def check_batched_matmul(rng, budget: int) -> CheckResult:
-    res = CheckResult("batched-matmul")
+def _networks(reduce: bool, fit: bool, rng, budget: int, n_max: int):
+    for n, w in _sizes({64: 0.5, 256: 0.3, 1024: 0.2}, n_max):
+        for _ in range(max(1, round(budget * w))):
+            route = ROUTES["network"](Permutation.random(n, rng), reduce)
+            if fit:
+                # collapse (2, 3) as far as the levels allow; a network
+                # without levels (the identity) has no room and stays whole
+                room = max(route.obj.max_level - 1, 0)
+                b = min(3, room)
+                route.obj = collapse_levels(route.obj, min(2, room - b), b)
+            yield from _runs(f"n={n}", [route], 1, rng)
+
+
+def _benes_chains(rng, budget: int, n_max: int):
+    for n, w in _sizes({64: 0.5, 256: 0.38, 1024: 0.12}, n_max):
+        for it in range(max(1, round(budget * w))):
+            route = ROUTES["benes"](Permutation.random(n, rng),
+                                    restrict=False)
+            routes = [route]
+            if it % 4 == 0:
+                # the collapsed chain's factors, whose product is checked
+                routes.append(replace(route, obj=restrict_keys(route.obj),
+                                      structure=None))
+            yield from _runs(f"n={n}", routes, 1, rng)
+
+
+def _batched_matmul(rng, budget: int, n_max: int):
     configs = [
         HmmConfig(4, 4), HmmConfig(4, 2, 2), HmmConfig(4, 1),
         HmmConfig(8, 8), HmmConfig(8, 4), HmmConfig(8, 2, 2),
@@ -193,91 +273,47 @@ def check_batched_matmul(rng, budget: int) -> CheckResult:
         HmmConfig(16, 2, replication=(2, 8)),
         HmmConfig(16, 4, replication=(4, 4)),
     ]
-    per = _per_config(budget, len(configs))
+    per = -(-budget // len(configs))
     for cfg in configs:
         tag = f"d={cfg.d} dp={cfg.d_prime} rep={cfg.replication}"
         for it in range(per):
             ok, rot = hmm_trial(rng, cfg)
-            res.flag(ok, f"{tag}: product mismatch")
+            yield ok, f"{tag}: product mismatch"
             if it == 0:
                 bud = hmm_rotation_budget(cfg)
-                res.flag(rot == bud.total,
-                         f"{tag}: rotations {rot} vs budget {bud.total}")
-    return res
+                yield (rot == bud.total,
+                       f"{tag}: rotations {rot} vs budget {bud.total}")
 
 
-def _sizes(weights: dict[int, float], n_max: int) -> list[tuple[int, float]]:
-    """The (size, weight) pairs of weights up to n_max. When none fits, the
-    largest power of two up to n_max, as Beneš needs a power of two."""
-    sizes = [(n, w) for n, w in weights.items() if n <= n_max]
-    return sizes or [(1 << (n_max.bit_length() - 1), 1.0)]
-
-
-def _collapsed(net):
-    # reduce, then collapse (2, 3) as far as the levels allow; a network
-    # without levels (the identity) has no room and stays whole
-    net = reduce_masks(net)
-    room = max(net.max_level - 1, 0)
-    b = min(3, room)
-    t = min(2, room - b)
-    return collapse_levels(net, t, b)
-
-
-# check name -> what becomes of the built network before it runs
-_NETWORK_CHECKS = {"network-raw": lambda net: net,
-                   "network-reduced": reduce_masks,
-                   "network-collapsed": _collapsed}
-
-
-def check_network(name: str, rng, budget: int, n_max: int) -> CheckResult:
-    prepare = _NETWORK_CHECKS[name]
-    res = CheckResult(name)
-    for n, w in _sizes({64: 0.5, 256: 0.3, 1024: 0.2}, n_max):
-        for _ in range(max(1, round(budget * w))):
-            p = Permutation.random(n, rng)
-            net = prepare(build_network(p))
-            vals = random_slots(rng, n)
-            ok, _, _ = checked_run(partial(evaluate_network, net), vals,
-                                   p.apply(vals))
-            res.flag(ok, f"n={n}: network output differs from permutation")
-    return res
-
-
-def check_benes(rng, budget: int, n_max: int) -> CheckResult:
-    res = CheckResult("benes")
-    for n, w in _sizes({64: 0.5, 256: 0.38, 1024: 0.12}, n_max):
-        for it in range(max(1, round(budget * w))):
-            p = Permutation.random(n, rng)
-            bc = collapse_benes(benes_decompose(p))
-            res.flag(bc.product() == perm_to_diag(p),
-                     f"n={n}: collapsed product differs")
-            vals = random_slots(rng, n)
-            want = p.apply(vals)
-            res.flag(checked_run(bc.evaluate, vals, want)[0],
-                     f"n={n}: collapsed evaluation mismatch")
-            if it % 4 == 0:
-                rc = restrict_keys(bc)
-                res.flag(checked_run(rc.evaluate, vals, want)[0],
-                         f"n={n}: key-restricted evaluation mismatch")
-    return res
+# check name -> its flags(rng, budget, n_max), in report order
+CHECKS = {
+    "ideal-search": _ideal_search,
+    "transpose-ladder": partial(_ladders, "ut"),
+    "diag-to-col-ladder": partial(_ladders, "sigma"),
+    "diag-to-row-ladder": partial(_ladders, "tau"),
+    "padded-fanout": _padded_fanout,
+    "batched-matmul": _batched_matmul,
+    "network-raw": partial(_networks, False, False),
+    "network-reduced": partial(_networks, True, False),
+    "network-collapsed": partial(_networks, True, True),
+    "benes": _benes_chains,
+}
 
 
 # ---------------------------------------------------------------- runner
+
+def run_check(name: str, rng, budget: int, n_max: int) -> CheckResult:
+    """One check of the suite, drawing its instances from rng."""
+    res = CheckResult(name)
+    for cond, msg in CHECKS[name](rng, budget, n_max):
+        res.flag(cond, msg)
+    return res
+
 
 def run_suite(n_max: int = 1024, seed: int = DEFAULT_SEED,
               full: bool = True) -> SuiteReport:
     """Run every oracle check; `full` uses >= 100 instances per route."""
     budget = 100 if full else 24
-
-    def gen(name: str) -> random.Random:
-        return random.Random(f"{seed}:{name}")
-
-    checks = [check_ideal_search(gen("ideal-search"), budget)]
-    checks += [check_ladder(name, family, gen(name), budget)
-               for name, family in _LADDER_CHECKS.items()]
-    checks += [check_padded_fanout(gen("padded-fanout"), budget),
-               check_batched_matmul(gen("batched-matmul"), budget)]
-    checks += [check_network(name, gen(name), budget, n_max)
-               for name in _NETWORK_CHECKS]
-    checks.append(check_benes(gen("benes"), budget, n_max))
-    return SuiteReport(n_max, seed, checks)
+    return SuiteReport(n_max, seed, [
+        run_check(name, random.Random(f"{seed}:{name}"), budget, n_max)
+        for name in CHECKS])

@@ -9,7 +9,7 @@ import pytest
 from permdec import benes
 from permdec import chain as chain_module
 from permdec.benes import (BenesChain, benes_decompose, collapse_benes,
-                           evaluate_benes, restrict_keys)
+                           restrict_keys)
 from permdec.chain import DecompositionChain
 from permdec.diag import perm_to_diag, plan_bsgs, to_permutation
 from permdec.ledger import CostLedger
@@ -59,7 +59,7 @@ def test_rotation_by_one():
     assert ch.product() == perm_to_diag(p)
     for f, group in zip(ch.factors, ch.groups):
         assert set(f.signed_diag_set()) <= stage_bound(8, group)
-    out = evaluate_benes(ch, SlotVector.from_list(range(8)))
+    out = ch.evaluate(SlotVector.from_list(range(8)))
     assert out.to_list() == [1, 2, 3, 4, 5, 6, 7, 0]
 
 
@@ -103,20 +103,19 @@ def test_evaluate_oracle():
             rng = random.Random(100 * n + seed)
             p = Permutation.random(n, rng)
             vals = rand_vec(n, rng)
-            out = evaluate_benes(benes_decompose(p),
-                                 SlotVector.from_list(vals))
+            out = benes_decompose(p).evaluate(SlotVector.from_list(vals))
             assert out.to_list() == p.apply(vals)
             assert out.depth_used == 2 * log2(n) - 1
 
 
 def test_evaluation_count_matches_report():
-    # the full chain through evaluate_benes, and a key-restricted chain
-    # through its own evaluate, whose window rotations follow the key paths
+    # the full chain, and a key-restricted chain, whose window rotations
+    # follow the key paths
     p = rand_perm(64, 77)
     ch = benes_decompose(p)
     rng = random.Random(77)
     with CostLedger() as led:
-        evaluate_benes(ch, SlotVector.from_list(rand_vec(64, rng)))
+        ch.evaluate(SlotVector.from_list(rand_vec(64, rng)))
     assert led.rotation_count == benes_total_rotations(ch)
     by_tag = led.rotations_by_tag()
     for i, c in enumerate(benes_rotation_counts(ch)):
@@ -148,7 +147,7 @@ def test_benes_chains_are_decomposition_chains():
 def test_dimension_mismatch_rejected():
     ch = benes_decompose(Permutation.identity(8))
     with pytest.raises(ValueError, match="length"):
-        evaluate_benes(ch, SlotVector.from_list(range(16)))
+        ch.evaluate(SlotVector.from_list(range(16)))
 
 
 # ---------------------------------------------------------------- collapse
@@ -203,7 +202,7 @@ def test_collapsed_evaluation_oracle():
             p = Permutation.random(n, rng)
             vals = rand_vec(n, rng)
             col = collapse_benes(benes_decompose(p))
-            out = evaluate_benes(col, SlotVector.from_list(vals))
+            out = col.evaluate(SlotVector.from_list(vals))
             assert out.to_list() == p.apply(vals)
             assert out.depth_used == log2(n) - 1
 
@@ -384,7 +383,7 @@ def test_restricted_evaluation_exact_and_counted():
         vals = rand_vec(256, rng)
         res = restrict_keys(collapse_benes(benes_decompose(p)))
         with CostLedger() as led:
-            out = evaluate_benes(res, SlotVector.from_list(vals))
+            out = res.evaluate(SlotVector.from_list(vals))
         assert out.to_list() == p.apply(vals)
         assert led.rotation_count == benes_total_rotations(res)
         assert led.key_set() == benes_key_set(res)
@@ -401,7 +400,7 @@ def test_tiny_budget_still_exact():
     p = Permutation.random(64, rng)
     vals = rand_vec(64, rng)
     res = restrict_keys(collapse_benes(benes_decompose(p)), budget=3)
-    out = evaluate_benes(res, SlotVector.from_list(vals))
+    out = res.evaluate(SlotVector.from_list(vals))
     assert out.to_list() == p.apply(vals)
     assert benes_total_rotations(res) > benes_total_rotations(
         collapse_benes(benes_decompose(p)))

@@ -100,6 +100,22 @@ def test_decompose_wrong_chain_fails_verification(capsys, monkeypatch):
 
 # ---------------------------------------------------------------- search
 
+def test_search_wrong_chain_fails_verification(capsys, monkeypatch):
+    # a chain that skips its left factor when it runs: its factors still
+    # meet the ideal-form conditions, so only the run on slots can tell,
+    # and the report says so and the run exits 1
+    evaluate = DecompositionChain.evaluate
+
+    def skips_left(chain, v):
+        rest = DecompositionChain(chain.n, chain.factors[1:], chain.plans[1:])
+        return evaluate(rest, v)
+
+    monkeypatch.setattr(DecompositionChain, "evaluate", skips_left)
+    rc, rep = run_json(capsys, "search", "--target", "ut", "--d", "8")
+    assert rc == 1 and rep["ok"] is False
+    assert rep["depth"] >= 2 and len(rep["factors"]) == rep["depth"] + 1
+
+
 def test_search_named_target(capsys):
     rc, rep = run_json(capsys, "search", "--target", "ut", "--d", "8")
     assert rc == 0 and rep["ok"] is True
@@ -313,8 +329,8 @@ def test_verify_sizes_capped_by_n_max(monkeypatch, n_max):
     monkeypatch.setattr(verify, "benes_decompose",
                         recording(built["benes"], verify.benes_decompose))
     rng = random.Random(n_max)
-    assert verify.check_network("network-raw", rng, 1, n_max).ok
-    assert verify.check_benes(rng, 1, n_max).ok
+    assert verify.run_check("network-raw", rng, 1, n_max).ok
+    assert verify.run_check("benes", rng, 1, n_max).ok
     for sizes in built.values():
         assert sizes and max(sizes) <= n_max
     assert all(n & (n - 1) == 0 for n in built["benes"])
@@ -354,6 +370,7 @@ ROUTE_REPORTS = {
     ("hmm", "--d", "16", "--dp", "4", "--replication", "4,4"):
         "7831e86376b4cb7f",
     ("verify", "--n-max", "256"): "c6a3dcebc98432d0",
+    ("verify", "--all"): "430632747f9a8ddf",
 }
 
 

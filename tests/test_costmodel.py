@@ -21,14 +21,12 @@ from permdec.costmodel import (CostParams, chain_cost, replay,
                                submodule_cost)
 from permdec.diag import perm_to_diag
 from permdec.ledger import CostLedger
-from permdec.network import (MultiGroupNetwork, build_network,
-                             collapse_levels, evaluate_network, reduce_masks,
+from permdec.network import (build_network, collapse_levels, reduce_masks,
                              rotation_profile)
-from permdec.search import diag_profile, max_ideal_depth
 from permdec.slots import (DepthExhaustedError, Permutation, SlotVector,
                            _Sparse)
-from permdec.structured import LADDERS, build_ut, decompose_gamma_xi_pad
-from util import benes_key_set, benes_total_rotations
+from permdec.structured import decompose_gamma_xi_pad
+from util import SMALL_ROUTES, benes_key_set, benes_total_rotations
 
 N = 1 << 15
 LOGN = 15
@@ -338,20 +336,9 @@ def test_padded_chain_priced_by_hand_count():
 
 
 def _replayed_sources(rng):
-    """One source of every kind the cost model prices."""
-    p = Permutation.random(256, rng)
-    raw = build_network(p)
-    red = reduce_masks(raw)
-    u = build_ut(8)
-    bc = collapse_benes(benes_decompose(Permutation.random(64, rng)))
-    cg, cx, _ = decompose_gamma_xi_pad(8, 2, 4)
-    return {
-        "raw": raw, "reduced": red, "collapsed": collapse_levels(red, 2, 3),
-        "ladder": LADDERS["tau"][1](8, 2),
-        "searched": max_ideal_depth(u, diag_profile(u))[1],
-        "benes": bc, "benes-restricted": restrict_keys(bc),
-        "gamma": cg, "xi": cx,
-    }
+    """One source of every kind the cost model prices: the built object of
+    every route table family, at a small size."""
+    return {name: make(rng).obj for name, make in SMALL_ROUTES.items()}
 
 
 def test_replay_stays_on_an_empty_support(rng):
@@ -363,10 +350,7 @@ def test_replay_stays_on_an_empty_support(rng):
         assert type(out.slots) is _Sparse and out.slots.vals == {}, name
         vals = [rng.randint(-9, 9) for _ in range(source.n)]
         with CostLedger() as real:
-            if isinstance(source, MultiGroupNetwork):
-                evaluate_network(source, SlotVector.from_list(vals))
-            else:
-                source.evaluate(SlotVector.from_list(vals))
+            source.evaluate(SlotVector.from_list(vals))
         assert led.ops == real.ops and led.ops, name
 
 

@@ -18,8 +18,7 @@ from util import benes_key_set, benes_rotation_counts
 from permdec.benes import benes_decompose, collapse_benes, restrict_keys
 from permdec.costmodel import chain_cost, replay
 from permdec.ledger import CostLedger
-from permdec.network import (MultiGroupNetwork, build_network,
-                             collapse_levels, evaluate_network, reduce_masks)
+from permdec.network import build_network, collapse_levels, reduce_masks
 from permdec.search import max_ideal_depth
 from permdec.slots import Permutation, SlotVector
 from permdec.structured import LADDERS, _max_rounds
@@ -37,10 +36,7 @@ def run_replay_exact(source, vals):
     vector and the ledger."""
     v = SlotVector.from_list(vals)
     with CostLedger() as led:
-        if isinstance(source, MultiGroupNetwork):
-            out = evaluate_network(source, v)
-        else:
-            out = source.evaluate(v)
+        out = source.evaluate(v)
     assert replay(source)[0].ops == led.ops
     return out, led
 

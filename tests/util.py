@@ -15,6 +15,30 @@ from permdec.costmodel import replay
 from permdec.diag import BsgsPlan, DiagMatrix, _tie_penalty
 from permdec.network import rotation_profile
 from permdec.slots import Permutation
+from permdec.structured import build_ut
+from permdec.verify import ROUTES
+
+
+# a route of every ROUTES family at a small size: name -> make(rng); a name
+# "family-variant" is a variant of family
+SMALL_ROUTES = {
+    "ut": lambda rng: ROUTES["ut"](8, 2),
+    "sigma": lambda rng: ROUTES["sigma"](8, 2),
+    "tau": lambda rng: ROUTES["tau"](8, 2),
+    "gamma": lambda rng: ROUTES["gamma"](8, 2, 4),
+    "xi": lambda rng: ROUTES["xi"](8, 2, 4),
+    "search": lambda rng: ROUTES["search"](build_ut(8)),
+    "network-raw": lambda rng: ROUTES["network"](Permutation.random(256, rng),
+                                                 reduce=False),
+    "network-reduced": lambda rng: ROUTES["network"](
+        Permutation.random(256, rng)),
+    "network-collapsed": lambda rng: ROUTES["network"](
+        Permutation.random(256, rng), collapse=(2, 3)),
+    "benes-collapsed": lambda rng: ROUTES["benes"](Permutation.random(64, rng),
+                                                   restrict=False),
+    "benes-restricted": lambda rng: ROUTES["benes"](
+        Permutation.random(64, rng)),
+}
 
 
 def assert_value_errors(table) -> None:
@@ -327,7 +351,7 @@ def zero_region_ok(vector, cfg) -> bool:
     data = set()
     for g in range(cfg.m):
         base = g * cfg.group_span
-        data.update(range(base, base + cfg.data_span))
+        data.update(range(base, base + cfg.d * cfg.d))
     return all(s == 0 for p, s in enumerate(vector.slots) if p not in data)
 
 
