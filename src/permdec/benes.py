@@ -180,7 +180,6 @@ def collapse_benes(chain: BenesChain, target_depth: int | None = None
                 if c < best[i][g]:
                     best[i][g] = c
                     back[i][g] = a
-    assert best[nf][target_depth] is not INF
 
     bounds = [nf]
     i, g = nf, target_depth

@@ -11,14 +11,19 @@ network grows a small number of vertical groups whose bottom outputs sum to
 the permuted vector. Every entry ends up applying exactly the binary
 decomposition of its r_org.
 
-A network keeps two routing records: node occupancy (Node.occ: input
-position -> entry) and the targets of the permutation it routes. A network is
-made only from its permutation: build_network writes both records, and
-derived networks share them. to_json prints the graph as a report; nothing
-reads it back, as the graph alone cannot be collapsed. A left rotation of
-step k moves an entry from position p to (p - k) mod n, so entry i at position
-p has travelled (i - p) mod n (exact, as that is at most r_org < n) and has
-(p - targets[i]) mod n still to go; it is home once p == targets[i].
+A network keeps two routing records: node occupancy (Node.occ: the input
+positions a node holds and, in the same order, the entries sitting there)
+and the targets of the permutation it routes. A network is made only from
+its permutation: build_network writes both records, and derived networks
+share them. Occupancy is compact, with no dict per node: a node's positions
+are the tuple of its one feed's mask (its feeds' tuples joined, for a
+rotation node), its entries an array("i"), and every position is one int
+object per slot, shared by every record and mask. to_json prints the graph
+as a report; nothing reads it back, as the graph alone cannot be collapsed.
+A left rotation of step k moves an entry from position p to (p - k) mod n,
+so entry i at position p has travelled (i - p) mod n (exact, as that is at
+most r_org < n) and has (p - targets[i]) mod n still to go; it is home once
+p == targets[i].
 
 Edges carry 0/1 masks (slots.PositionMask) selecting the entries they
 transmit. build_network makes each mask once, when its level is routed, and
@@ -60,8 +65,10 @@ permutation.
 from __future__ import annotations
 
 import copy
+from array import array
 from collections import Counter
 from dataclasses import asdict, dataclass
+from itertools import chain
 
 from .ledger import CostLedger
 from .slots import Permutation, PositionMask, SlotVector
@@ -76,7 +83,10 @@ class Node:
         self.group = group
         self.level = level
         self.step = step
-        self.occ = {}  # input position -> entry index
+        # (input positions, entries in the same order): a tuple and an
+        # array("i"), written once by build_network and shared by derived
+        # networks
+        self.occ = ((), array("i"))
 
 
 class Edge:
@@ -153,9 +163,10 @@ class MultiGroupNetwork:
         return self.max_level - bottom
 
     def held(self, node: Node) -> list[tuple[int, int]]:
-        """(input position, entry) pairs on the node's input, by position; a
-        node narrowed by reduce_masks keeps those of its remaining feed."""
-        items = sorted(node.occ.items())
+        """(input position, entry) pairs on the node's input, sorted, read
+        from its occupancy record; a node narrowed by reduce_masks keeps
+        those of its remaining feed."""
+        items = sorted(zip(*node.occ))
         if node.idx in self.filtered:
             feed = self.edges.get((self.filtered[node.idx], node.idx))
             keep = set(feed.mask.positions) if feed else set()
@@ -204,12 +215,17 @@ def build_network(p: Permutation) -> MultiGroupNetwork:
     """Route every entry of p through grouped power-of-two rotation levels."""
     n, targets = p.n, p.targets
     net = MultiGroupNetwork(targets)
-    net.add_node("standby", group=0, level=0).occ = {i: i for i in range(n)}
+    # one int object per position, shared by every record and mask
+    slot = tuple(range(n))
+    net.add_node("standby", group=0, level=0).occ = (slot, array("i", slot))
     # per entry: its current node, its position on that node's output and
     # the distance it still has to go from there
     at = [0] * n
-    pos = list(range(n))
+    pos = list(slot)
     rem = [(i - t) % n for i, t in enumerate(targets)]
+    # the positions taken in the rotation node of the level being routed,
+    # cleared again when the level is done
+    taken = bytearray(n)
 
     unsolved = list(range(n))
     g = 0
@@ -231,12 +247,13 @@ def build_network(p: Permutation) -> MultiGroupNetwork:
             # with nothing to rotate (rot == 0) every entry stands by: no
             # distance reaches n
             least = rot or n
-            rot_node = rot_occ = None
-            cols = {}  # source node -> standby column at lvl+1
-            rot_masks = {}  # source node -> its positions into rot_node
-            # (source, destination, positions) per edge, by first use; a
-            # column's positions are the keys of its occupancy
-            masks = []
+            rot_node = None
+            cols = {}  # source node -> its edge into a standby column
+            feeds = {}  # source node -> its edge into rot_node
+            # (source, destination, positions, entries) per edge, by first
+            # use; a column takes its positions from one source node, so
+            # they never collide
+            edges = []
             deferred_before = len(deferred)
             for ei in active:
                 src = at[ei]
@@ -247,32 +264,43 @@ def build_network(p: Permutation) -> MultiGroupNetwork:
                     if rot_node is None:
                         rot_node = net.add_node("rotation", g, lvl + 1,
                                                 step=rot)
-                        rot_occ = rot_node.occ
-                    if q in rot_occ:
+                    if taken[q]:
                         deferred.append(ei)
                         continue
-                    rot_occ[q] = ei
-                    dst = rot_node.idx
-                    ps = rot_masks.get(src)
-                    if ps is None:
-                        ps = rot_masks[src] = []
-                        masks.append((src, dst, ps))
-                    ps.append(q)
-                    pos[ei] = (q - rot) % n
+                    taken[q] = 1
+                    e = feeds.get(src)
+                    if e is None:
+                        e = feeds[src] = (src, rot_node.idx, [], [])
+                        edges.append(e)
+                    pos[ei] = slot[q - rot]  # wraps: (q - rot) % n
                     rem[ei] = r = r - rot
                     away += r > 0
                 else:
-                    col = cols.get(src)
-                    if col is None:
-                        # one column per source node keeps positions disjoint
-                        col = cols[src] = net.add_node("standby", g, lvl + 1)
-                        masks.append((src, col.idx, col.occ))
-                    assert q not in col.occ, "standby slot collision"
-                    col.occ[q] = ei
-                    dst = col.idx
-                at[ei] = dst
-            for src, dst, ps in masks:
-                net.add_edge(src, dst, PositionMask(n, ps))
+                    e = cols.get(src)
+                    if e is None:
+                        col = net.add_node("standby", g, lvl + 1)
+                        e = cols[src] = (src, col.idx, [], [])
+                        edges.append(e)
+                e[2].append(q)
+                e[3].append(ei)
+                at[ei] = e[1]
+            # each edge's mask, and the records of the nodes it feeds: a
+            # column's positions are its mask's, a rotation node's its
+            # feeds' joined in edge order
+            joined = []
+            for src, dst, ps, es in edges:
+                ps = net.add_edge(src, dst, PositionMask(n, ps)).mask.positions
+                if net.nodes[dst] is rot_node:
+                    joined.append((ps, es))
+                else:
+                    net.nodes[dst].occ = (ps, array("i", es))
+            if joined:
+                pss, ess = zip(*joined)
+                ps = pss[0] if len(pss) == 1 else \
+                    tuple(chain.from_iterable(pss))
+                rot_node.occ = (ps, array("i", chain.from_iterable(ess)))
+                for q in ps:
+                    taken[q] = 0
             if len(deferred) > deferred_before:
                 skip = set(deferred[deferred_before:])
                 moved = [ei for ei in active if ei not in skip]
@@ -379,7 +407,7 @@ def collapse_levels(net: MultiGroupNetwork, top: int = 0, bottom: int = 0
             if nd.level != cut:
                 continue
             kept = {p for p, _ in out.held(nd)}
-            for p, ei in nd.occ.items():
+            for p, ei in zip(*nd.occ):
                 # re-fed entries sit at the same position one level up
                 src = nd.idx if p in kept else out.filtered[nd.idx]
                 q = (p - nd.step) % n

@@ -214,6 +214,18 @@ def test_collapse_to_single_factor():
     assert col.factors[0] == perm_to_diag(p)
 
 
+def test_collapse_reaches_every_target_depth():
+    # every span of up to nf - T + 1 factors is scored, so the split into
+    # T spans always exists: T - 1 single factors and one long span
+    for m in range(3, 7):
+        p = rand_perm(1 << m, 70 + m)
+        ch = benes_decompose(p)
+        for target in range(1, ch.depth):
+            col = collapse_benes(ch, target)
+            assert col.depth == target, (m, target)
+            assert col.product() == perm_to_diag(p), (m, target)
+
+
 def test_collapsed_diag_count_band():
     # reference average is about 6 to 7 nonzero diagonals per factor
     for n, count in ((256, 5), (1024, 4)):

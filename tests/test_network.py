@@ -5,6 +5,7 @@ transformed network must reproduce it exactly. Aggregate rotation counts are
 checked against frozen per-level reference rows (20-seed means).
 """
 
+import gc
 import hashlib
 import json
 import random
@@ -60,7 +61,7 @@ def test_identity_builds_no_nodes():
     assert net.rotation_nodes() == []
     assert len(net.nodes) == 1  # just the input holder
     # solved: every entry already sits at its target on the input holder
-    assert all(net.targets[i] == p for p, i in net.nodes[0].occ.items())
+    assert all(net.targets[i] == p for p, i in zip(*net.nodes[0].occ))
 
 
 def test_power_of_two_rotation_is_single_level():
@@ -141,21 +142,6 @@ def test_group_spans_trend_downward_on_average():
     assert statistics.mean(first) >= statistics.mean(last)
 
 
-def test_node_masks_are_disjoint_per_destination():
-    p, _ = build_random(256, 42)
-    net = build_network(p)
-    for nd in net.nodes:
-        if not net.in_edges[nd.idx]:  # the input holder
-            continue
-        seen = set()
-        for e in net.in_edges[nd.idx]:
-            assert e.mask is not None
-            positions = set(e.mask.positions)
-            assert not (seen & positions)
-            seen |= positions
-        assert seen == set(nd.occ)
-
-
 # digests of build_network's output for fixed inputs: a faster build must
 # give the same network node for node, edge for edge and mask for mask
 BUILD_DIGESTS = {
@@ -165,6 +151,8 @@ BUILD_DIGESTS = {
     "random-1024-1": "cd8b679e341e145a",
     "random-1024-2": "2d93e73096eba4d9",
     "random-1024-3": "a1647bbd8d6bd1c1",
+    "random-4096-1": "83b976833c4d6c90",
+    "random-16384-1": "449a3bf29bd60676",
     "identity-16": "302946175d85d5ce",
     "rotation-8-3": "f1ee8efd142981cb",
     "rotation-256-77": "d7919a97d019c7e2",
@@ -192,7 +180,7 @@ def _build_digest(net):
 
     for nd in net.nodes:
         put((nd.idx, nd.kind, nd.group, nd.level, nd.step,
-             sorted(nd.occ.items())))
+             sorted(zip(*nd.occ))))
     for e in net.edges.values():
         put((e.src, e.dst,
              None if e.mask is None else sorted(e.mask.positions)))
@@ -207,6 +195,48 @@ def _build_digest(net):
 def test_build_matches_pinned_network(name):
     net = build_network(_build_input(name))
     assert _build_digest(net) == BUILD_DIGESTS[name]
+
+
+def test_node_masks_are_disjoint_per_destination():
+    # the build writes no slot twice: a node's feeds take disjoint positions,
+    # and its occupancy record holds exactly those, each once, with one
+    # entry per position (a lone feed's mask tuple is the record's own)
+    for name in sorted(BUILD_DIGESTS):
+        net = build_network(_build_input(name))
+        for nd in net.nodes:
+            if not net.in_edges[nd.idx]:  # the input holder
+                continue
+            positions, entries = nd.occ
+            seen = set()
+            for e in net.in_edges[nd.idx]:
+                assert e.mask is not None
+                ps = set(e.mask.positions)
+                assert len(ps) == len(e.mask.positions), (name, nd.idx)
+                assert not (seen & ps), (name, nd.idx)
+                seen |= ps
+            assert seen == set(positions), (name, nd.idx)
+            assert len(positions) == len(seen) == len(entries), name
+            if len(net.in_edges[nd.idx]) == 1:
+                assert positions is net.in_edges[nd.idx][0].mask.positions
+
+
+def test_built_network_keeps_compact_routing_records():
+    # at 2^12 a built network keeps ~23 bytes per routed (entry, level)
+    # step: records as position tuples shared with the masks plus entry
+    # arrays, and one int object per slot. A {position: entry} dict per
+    # node and a fresh int per routed position kept ~70.
+    for seed in (1, 2):
+        p, _ = build_random(1 << 12, seed)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            net = build_network(p)
+            gc.collect()
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        steps = sum(len(net.held(nd)) for nd in net.nodes)
+        assert kept / steps < 35, (seed, kept, steps)
 
 
 def test_construction_is_deterministic():
@@ -526,7 +556,7 @@ def test_bottom_collapse_routes_long_remaining_distances():
 
 def _routing_state(net):
     return (json.dumps(net.to_json(), sort_keys=True),
-            [dict(nd.occ) for nd in net.nodes], dict(net.filtered))
+            [dict(zip(*nd.occ)) for nd in net.nodes], dict(net.filtered))
 
 
 def test_derived_networks_share_but_never_write_routing_state():

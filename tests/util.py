@@ -77,7 +77,7 @@ def entry_routes(net) -> list[list[tuple]]:
     entry i at input position p has travelled (i - p) mod n."""
     routes = [[] for _ in range(net.n)]
     for nd in sorted(net.nodes, key=lambda nd: nd.level):
-        for p, i in nd.occ.items():
+        for p, i in zip(*nd.occ):
             routes[i].append((nd, p, (i - p + nd.step) % net.n))
     return routes
 
