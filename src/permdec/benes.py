@@ -11,6 +11,15 @@ plan, whose executed rotations are what the collapse minimizes. Rotation
 keys can further be restricted to a budget of steps (log n by default),
 with missing steps carried out as short chains of available ones.
 
+The collapse reads a span's diagonals off suffix products of the stage
+targets, so it gathers once per stage, not once per span. Its DP plans a
+span only when the span can still win: b baby and g giant rotations reach
+at most (b + 1)(g + 1) diagonals, so k distinct diagonals need at least
+fewest_rotations(k), and a span whose bound already loses is skipped.
+The bound is tried first on the diagonals of the span's first SPAN_PREFIX
+entries, a subset of its own. Skipping never changes the chosen split, ties
+included.
+
 The routing is the classical looping construction: pair constraints (input
 partners and output partners must use different halves) form even cycles, so
 walking each cycle and alternating the half assignment always succeeds.
@@ -18,6 +27,7 @@ walking each cycle and alternating the half assignment always succeeds.
 
 from __future__ import annotations
 
+import math
 import operator
 from collections import Counter
 from dataclasses import dataclass, field, replace
@@ -26,6 +36,9 @@ from typing import ClassVar
 from .chain import DecompositionChain
 from .diag import perm_to_diag, plan_bsgs
 from .slots import Permutation, SlotVector
+
+# a span's distinct diagonals are counted first on this many of its entries
+SPAN_PREFIX = 512
 
 
 def _two_color(dest):
@@ -126,17 +139,34 @@ def benes_decompose(p: Permutation) -> BenesChain:
     return _chain(n, stages, [(i, i + 1) for i in range(2 * m - 1)])
 
 
+def fewest_rotations(k: int) -> int:
+    """The fewest rotations any BSGS plan of k >= 1 distinct diagonals
+    executes. A diagonal is one baby plus one giant rotation (either may be
+    0), so b + g rotations reach at most (b + 1)(g + 1) <= (b + g + 2)^2 / 4
+    diagonals; this is the least b + g with floor((b + g + 2)^2 / 4) >= k."""
+    return math.isqrt(4 * k - 1) - 1
+
+
 def collapse_benes(chain: BenesChain, target_depth: int | None = None
                    ) -> BenesChain:
     """Merge adjacent factors down to target_depth (default log n - 1).
 
     Contiguous groupings are scored by the merged factors' executed rotation
-    counts and the cheapest split is taken (first found on ties, scanning
-    boundaries left to right). Spans are scored on the chain's stage
-    targets: a span (a, b + 1) is span (a, b) after one gather through stage
-    b, and one pass over the n differences i - targets[i] gives its distinct
-    diagonals, reduced to signed offsets on the distinct values only. The
-    chosen spans are merged by the same gathers.
+    counts and the cheapest split is taken; on ties, the one whose last
+    boundary lies furthest left, then the one before it, and so on (the
+    split a left-to-right scan keeping the first minimum finds).
+
+    Spans are read off suffix products of the stage targets: with suf[nf]
+    the identity and suf[b] = stages[b] . suf[b + 1], span (a, b) moves the
+    entry at suf[b][j] to suf[a][j], so its diagonals are the differences
+    suf[b][j] - suf[a][j] mod n. The DP tries each state's spans shortest
+    first and skips one whose rotations cannot undercut (or, with a smaller
+    a, tie) the best split found so far: first when the fewest_rotations of
+    its first SPAN_PREFIX entries' distinct diagonals rule it out, then when
+    those of all n entries do. Only a span that passes both is planned, each
+    distinct offset set once. Counts and costs are kept per span, never its
+    diagonals or plan. The chosen spans are merged by gathers through their
+    stages.
     """
     n = chain.n
     if target_depth is None:
@@ -148,22 +178,44 @@ def collapse_benes(chain: BenesChain, target_depth: int | None = None
         return chain
     stages = chain.stages
 
-    span_max = nf - target_depth + 1
+    suf = [tuple(range(n))]
+    for stage in reversed(stages):
+        suf.append(tuple(map(stage.__getitem__, suf[-1])))
+    suf.reverse()
+
+    def diagonals(a: int, b: int, stop: int | None = None) -> set[int]:
+        """Span (a, b)'s distinct diagonals mod n on its first stop entries;
+        differences are reduced mod n on the distinct values only."""
+        diffs = set(map(operator.sub, suf[b][:stop], suf[a][:stop]))
+        return {d % n for d in diffs}
+
+    counts: dict[tuple[int, int], int] = {}  # span -> diagonals counted
     cost: dict[tuple[int, int], int] = {}
     # spans often share an offset set; only its count is kept, as holding
     # every span's plan or product would grow the peak memory several MB
     by_offsets: dict[tuple[int, ...], int] = {}
-    for a in range(nf):
-        q = stages[a]
-        for b in range(a + 1, min(a + span_max, nf) + 1):
-            if b > a + 1:
-                q = tuple(map(q.__getitem__, stages[b - 1]))
-            ks = {d % n for d in set(map(operator.sub, range(n), q))}
-            offs = tuple(sorted(k if k <= n - k else k - n for k in ks))
-            if offs not in by_offsets:
-                by_offsets[offs] = len(plan_bsgs(offs, n).executed_steps())
-            cost[a, b] = by_offsets[offs]
 
+    def rotations(a: int, b: int, room: float) -> int | None:
+        """Span (a, b)'s executed rotations, or None if a count of its
+        diagonals shows it needs more than room."""
+        span = a, b
+        if span in cost:
+            return cost[span]
+        if span not in counts and n > SPAN_PREFIX:
+            counts[span] = len(diagonals(a, b, SPAN_PREFIX))
+        if span in counts and fewest_rotations(counts[span]) > room:
+            return None
+        ks = diagonals(a, b)
+        counts[span] = len(ks)
+        if fewest_rotations(len(ks)) > room:
+            return None
+        offs = tuple(sorted(k if k <= n - k else k - n for k in ks))
+        if offs not in by_offsets:
+            by_offsets[offs] = len(plan_bsgs(offs, n).executed_steps())
+        cost[span] = by_offsets[offs]
+        return cost[span]
+
+    span_max = nf - target_depth + 1
     INF = float("inf")
     best = [[INF] * (target_depth + 1) for _ in range(nf + 1)]
     back = [[-1] * (target_depth + 1) for _ in range(nf + 1)]
@@ -172,13 +224,14 @@ def collapse_benes(chain: BenesChain, target_depth: int | None = None
         for g in range(1, min(i, target_depth) + 1):
             if nf - i < target_depth - g:  # not enough factors left
                 continue
-            for a in range(max(g - 1, i - span_max), i):
+            # shortest span first; a later (smaller) a also wins a tie
+            for a in range(i - 1, max(g - 1, i - span_max) - 1, -1):
                 prev = best[a][g - 1]
-                if prev is INF or (a, i) not in cost:
+                if prev is INF:
                     continue
-                c = prev + cost[a, i]
-                if c < best[i][g]:
-                    best[i][g] = c
+                c = rotations(a, i, best[i][g] - prev)
+                if c is not None and prev + c <= best[i][g]:
+                    best[i][g] = prev + c
                     back[i][g] = a
 
     bounds = [nf]
@@ -273,11 +326,10 @@ def restrict_keys(chain: BenesChain, budget: int | None = None) -> BenesChain:
     kset = set(keys)
     paths = _key_paths(counts, kset, n)
     pw = n >> 1
-    while paths is None and pw:  # guarantee coverage via power steps
+    while paths is None:  # power steps down to 1 reach every step
         kset.add(pw)
         pw >>= 1
         paths = _key_paths(counts, kset, n)
-    assert paths is not None
     return replace(chain, key_paths=paths)
 
 

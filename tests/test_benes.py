@@ -9,14 +9,14 @@ import pytest
 from permdec import benes
 from permdec import chain as chain_module
 from permdec.benes import (BenesChain, benes_decompose, collapse_benes,
-                           restrict_keys)
+                           fewest_rotations, restrict_keys)
 from permdec.chain import DecompositionChain
 from permdec.diag import perm_to_diag, plan_bsgs, to_permutation
 from permdec.ledger import CostLedger
 from permdec.network import build_network
 from permdec.slots import Permutation, SlotVector
 from util import (benes_key_set, benes_rotation_counts, benes_total_rotations,
-                  reference_plan_for, zero_ledger)
+                  reference_collapse, reference_plan_for, zero_ledger)
 
 
 def log2(x: int) -> int:
@@ -215,8 +215,8 @@ def test_collapse_to_single_factor():
 
 
 def test_collapse_reaches_every_target_depth():
-    # every span of up to nf - T + 1 factors is scored, so the split into
-    # T spans always exists: T - 1 single factors and one long span
+    # every span of up to nf - T + 1 factors is a candidate, so the split
+    # into T spans always exists: T - 1 single factors and one long span
     for m in range(3, 7):
         p = rand_perm(1 << m, 70 + m)
         ch = benes_decompose(p)
@@ -252,23 +252,30 @@ def test_factor_plans_match_per_n1_reference():
 
 def recorded_collapse(monkeypatch, chain):
     """collapse_benes(chain) with every plan_bsgs call recorded as
-    (offsets, plan) at both of its bindings: first benes', for the spans the
-    collapse scores, then chain's, for the collapsed chain's factors planned
-    by the DecompositionChain default."""
-    calls = []
+    (offsets, plan) at both of its bindings: benes', for the spans the DP
+    plans, and chain's, for the collapsed chain's factors planned by the
+    DecompositionChain default. Returns the chain and both call lists."""
     real = plan_bsgs
+    calls = {benes: [], chain_module: []}
 
-    def record(offs, n):
-        plan = real(offs, n)
-        calls.append((tuple(offs), plan))
-        return plan
+    def recorder(module):
+        def record(offs, n):
+            plan = real(offs, n)
+            calls[module].append((tuple(offs), plan))
+            return plan
+        return record
 
-    for module in (benes, chain_module):
-        monkeypatch.setattr(module, "plan_bsgs", record)
+    for module in calls:
+        monkeypatch.setattr(module, "plan_bsgs", recorder(module))
     col = collapse_benes(chain)
-    for module in (benes, chain_module):
+    for module in calls:
         monkeypatch.setattr(module, "plan_bsgs", real)
-    return col, calls
+    return col, calls[benes], calls[chain_module]
+
+
+def same_chain(col, ref):
+    return (col.stages, col.groups, col.plans) == (ref.stages, ref.groups,
+                                                   ref.plans)
 
 
 def span_offsets(chain):
@@ -288,34 +295,37 @@ def span_offsets(chain):
 
 @pytest.mark.parametrize("m", range(4, 11))
 def test_collapse_plans_match_per_n1_reference(monkeypatch, m):
-    # every span the collapse scores and every plan of the collapsed chain
-    # equals the per-n1 reference plan; each distinct offset set is scored
-    # once, and each collapsed factor planned once more
+    # every plan the collapse makes equals the per-n1 reference plan; the DP
+    # plans span offset sets only, each at most once, and its chain is the
+    # exhaustive reference's
     n = 1 << m
     for seed in range(3 if m < 10 else 2):
         chain = benes_decompose(rand_perm(n, 300 * m + seed))
-        col, calls = recorded_collapse(monkeypatch, chain)
+        col, scored, planned = recorded_collapse(monkeypatch, chain)
         distinct = set(span_offsets(chain).values())
-        assert len(calls) == len(distinct) + col.depth
-        assert {offs for offs, _ in calls} == distinct
-        ref = {offs: reference_plan_for(offs, n) for offs in distinct}
-        assert all(plan == ref[offs] for offs, plan in calls)
+        offs = [o for o, _ in scored]
+        assert len(offs) == len(set(offs)) and set(offs) <= distinct
+        ref = {o: reference_plan_for(o, n) for o in distinct}
+        assert all(plan == ref[o] for o, plan in scored + planned)
         assert col.plans == [ref[tuple(f.signed_diag_set())]
                              for f in col.factors]
+        assert same_chain(col, reference_collapse(chain, col.depth))
 
 
 def test_collapse_scores_each_span_offset_set_once_at_2e12(monkeypatch):
-    # at the benchmark's size the collapse plans each distinct offset set
-    # of the validated compose + perm_to_diag reference once, in scan
-    # order, and then each collapsed factor
+    # at the benchmark's size the DP plans each offset set it needs once,
+    # fewer than half of the distinct span offset sets, then the collapsed
+    # chain plans each of its factors
     chain = benes_decompose(rand_perm(1 << 12, 4096))
-    col, calls = recorded_collapse(monkeypatch, chain)
-    distinct = list(dict.fromkeys(span_offsets(chain).values()))
-    assert len(calls) == len(distinct) + col.depth
-    assert [offs for offs, _ in calls[:len(distinct)]] == distinct
-    assert [offs for offs, _ in calls[len(distinct):]] == [
-        tuple(f.signed_diag_set()) for f in col.factors]
-    assert col.plans == [plan for _, plan in calls[len(distinct):]]
+    col, scored, planned = recorded_collapse(monkeypatch, chain)
+    distinct = set(span_offsets(chain).values())
+    offs = [o for o, _ in scored]
+    assert len(offs) == len(set(offs)) and set(offs) <= distinct
+    assert len(offs) < len(distinct) / 2
+    assert [o for o, _ in planned] == [tuple(f.signed_diag_set())
+                                       for f in col.factors]
+    assert col.plans == [plan for _, plan in planned]
+    assert same_chain(col, reference_collapse(chain, col.depth))
 
 
 def test_wide_span_plans_match_per_n1_reference():
@@ -332,21 +342,75 @@ def test_wide_span_plans_match_per_n1_reference():
 
 
 def test_collapsed_plans_are_the_scored_plans(monkeypatch):
-    # the collapsed chain runs the plans the DP scored, and their executed
-    # steps add up to the cheapest contiguous split
+    # the collapsed chain runs plans the DP made, and their executed steps
+    # add up to the cheapest contiguous split under every span's reference
+    # plan
     for n, seed in ((16, 1), (32, 2), (64, 3), (64, 4)):
         chain = benes_decompose(rand_perm(n, seed))
-        col, calls = recorded_collapse(monkeypatch, chain)
-        scored = dict(calls[:len(calls) - col.depth])
+        col, scored, _ = recorded_collapse(monkeypatch, chain)
+        scored = dict(scored)
         assert col.plans == [scored[tuple(f.signed_diag_set())]
                              for f in col.factors]
-        cost = {ab: len(scored[offs].executed_steps())
+        cost = {ab: len(reference_plan_for(offs, n).executed_steps())
                 for ab, offs in span_offsets(chain).items()}
         nf, depth = chain.depth, col.depth
         cheapest = min(
             sum(cost[a, b] for a, b in zip((0,) + cut, cut + (nf,)))
             for cut in itertools.combinations(range(1, nf), depth - 1))
         assert sum(len(p.executed_steps()) for p in col.plans) == cheapest
+
+
+def test_collapse_matches_exhaustive_reference():
+    # skipping spans under the rotation bound keeps the exhaustive DP's
+    # chain at every target depth, ties included
+    for m in range(1, 11):
+        n = 1 << m
+        perms = [Permutation.identity(n),
+                 Permutation([(3 * i + 1) % n for i in range(n)])]
+        perms += [rand_perm(n, 400 * m + seed) for seed in range(3)]
+        for p in perms:
+            chain = benes_decompose(p)
+            for target in range(1, chain.depth):
+                assert same_chain(collapse_benes(chain, target),
+                                  reference_collapse(chain, target)), \
+                    (m, target)
+    for seed in (1, 2):
+        chain = benes_decompose(rand_perm(1 << 12, seed))
+        col = collapse_benes(chain)
+        assert same_chain(col, reference_collapse(chain, col.depth))
+
+
+def test_fewest_rotations_is_a_lower_bound():
+    # b baby and g giant rotations reach at most (b + 1)(g + 1) diagonals,
+    # so no plan of k diagonals runs fewer than fewest_rotations(k): on
+    # every span offset set of a collapse, and on random, strided and
+    # near-n/2 offset sets
+    sets = []
+    for m in range(3, 13):
+        chain = benes_decompose(rand_perm(1 << m, 500 + m))
+        sets += [(offs, 1 << m) for offs in set(span_offsets(chain).values())]
+    rng = random.Random(35)
+    for _ in range(2600):
+        m = rng.randint(3, 12)
+        n = 1 << m
+        kind = rng.choice(("random", "strided", "half"))
+        if kind == "random":
+            pool = range(1 - n // 2, n // 2 + 1)
+        elif kind == "strided":
+            stride = 1 << rng.randint(1, m - 1)
+            pool = range(stride - n // 2, n // 2 + 1, stride)
+        else:
+            width = rng.randint(1, n // 4)
+            pool = [*range(1 - n // 2, width - n // 2 + 1),
+                    *range(n // 2 - width + 1, n // 2 + 1), 0]
+        offs = sorted(rng.sample(pool, rng.randint(1, min(len(pool), 300))))
+        sets.append((tuple(offs), n))
+    tight = 0
+    for offs, n in sets:
+        rotations = len(plan_bsgs(offs, n).executed_steps())
+        assert fewest_rotations(len(offs)) <= rotations, (offs, n)
+        tight += fewest_rotations(len(offs)) == rotations
+    assert tight > len(sets) // 10
 
 
 def test_chain_given_plans_is_not_planned_again(monkeypatch):
@@ -416,6 +480,22 @@ def test_tiny_budget_still_exact():
     assert out.to_list() == p.apply(vals)
     assert benes_total_rotations(res) > benes_total_rotations(
         collapse_benes(benes_decompose(p)))
+
+
+def test_every_key_budget_evaluates_exactly():
+    # power steps down to 1 complete any key set, so every budget runs
+    for m in range(1, 9):
+        n = 1 << m
+        rng = random.Random(600 + m)
+        p = Permutation.random(n, rng)
+        vals = rand_vec(n, rng)
+        col = collapse_benes(benes_decompose(p))
+        for budget in range(1, m + 1):
+            res = restrict_keys(col, budget)
+            with CostLedger() as led:
+                out = res.evaluate(SlotVector.from_list(vals))
+            assert out.to_list() == p.apply(vals), (n, budget)
+            assert led.key_set() == benes_key_set(res)
 
 
 def test_budget_validation():

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 import os
 import subprocess
 import sys
@@ -11,8 +13,9 @@ from pathlib import Path
 import pytest
 
 from permdec import slots
+from permdec.benes import _chain
 from permdec.costmodel import replay
-from permdec.diag import BsgsPlan, DiagMatrix, _tie_penalty
+from permdec.diag import BsgsPlan, DiagMatrix, _tie_penalty, plan_bsgs
 from permdec.network import rotation_profile
 from permdec.slots import Permutation
 from permdec.structured import build_ut
@@ -210,6 +213,57 @@ def benes_key_set(chain) -> set[int]:
             used.update(chain.key_paths[s] if chain.key_paths is not None
                         else (s,))
     return used
+
+
+@functools.lru_cache(maxsize=1)
+def reference_span_costs(stages: tuple, n: int) -> dict:
+    """Executed rotations of every span (a, b) of a Beneš chain's stages:
+    each span gathered stage by stage from a, its diagonals planned."""
+    cost = {}
+    for a in range(len(stages)):
+        q = stages[a]
+        for b in range(a + 1, len(stages) + 1):
+            if b > a + 1:
+                q = tuple(map(q.__getitem__, stages[b - 1]))
+            ks = {d % n for d in map(operator.sub, range(n), q)}
+            offs = sorted(k if k <= n - k else k - n for k in ks)
+            cost[a, b] = len(plan_bsgs(offs, n).executed_steps())
+    return cost
+
+
+def reference_collapse(chain, target_depth):
+    """collapse_benes(chain, target_depth) by exhaustive scoring: every span
+    of up to nf - T + 1 factors is a candidate, and the DP scans each
+    state's predecessors a upward, keeping the first cheapest."""
+    n, nf = chain.n, chain.depth
+    if target_depth >= nf:
+        return chain
+    cost = reference_span_costs(tuple(chain.stages), n)
+    span_max = nf - target_depth + 1
+    best = {(0, 0): 0}
+    back = {}
+    for i in range(1, nf + 1):
+        for g in range(1, min(i, target_depth) + 1):
+            for a in range(max(g - 1, i - span_max), i):
+                if (a, g - 1) in best:
+                    c = best[a, g - 1] + cost[a, i]
+                    if (i, g) not in best or c < best[i, g]:
+                        best[i, g] = c
+                        back[i, g] = a
+    bounds = [nf]
+    for g in range(target_depth, 0, -1):
+        bounds.append(back[bounds[-1], g])
+    bounds.reverse()
+
+    stages = chain.stages
+    merged, groups = [], []
+    for a, b in zip(bounds, bounds[1:]):
+        q = stages[a]
+        for stage in stages[a + 1:b]:
+            q = tuple(map(q.__getitem__, stage))
+        merged.append(q)
+        groups.append((chain.groups[a][0], chain.groups[b - 1][1]))
+    return _chain(n, merged, groups)
 
 
 def depth1_oracle(u: DiagMatrix, a: int, r: int, rc: int,
