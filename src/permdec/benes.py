@@ -4,12 +4,16 @@ A permutation of n = 2^m slots splits as U = S . R . T where T and S are
 switch stages (each slot either stays put or trades places with its partner
 half a block away) and R acts independently on the two halves. Recursing on R
 yields 2m - 1 stage factors whose round-i members only touch diagonals
-{0, +-2^(m-i-1)}. That depth is rarely affordable, so adjacent stages are
-multiplied back together ("collapsed") down to a target depth, each merged
-factor evaluated as one masked-rotation transform under its diag.plan_bsgs
-plan, whose executed rotations are what the collapse minimizes. Rotation
-keys can further be restricted to a budget of steps (log n by default),
-with missing steps carried out as short chains of available ones.
+{0, +-2^(m-i-1)}. benes_decompose returns that routing as a BenesRouting,
+the stage targets alone: it builds no matrix and plans nothing. That depth
+is rarely affordable, so collapse_benes multiplies adjacent stages back
+together ("collapsed") down to a target depth, each merged factor evaluated
+as one masked-rotation transform under its diag.plan_bsgs plan, whose
+executed rotations are what the collapse minimizes. It builds factors, and
+their masks, only for the chain it returns, under the plans its DP scored
+them by. Rotation keys can further be restricted to a budget of steps (log n
+by default), with missing steps carried out as short chains of available
+ones.
 
 The collapse reads a span's diagonals off suffix products of the stage
 targets, so it gathers once per stage, not once per span. Its DP plans a
@@ -34,7 +38,7 @@ from dataclasses import dataclass, field, replace
 from typing import ClassVar
 
 from .chain import DecompositionChain
-from .diag import perm_to_diag, plan_bsgs
+from .diag import BsgsPlan, perm_to_diag, plan_bsgs
 from .slots import Permutation, SlotVector
 
 # a span's distinct diagonals are counted first on this many of its entries
@@ -71,13 +75,13 @@ def _two_color(dest):
 @dataclass
 class BenesChain(DecompositionChain):
     """A factor chain of switch stages. A chain given no plans gets
-    diag.plan_bsgs's plans, as every DecompositionChain does; these are
-    the plans collapse_benes scores its spans by.
+    diag.plan_bsgs's plans, as every DecompositionChain does; collapse_benes
+    gives its chain the plans its DP scored the spans by.
 
     `stages[i]` holds the targets of factor i, the routing's own record that
-    the factor is built from, and `groups[i]` records which pre-collapse
-    stages it merges. Rotation counts and key sets are read from the
-    CostLedger of a run.
+    the factor is built from, and `groups[i]` records which routing stages
+    it merges. Rotation counts and key sets are read from the CostLedger of
+    a run.
     """
 
     stages: list[tuple[int, ...]] = field(default_factory=list)
@@ -92,20 +96,56 @@ class BenesChain(DecompositionChain):
 
 
 def _chain(n: int, stages: list[tuple[int, ...]],
-           groups: list[tuple[int, int]]) -> BenesChain:
-    """The chain whose factor i moves entry j to stages[i][j]. The stages
-    come from the routing, so they are not validated again."""
+           groups: list[tuple[int, int]],
+           plans: list[BsgsPlan] | None = None) -> BenesChain:
+    """The chain whose factor i moves entry j to stages[i][j], under `plans`
+    (default: planned by the chain). The stages come from the routing, so
+    they are not validated again."""
     factors = [perm_to_diag(Permutation._unchecked(t)) for t in stages]
-    return BenesChain(n, factors, stages=stages, groups=groups)
+    return BenesChain(n, factors, plans or [], stages=stages, groups=groups)
 
 
-def benes_decompose(p: Permutation) -> BenesChain:
-    """Full-depth stage factorization, 2 log n - 1 factors."""
+@dataclass(frozen=True)
+class BenesRouting:
+    """A permutation's route through the Beneš network: stage i moves entry
+    j to stages[i][j], and the stages run from the last to the first, so the
+    permutation is stages[0] . stages[1] . ... . stages[-1]. It holds no
+    matrix and no plan; chain() and collapse_benes build the factors."""
+
+    n: int
+    stages: tuple[tuple[int, ...], ...]
+
+    @property
+    def depth(self) -> int:
+        return len(self.stages)
+
+    @property
+    def groups(self) -> list[tuple[int, int]]:
+        """Stage i is group (i, i + 1), as in a collapsed chain's groups."""
+        return [(i, i + 1) for i in range(self.depth)]
+
+    def collapsed_depth(self, target_depth: int | None = None) -> int:
+        """The depth of collapse_benes(self, target_depth): the target
+        (default log n - 1, at least 1), at most the stage count. A target
+        below 1 raises ValueError."""
+        if target_depth is None:
+            target_depth = max(self.n.bit_length() - 2, 1)
+        if target_depth < 1:
+            raise ValueError("target depth must be >= 1")
+        return min(target_depth, self.depth)
+
+    def chain(self) -> BenesChain:
+        """The full-depth chain, one factor per stage."""
+        return _chain(self.n, list(self.stages), self.groups)
+
+
+def benes_decompose(p: Permutation) -> BenesRouting:
+    """The routing of p: 2 log n - 1 stages, no factor built."""
     n = p.n
     if n < 1 or n & (n - 1):
         raise ValueError("length must be a power of two")
     if n == 1:
-        return _chain(1, [], [])
+        return BenesRouting(1, ())
     m = n.bit_length() - 1
     sigmas: list[tuple[int, ...]] = []
     taus: list[tuple[int, ...]] = []
@@ -135,8 +175,7 @@ def benes_decompose(p: Permutation) -> BenesChain:
     for base, dest in tasks:  # size-2 blocks form one switch stage
         for i, j in enumerate(dest):
             middle[base + i] = base + j
-    stages = sigmas + [tuple(middle)] + taus[::-1]
-    return _chain(n, stages, [(i, i + 1) for i in range(2 * m - 1)])
+    return BenesRouting(n, (*sigmas, tuple(middle), *taus[::-1]))
 
 
 def fewest_rotations(k: int) -> int:
@@ -147,9 +186,11 @@ def fewest_rotations(k: int) -> int:
     return math.isqrt(4 * k - 1) - 1
 
 
-def collapse_benes(chain: BenesChain, target_depth: int | None = None
+def collapse_benes(routing: BenesRouting, target_depth: int | None = None
                    ) -> BenesChain:
-    """Merge adjacent factors down to target_depth (default log n - 1).
+    """Merge adjacent stages down to target_depth (default log n - 1;
+    routing.collapsed_depth) and build the chain of the merged factors; a
+    target at or above the stage count gives the full-depth chain.
 
     Contiguous groupings are scored by the merged factors' executed rotation
     counts and the cheapest split is taken; on ties, the one whose last
@@ -164,19 +205,16 @@ def collapse_benes(chain: BenesChain, target_depth: int | None = None
     a, tie) the best split found so far: first when the fewest_rotations of
     its first SPAN_PREFIX entries' distinct diagonals rule it out, then when
     those of all n entries do. Only a span that passes both is planned, each
-    distinct offset set once. Counts and costs are kept per span, never its
-    diagonals or plan. The chosen spans are merged by gathers through their
-    stages.
+    distinct offset set once, and its plan is kept by offset set until the
+    chain is built: the chosen spans are merged by gathers through their
+    stages and run under the plans they were scored by, with no planning
+    again. Counts and costs are kept per span, never its diagonals.
     """
-    n = chain.n
-    if target_depth is None:
-        target_depth = max(n.bit_length() - 2, 1)
-    if target_depth < 1:
-        raise ValueError("target depth must be >= 1")
-    nf = chain.depth
+    n, nf = routing.n, routing.depth
+    target_depth = routing.collapsed_depth(target_depth)
     if target_depth >= nf:
-        return chain
-    stages = chain.stages
+        return routing.chain()
+    stages = routing.stages
 
     suf = [tuple(range(n))]
     for stage in reversed(stages):
@@ -191,9 +229,10 @@ def collapse_benes(chain: BenesChain, target_depth: int | None = None
 
     counts: dict[tuple[int, int], int] = {}  # span -> diagonals counted
     cost: dict[tuple[int, int], int] = {}
-    # spans often share an offset set; only its count is kept, as holding
-    # every span's plan or product would grow the peak memory several MB
-    by_offsets: dict[tuple[int, ...], int] = {}
+    plan_of: dict[tuple[int, int], BsgsPlan] = {}
+    # spans often share an offset set, planned once; no span's product is
+    # held, as that would grow the peak memory several MB
+    by_offsets: dict[tuple[int, ...], BsgsPlan] = {}
 
     def rotations(a: int, b: int, room: float) -> int | None:
         """Span (a, b)'s executed rotations, or None if a count of its
@@ -211,8 +250,9 @@ def collapse_benes(chain: BenesChain, target_depth: int | None = None
             return None
         offs = tuple(sorted(k if k <= n - k else k - n for k in ks))
         if offs not in by_offsets:
-            by_offsets[offs] = len(plan_bsgs(offs, n).executed_steps())
-        cost[span] = by_offsets[offs]
+            by_offsets[offs] = plan_bsgs(offs, n)
+        plan_of[span] = by_offsets[offs]
+        cost[span] = len(plan_of[span].executed_steps())
         return cost[span]
 
     span_max = nf - target_depth + 1
@@ -248,8 +288,11 @@ def collapse_benes(chain: BenesChain, target_depth: int | None = None
         for stage in stages[a + 1:b]:
             q = tuple(map(q.__getitem__, stage))
         merged.append(q)
-        groups.append((chain.groups[a][0], chain.groups[b - 1][1]))
-    return _chain(n, merged, groups)
+        groups.append((a, b))
+    # free the DP's tables before the factors and their masks are built,
+    # which lowers the peak memory ~1 MB at n = 2^12
+    del suf, counts, cost, by_offsets
+    return _chain(n, merged, groups, [plan_of[span] for span in groups])
 
 
 def _short_sum(step, keys, n):

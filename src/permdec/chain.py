@@ -6,10 +6,15 @@ adds its routing data). Factors are stored in product order (leftmost first),
 so evaluation applies them right to left. Each factor costs one HLT (one
 rescale) under its BSGS plan; a chain given no plans plans every factor with
 diag.plan_bsgs on its signed diagonals, the one planner for ladder, searched
-and Beneš chains alike. With `key_paths` set, apply_hlt_bsgs runs every
-window rotation as the chain of key rotations listed for its step.
-`evaluate` is the one chain evaluator; the cost model prices a chain from
-the ledger of its run.
+and Beneš chains alike. A chain given no masks makes each factor's masks
+once, when it is made (diag.hlt_masks, under each giant step's shift, with
+the positions of every factor drawn from one tuple(range(n))): every factor
+of a package chain is 0/1, so each diagonal is a slots.PositionMask. Every
+evaluation, the cost model's replay included, and every copy made with
+dataclasses.replace (restrict_keys) reads those same mask objects. With
+`key_paths` set, apply_hlt_bsgs runs every window rotation as the chain of
+key rotations listed for its step. `evaluate` is the one chain evaluator;
+the cost model prices a chain from the ledger of its run.
 """
 
 from __future__ import annotations
@@ -17,7 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import ClassVar
 
-from .diag import BsgsPlan, DiagMatrix, apply_hlt_bsgs, matmul, plan_bsgs
+from .diag import (BsgsPlan, DiagMatrix, Mask, apply_hlt_bsgs, hlt_masks,
+                   matmul, plan_bsgs)
 from .slots import SlotVector
 
 
@@ -27,6 +33,8 @@ class DecompositionChain:
     factors: list[DiagMatrix]
     plans: list[BsgsPlan] = field(default_factory=list)
     key_paths: dict[int, tuple[int, ...]] | None = None
+    # factor i's masks, diagonal -> hlt_masks(factors[i], plans[i])
+    masks: list[dict[int, Mask]] = field(default_factory=list, repr=False)
 
     TAG: ClassVar[str] = "chain"  # factor i's ops are tagged f"{TAG}.f{i}"
 
@@ -41,6 +49,13 @@ class DecompositionChain:
             if f.n != self.n:
                 raise ValueError(f"factor {i} has n={f.n}, chain has "
                                  f"n={self.n}")
+        if not self.masks:
+            slot = tuple(range(self.n))
+            self.masks = [hlt_masks(f, plan, slot)
+                          for f, plan in zip(self.factors, self.plans)]
+        if len(self.masks) != len(self.factors):
+            raise ValueError(f"{len(self.masks)} mask sets for "
+                             f"{len(self.factors)} factors")
 
     @property
     def depth(self) -> int:
@@ -57,7 +72,8 @@ class DecompositionChain:
             raise ValueError(f"slot length mismatch: {v.n} != {self.n}")
         for i in range(self.depth - 1, -1, -1):
             v = apply_hlt_bsgs(self.factors[i], self.plans[i], v,
-                               f"{self.TAG}.f{i}", self.key_paths)
+                               f"{self.TAG}.f{i}", self.key_paths,
+                               self.masks[i])
         return v
 
     def diag_counts(self) -> list[int]:

@@ -11,8 +11,14 @@ sum. The one evaluator, apply_hlt_bsgs, groups the sum under a BSGS plan as
 
     U x = sum_g Rot( sum_j Rot(u_{n1 g + j}, -a n1 g) . Rot(x, a j), a n1 g )
 
-so it rotates once per baby step j and once per giant step g; each
-giant-shifted mask Rot(u_k, -a n1 g) is built in one pass (DiagMatrix.mask).
+so it rotates once per baby step j and once per giant step g. hlt_masks
+makes the giant-shifted masks Rot(u_k, -a n1 g) of a matrix under a plan:
+a diagonal whose entries are all 1 becomes a slots.PositionMask, the
+positions of its ones, and any other diagonal keeps the n-long mask
+(DiagMatrix.mask), so a general matrix evaluates exactly. A chain makes
+each factor's masks once and hands them to every evaluation; apply_hlt_bsgs
+given no masks makes them for its run. Each giant group's terms, and then
+the groups, are added in one SlotVector.sum.
 Under baby_plan every diagonal is its own baby step and there is no giant
 step: the diagonal method, one rotation per non-zero off diagonal.
 plan_bsgs is the one planner: it plans a factor from its signed diagonals,
@@ -27,7 +33,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
-from .slots import Permutation, SlotVector
+from .slots import Permutation, PositionMask, SlotVector
 
 
 def signed_rep(k: int, n: int) -> int:
@@ -353,16 +359,64 @@ def plan_bsgs(offsets: Iterable[int], n: int) -> BsgsPlan:
                     tuple(sorted(set(gs) - {0})))
 
 
+# a mask as cmult takes it: the positions of a 0/1 mask's ones, or n values
+Mask = PositionMask | list[int]
+
+
+def _groups(m: DiagMatrix, plan: BsgsPlan) -> dict[int, list[tuple[int, int]]]:
+    """The (j, k) of each diagonal k of m, by giant index g under plan;
+    raises PlanCoverageError for a diagonal the plan does not cover."""
+    n = m.n
+    diag_for = {}
+    for t in plan.assign:
+        diag_for.setdefault((plan.stride * t) % n, t)
+    groups: dict[int, list[tuple[int, int]]] = {}
+    for k in m.diags:
+        if k not in diag_for:
+            raise PlanCoverageError(f"diagonal {k} not covered by plan")
+        g, j = plan.assign[diag_for[k]]
+        groups.setdefault(g, []).append((j, k))
+    return groups
+
+
+def _mask(m: DiagMatrix, k: int, shift: int, slot: Sequence[int]) -> Mask:
+    """Diagonal k rotated right by shift: a PositionMask drawing its
+    positions from slot (slot[i] == i) when every entry is 1, else the
+    n-long mask."""
+    rows = m.diags.get(k % m.n, {})
+    if not set(rows.values()) <= {1}:
+        return m.mask(k, shift)
+    n = m.n
+    s = shift % n - n  # negative, so slot[l + s] is (l + shift) mod n
+    return PositionMask(n, [slot[l + s] for l in rows])
+
+
+def hlt_masks(m: DiagMatrix, plan: BsgsPlan,
+              slot: Sequence[int] | None = None) -> dict[int, Mask]:
+    """The mask apply_hlt_bsgs multiplies diagonal k of m by under plan, for
+    every k: u_k rotated right by its giant step, a PositionMask when u_k is
+    0/1. Positions are drawn from slot (default range(n)), so masks made
+    from one slot tuple share its int objects."""
+    n = m.n
+    if slot is None:
+        slot = range(n)
+    return {k: _mask(m, k, plan.stride * plan.n1 * g, slot)
+            for g, terms in _groups(m, plan).items() for _, k in terms}
+
+
 def apply_hlt_bsgs(m: DiagMatrix, plan: BsgsPlan, v: SlotVector,
                    tag: str = "",
-                   key_paths: dict[int, tuple[int, ...]] | None = None
-                   ) -> SlotVector:
+                   key_paths: dict[int, tuple[int, ...]] | None = None,
+                   masks: dict[int, Mask] | None = None) -> SlotVector:
     """U v with one rotation per executed step of the plan's windows (one
     per non-zero off diagonal under baby_plan) and one rescale.
 
     With `key_paths` (step mod n -> key steps summing to it) every window
     rotation runs as its chain of key rotations; a step with no path raises
-    KeyError.
+    KeyError. `masks` are hlt_masks(m, plan), made once by a caller that
+    applies m more than once; given none, they are made for this run. The
+    giant groups run in sorted order, each term (j, k) in sorted order
+    within its group.
     """
     if not m.n == v.n == plan.n:
         raise ValueError(f"dimension mismatch: matrix n={m.n}, vector "
@@ -374,16 +428,9 @@ def apply_hlt_bsgs(m: DiagMatrix, plan: BsgsPlan, v: SlotVector,
         return vec
 
     n = m.n
-    diag_for = {}
-    for t in plan.assign:
-        diag_for.setdefault((plan.stride * t) % n, t)
-    groups: dict[int, list[tuple[int, int]]] = {}
-    for k in m.diags:
-        if k not in diag_for:
-            raise PlanCoverageError(f"diagonal {k} not covered by plan")
-        g, j = plan.assign[diag_for[k]]
-        groups.setdefault(g, []).append((j, k))
-
+    groups = _groups(m, plan)
+    if masks is None:
+        masks = hlt_masks(m, plan)
     babies: dict[int, SlotVector] = {0: v}
 
     def baby(j: int) -> SlotVector:
@@ -391,17 +438,13 @@ def apply_hlt_bsgs(m: DiagMatrix, plan: BsgsPlan, v: SlotVector,
             babies[j] = rot(v, (plan.stride * j) % n)
         return babies[j]
 
-    acc = None
+    outs = []
     for g in sorted(groups):
         gstep = (plan.stride * plan.n1 * g) % n
-        inner = None
-        for j, k in sorted(groups[g]):
-            term = baby(j).cmult(m.mask(k, gstep), tag)
-            inner = term if inner is None else inner + term
-        out_g = rot(inner, gstep) if gstep else inner
-        acc = out_g if acc is None else acc + out_g
-    if acc is None:
-        acc = v.zeros_like()
+        terms = [baby(j).cmult(masks[k], tag) for j, k in sorted(groups[g])]
+        inner = SlotVector.sum(terms)
+        outs.append(rot(inner, gstep) if gstep else inner)
+    acc = SlotVector.sum(outs) if outs else v.zeros_like()
     return acc.rescale(tag)
 
 

@@ -9,7 +9,11 @@ map can be compared for bit equality.
 A 0/1 mask may be given to cmult as a PositionMask, the positions of its
 ones, instead of an n-long list. A PositionMask checks and normalises its
 positions once, when it is made, and keeps them immutably, so a mask made
-once may be applied any number of times at no further check. The product
+once may be applied any number of times at no further check: a network's
+edge masks and a chain's factor masks (diag.hlt_masks) are each made once
+with the structure and applied by every run, the cost model's replay
+included. Positions drawn from one tuple(range(n)) share its int objects,
+so a mask costs one pointer per position. The product
 then holds only its support: a map from position to value, zero everywhere
 else. rotate re-keys the map, rescale keeps it, cmult selects from it (a
 PositionMask) or scales it (an n-long mask), and SlotVector.sum adds any

@@ -155,13 +155,15 @@ def _benes(p: Permutation, depth: int | None = None,
            budget: int | None = None, collapse: bool = True,
            restrict: bool = True) -> Route:
     """The Beneš chain of p, collapsed to `depth` factors when `collapse`,
-    and routed through `budget` keys when `restrict`."""
-    bc = benes_decompose(p)
-    if collapse:
-        bc = collapse_benes(bc, depth)
-    if bc.depth > DEFAULT_LEVEL:  # each factor rescales once
-        raise ValueError(f"a chain of {bc.depth} factors needs {bc.depth} "
-                         f"levels; only {DEFAULT_LEVEL} are available")
+    and routed through `budget` keys when `restrict`. A chain deeper than
+    the levels of a fresh vector is refused from the routing, before any
+    factor is built."""
+    routing = benes_decompose(p)
+    nf = routing.collapsed_depth(depth) if collapse else routing.depth
+    if nf > DEFAULT_LEVEL:  # each factor rescales once
+        raise ValueError(f"a chain of {nf} factors needs {nf} levels; only "
+                         f"{DEFAULT_LEVEL} are available")
+    bc = collapse_benes(routing, depth) if collapse else routing.chain()
     if restrict:
         bc = restrict_keys(bc, budget)
     return Route(bc, p.apply, lambda: bc.product() == perm_to_diag(p))

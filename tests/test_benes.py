@@ -8,13 +8,15 @@ import pytest
 
 from permdec import benes
 from permdec import chain as chain_module
+from permdec import diag
 from permdec.benes import (BenesChain, benes_decompose, collapse_benes,
                            fewest_rotations, restrict_keys)
 from permdec.chain import DecompositionChain
-from permdec.diag import perm_to_diag, plan_bsgs, to_permutation
+from permdec.costmodel import chain_cost
+from permdec.diag import perm_to_diag, plan_bsgs, signed_rep, to_permutation
 from permdec.ledger import CostLedger
 from permdec.network import build_network
-from permdec.slots import Permutation, SlotVector
+from permdec.slots import Permutation, PositionMask, SlotVector
 from util import (benes_key_set, benes_rotation_counts, benes_total_rotations,
                   reference_collapse, reference_plan_for, zero_ledger)
 
@@ -47,15 +49,17 @@ def stage_bound(n, group):
 
 
 def test_identity_gives_identity_factors():
-    ch = benes_decompose(Permutation.identity(16))
-    assert ch.depth == 2 * 4 - 1
+    routing = benes_decompose(Permutation.identity(16))
+    assert routing.depth == 2 * 4 - 1
+    assert set(routing.stages) == {tuple(range(16))}
+    ch = routing.chain()
     assert all(set(f.diag_set()) <= {0} for f in ch.factors)
     assert ch.product() == perm_to_diag(Permutation.identity(16))
 
 
 def test_rotation_by_one():
     p = Permutation.rotation(8, 1)
-    ch = benes_decompose(p)
+    ch = benes_decompose(p).chain()
     assert ch.product() == perm_to_diag(p)
     for f, group in zip(ch.factors, ch.groups):
         assert set(f.signed_diag_set()) <= stage_bound(8, group)
@@ -69,24 +73,38 @@ def test_depth_is_two_log_minus_one():
         assert ch.depth == 2 * log2(n) - 1
 
 
+def stage_diagonals(n, targets):
+    """Signed diagonals of the factor moving entry j to targets[j]."""
+    return {signed_rep(j - t, n) for j, t in enumerate(targets)}
+
+
 def test_stage_diagonal_constraints():
+    # read off the routing's stage targets; test_stages_are_the_factor_targets
+    # ties them to the factors built from them
     for seed in range(5):
         for n in (32, 128):
-            ch = benes_decompose(rand_perm(n, 10 + seed))
+            routing = benes_decompose(rand_perm(n, 10 + seed))
             m = log2(n)
-            for i, (f, group) in enumerate(zip(ch.factors, ch.groups)):
+            for i, (t, group) in enumerate(zip(routing.stages,
+                                               routing.groups)):
                 rnd = min(i, 2 * m - 2 - i)
                 stride = 1 << (m - rnd - 1)
                 assert group == (i, i + 1)
                 bound = stage_bound(n, group)
                 assert bound <= {0, stride, -stride}
-                assert set(f.signed_diag_set()) <= bound
+                assert stage_diagonals(n, t) <= bound
 
 
 def test_product_matches_matrix():
     for seed in range(5):
         p = rand_perm(256, 20 + seed)
-        assert benes_decompose(p).product() == perm_to_diag(p)
+        routing = benes_decompose(p)
+        assert routing.chain().product() == perm_to_diag(p)
+        # the stages compose to p, the first stage applied last
+        q = Permutation.identity(256)
+        for t in routing.stages:
+            q = q.compose(Permutation(t))
+        assert q == p
 
 
 def test_rejects_non_power_of_two():
@@ -103,7 +121,8 @@ def test_evaluate_oracle():
             rng = random.Random(100 * n + seed)
             p = Permutation.random(n, rng)
             vals = rand_vec(n, rng)
-            out = benes_decompose(p).evaluate(SlotVector.from_list(vals))
+            out = benes_decompose(p).chain().evaluate(
+                SlotVector.from_list(vals))
             assert out.to_list() == p.apply(vals)
             assert out.depth_used == 2 * log2(n) - 1
 
@@ -112,7 +131,7 @@ def test_evaluation_count_matches_report():
     # the full chain, and a key-restricted chain, whose window rotations
     # follow the key paths
     p = rand_perm(64, 77)
-    ch = benes_decompose(p)
+    ch = benes_decompose(p).chain()
     rng = random.Random(77)
     with CostLedger() as led:
         ch.evaluate(SlotVector.from_list(rand_vec(64, rng)))
@@ -135,9 +154,9 @@ def test_evaluation_count_matches_report():
 
 
 def test_benes_chains_are_decomposition_chains():
-    ch = benes_decompose(rand_perm(64, 78))
-    col = collapse_benes(ch)
-    for c in (ch, col, restrict_keys(col)):
+    routing = benes_decompose(rand_perm(64, 78))
+    col = collapse_benes(routing)
+    for c in (routing.chain(), col, restrict_keys(col)):
         assert isinstance(c, DecompositionChain)
     # depth, product and evaluation come from DecompositionChain alone
     shared = {"depth", "product", "diag_counts", "evaluate"}
@@ -145,7 +164,7 @@ def test_benes_chains_are_decomposition_chains():
 
 
 def test_dimension_mismatch_rejected():
-    ch = benes_decompose(Permutation.identity(8))
+    ch = benes_decompose(Permutation.identity(8)).chain()
     with pytest.raises(ValueError, match="length"):
         ch.evaluate(SlotVector.from_list(range(16)))
 
@@ -154,9 +173,13 @@ def test_dimension_mismatch_rejected():
 
 
 def test_collapse_to_full_depth_is_noop():
-    ch = benes_decompose(rand_perm(32, 5))
-    assert collapse_benes(ch, ch.depth) is ch
-    assert collapse_benes(ch, ch.depth + 3) is ch
+    # a target at or above the stage count merges nothing: the chain is the
+    # routing's full-depth chain
+    routing = benes_decompose(rand_perm(32, 5))
+    full = routing.chain()
+    for target in (routing.depth, routing.depth + 3):
+        col = collapse_benes(routing, target)
+        assert same_chain(col, full) and col.factors == full.factors
 
 
 def test_collapse_validates_depth():
@@ -179,8 +202,10 @@ def test_collapse_default_depth_and_product():
 def test_stages_are_the_factor_targets(n):
     # the collapse reads stages in place of the factors' diagonals, so every
     # kind of chain must keep them equal to what its factors move
-    ch = benes_decompose(rand_perm(n, 50 + n))
-    col = collapse_benes(ch)
+    routing = benes_decompose(rand_perm(n, 50 + n))
+    ch = routing.chain()
+    assert ch.stages == list(routing.stages) and ch.groups == routing.groups
+    col = collapse_benes(routing)
     for chain in (ch, col, restrict_keys(col), restrict_keys(ch, 3)):
         assert len(chain.stages) == chain.depth
         for t, f in zip(chain.stages, chain.factors):
@@ -250,11 +275,11 @@ def test_factor_plans_match_per_n1_reference():
         assert plan_bsgs(offs, n) == reference_plan_for(offs, n), offs
 
 
-def recorded_collapse(monkeypatch, chain):
-    """collapse_benes(chain) with every plan_bsgs call recorded as
+def recorded_collapse(monkeypatch, routing):
+    """collapse_benes(routing) with every plan_bsgs call recorded as
     (offsets, plan) at both of its bindings: benes', for the spans the DP
-    plans, and chain's, for the collapsed chain's factors planned by the
-    DecompositionChain default. Returns the chain and both call lists."""
+    plans, and chain's, where the DecompositionChain default would plan
+    the collapsed chain's factors. Returns the chain and both call lists."""
     real = plan_bsgs
     calls = {benes: [], chain_module: []}
 
@@ -267,7 +292,7 @@ def recorded_collapse(monkeypatch, chain):
 
     for module in calls:
         monkeypatch.setattr(module, "plan_bsgs", recorder(module))
-    col = collapse_benes(chain)
+    col = collapse_benes(routing)
     for module in calls:
         monkeypatch.setattr(module, "plan_bsgs", real)
     return col, calls[benes], calls[chain_module]
@@ -278,11 +303,11 @@ def same_chain(col, ref):
                                                    ref.plans)
 
 
-def span_offsets(chain):
+def span_offsets(routing):
     """Signed diagonals of every merged span (a, b) the collapse scores."""
-    nf = chain.depth
-    span_max = nf - max(log2(chain.n) - 1, 1) + 1
-    perms = [to_permutation(f) for f in chain.factors]
+    nf = routing.depth
+    span_max = nf - max(log2(routing.n) - 1, 1) + 1
+    perms = [Permutation(t) for t in routing.stages]
     out = {}
     for a in range(nf):
         q = perms[a]
@@ -296,8 +321,8 @@ def span_offsets(chain):
 @pytest.mark.parametrize("m", range(4, 11))
 def test_collapse_plans_match_per_n1_reference(monkeypatch, m):
     # every plan the collapse makes equals the per-n1 reference plan; the DP
-    # plans span offset sets only, each at most once, and its chain is the
-    # exhaustive reference's
+    # plans span offset sets only, each at most once, the chain plans
+    # nothing again, and its chain is the exhaustive reference's
     n = 1 << m
     for seed in range(3 if m < 10 else 2):
         chain = benes_decompose(rand_perm(n, 300 * m + seed))
@@ -306,7 +331,7 @@ def test_collapse_plans_match_per_n1_reference(monkeypatch, m):
         offs = [o for o, _ in scored]
         assert len(offs) == len(set(offs)) and set(offs) <= distinct
         ref = {o: reference_plan_for(o, n) for o in distinct}
-        assert all(plan == ref[o] for o, plan in scored + planned)
+        assert all(plan == ref[o] for o, plan in scored) and not planned
         assert col.plans == [ref[tuple(f.signed_diag_set())]
                              for f in col.factors]
         assert same_chain(col, reference_collapse(chain, col.depth))
@@ -314,17 +339,18 @@ def test_collapse_plans_match_per_n1_reference(monkeypatch, m):
 
 def test_collapse_scores_each_span_offset_set_once_at_2e12(monkeypatch):
     # at the benchmark's size the DP plans each offset set it needs once,
-    # fewer than half of the distinct span offset sets, then the collapsed
-    # chain plans each of its factors
+    # fewer than half of the distinct span offset sets, and the collapsed
+    # chain runs the very plans it scored its factors by, planning none again
     chain = benes_decompose(rand_perm(1 << 12, 4096))
     col, scored, planned = recorded_collapse(monkeypatch, chain)
     distinct = set(span_offsets(chain).values())
     offs = [o for o, _ in scored]
     assert len(offs) == len(set(offs)) and set(offs) <= distinct
     assert len(offs) < len(distinct) / 2
-    assert [o for o, _ in planned] == [tuple(f.signed_diag_set())
-                                       for f in col.factors]
-    assert col.plans == [plan for _, plan in planned]
+    assert planned == []
+    by_offs = dict(scored)
+    assert all(plan is by_offs[tuple(f.signed_diag_set())]
+               for f, plan in zip(col.factors, col.plans))
     assert same_chain(col, reference_collapse(chain, col.depth))
 
 
@@ -429,6 +455,71 @@ def test_chain_given_plans_is_not_planned_again(monkeypatch):
         BenesChain(col.n, col.factors, stages=col.stages, groups=col.groups)
 
 
+def test_chain_given_masks_makes_none_again(monkeypatch):
+    col = collapse_benes(benes_decompose(rand_perm(64, 9)))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("masks made again")
+
+    monkeypatch.setattr(chain_module, "hlt_masks", refuse)
+    again = BenesChain(col.n, col.factors, col.plans, masks=col.masks,
+                       stages=col.stages, groups=col.groups)
+    assert again.masks is col.masks
+    assert restrict_keys(col).masks is col.masks
+    with pytest.raises(AssertionError, match="masks made again"):
+        BenesChain(col.n, col.factors, col.plans, stages=col.stages,
+                   groups=col.groups)
+
+
+def test_default_route_builds_only_its_factors_and_masks(monkeypatch):
+    # the routing builds no factor, the collapse exactly the T factors of
+    # its chain and plans none of them again; key restriction, real runs
+    # and both cost-model replays make no mask and multiply by col's own
+    # mask objects
+    n = 1 << 10
+    p = rand_perm(n, 36)
+    built = []
+
+    def counted(q):
+        built.append(q)
+        return perm_to_diag(q)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("planned or masked again")
+
+    monkeypatch.setattr(benes, "perm_to_diag", counted)
+    monkeypatch.setattr(chain_module, "plan_bsgs", refuse)
+    routing = benes_decompose(p)
+    assert built == []
+    col = collapse_benes(routing)
+    assert len(built) == col.depth == log2(n) - 1
+    made = {id(m): m for masks in col.masks for m in masks.values()}
+    assert len(made) == sum(col.diag_counts())
+    assert all(type(m) is PositionMask for m in made.values())
+
+    for module, name in ((chain_module, "hlt_masks"), (diag, "_mask"),
+                         (diag, "PositionMask")):
+        monkeypatch.setattr(module, name, refuse)
+    used = []
+    cmult = SlotVector.cmult
+
+    def recorded(v, mask, tag=""):
+        used.append(mask)
+        return cmult(v, mask, tag)
+
+    monkeypatch.setattr(SlotVector, "cmult", recorded)
+    res = restrict_keys(col)
+    assert res.masks is col.masks
+    vals = rand_vec(n, random.Random(36))
+    for chain in (col, res):
+        assert chain_cost(chain).depth == col.depth
+        out = chain.evaluate(SlotVector.from_list(vals))
+        assert out.to_list() == p.apply(vals)
+    assert len(used) == 4 * len(made)
+    assert all(made.get(id(m)) is m for m in used)
+    assert len(built) == col.depth
+
+
 def test_per_level_rotation_counts_reported():
     # raw window counts, not the hoisted scalar-multiplication equivalents
     # the reference table was derived from, so only shape and sanity here
@@ -503,14 +594,14 @@ def test_budget_validation():
     with pytest.raises(ValueError, match="budget"):
         restrict_keys(ch, 0)
     # the default budget is log2 n, but never below one key
-    one = restrict_keys(benes_decompose(Permutation.identity(1)))
+    one = restrict_keys(benes_decompose(Permutation.identity(1)).chain())
     assert one.depth == 0 and one.key_paths == {}
     with pytest.raises(ValueError, match="budget"):
-        restrict_keys(benes_decompose(Permutation.identity(1)), 0)
+        restrict_keys(benes_decompose(Permutation.identity(1)).chain(), 0)
 
 
 def test_identity_chain_restriction():
-    res = restrict_keys(benes_decompose(Permutation.identity(16)))
+    res = restrict_keys(benes_decompose(Permutation.identity(16)).chain())
     assert res.key_paths == {}
     assert benes_key_set(res) == set()
     assert benes_total_rotations(res) == 0

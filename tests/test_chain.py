@@ -1,8 +1,8 @@
 from permdec.chain import DecompositionChain
-from permdec.diag import (DiagMatrix, baby_plan, perm_to_diag, plan_bsgs,
-                          to_permutation)
+from permdec.diag import (DiagMatrix, baby_plan, hlt_masks, perm_to_diag,
+                          plan_bsgs, to_permutation)
 from permdec.ledger import CostLedger
-from permdec.slots import Permutation, SlotVector
+from permdec.slots import Permutation, PositionMask, SlotVector
 
 from util import (assert_value_errors, assert_value_errors_without_asserts,
                   random_perm_with_diags)
@@ -70,6 +70,35 @@ def test_default_plans_are_plan_factor_plans(rng):
                            for f in chain.factors]
 
 
+def test_masks_are_made_once_as_position_masks(rng):
+    # each factor's masks are made with the chain: one PositionMask per
+    # diagonal, the diagonal's ones rotated right by its giant step, with
+    # the positions of every factor drawn from one shared set of ints
+    n = 1024  # positions above 256 are not cached small ints
+    factors = []
+    for step in (1, 4, 32):  # random swaps of slots step apart
+        targets = list(range(n))
+        for i in range(n):
+            if i % (2 * step) < step and rng.random() < 0.5:
+                targets[i], targets[i + step] = i + step, i
+        factors.append(perm_to_diag(Permutation(targets)))
+    chain = DecompositionChain(n, factors)
+    slot_ids = {}
+    for f, plan, masks in zip(chain.factors, chain.plans, chain.masks):
+        assert masks.keys() == f.diags.keys()
+        ref = hlt_masks(f, plan)
+        for k, mask in masks.items():
+            assert type(mask) is PositionMask
+            assert sorted(mask.positions) == sorted(ref[k].positions)
+            for p in mask.positions:
+                assert slot_ids.setdefault(p, id(p)) == id(p)
+    v = SlotVector.from_list([rng.randrange(-9, 10) for _ in range(n)])
+    with CostLedger() as led:
+        out = chain.evaluate(v)
+    assert out.to_list() == to_permutation(chain.product()).apply(v.to_list())
+    assert led.cmult_count == sum(chain.diag_counts())
+
+
 def test_depth_counts_factors(rng):
     chain = random_chain(8, rng, nfactors=4)
     assert chain.depth == 4
@@ -83,6 +112,8 @@ BAD_CHAINS = {
                                             [baby_plan([0], 8)] * 2),
     "factor 1 has n=4": lambda: DecompositionChain(
         8, [DiagMatrix.identity(8), DiagMatrix.identity(4)]),
+    "mask sets for": lambda: DecompositionChain(
+        8, [DiagMatrix.identity(8)], masks=[{}, {}]),
     "slot length mismatch": lambda: DecompositionChain(
         8, [DiagMatrix.identity(8)]).evaluate(SlotVector.zeros(4)),
 }

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from permdec import bench, cli, costmodel, verify
+from permdec import benes, bench, cli, costmodel, verify
 from permdec.chain import DecompositionChain
 from permdec.cli import main
 from permdec.costmodel import chain_cost
@@ -563,6 +563,22 @@ def test_duplicate_targets_exit_two_without_asserts(tmp_path):
                       str(path))
     assert proc.returncode == 2
     assert "not a permutation" in proc.stderr and not proc.stdout
+
+
+def test_deep_benes_chain_refused_before_any_factor(capsys, monkeypatch):
+    # the depth is checked on the routing, so a chain too deep to run is
+    # refused without building one factor, collapsed or not
+    def refuse(p):
+        raise AssertionError("factor built")
+
+    monkeypatch.setattr(benes, "perm_to_diag", refuse)
+    for argv, depth in ((["benes", "--n", "16384", "--no-collapse"], 27),
+                        (["benes", "--n", "1024", "--depth", "18"], 18)):
+        assert main(argv) == 2, argv
+        cap = capsys.readouterr()
+        assert cap.err == (f"permdec: a chain of {depth} factors needs "
+                           f"{depth} levels; only 17 are available\n")
+        assert not cap.out
 
 
 def test_deep_benes_chain_exits_two_without_asserts():

@@ -277,9 +277,8 @@ def test_network_rotations_priced_as_merged_submodule(variant, cp):
 def test_chain_rotations_priced_as_plain_submodules(collapse):
     # a chain factor's rotations at position p run on the level
     # cp.level - p + 1 operand and keep the plain ModDown
-    bc = benes_decompose(Permutation.random(256, random.Random(11)))
-    if collapse:
-        bc = collapse_benes(bc)
+    routing = benes_decompose(Permutation.random(256, random.Random(11)))
+    bc = collapse_benes(routing) if collapse else routing.chain()
     cp = CostParams()
     rep = chain_cost(bc, cp)
     assert rep.depth == bc.depth and sum(rep.per_level.values()) > 0

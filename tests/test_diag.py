@@ -15,6 +15,7 @@ from permdec.diag import (
     _window_counts,
     apply_hlt_bsgs,
     baby_plan,
+    hlt_masks,
     convert_r,
     matmul,
     matvec,
@@ -24,12 +25,14 @@ from permdec.diag import (
     to_permutation,
 )
 from permdec.ledger import CostLedger
-from permdec.slots import DEFAULT_LEVEL, Permutation, SlotVector, rotate_tuple
+from permdec.slots import (DEFAULT_LEVEL, Permutation, PositionMask,
+                           SlotVector, rotate_tuple)
 from permdec.structured import PaddedChain
 
 from util import (assert_value_errors, assert_value_errors_without_asserts,
-                  reference_plan_for, reference_split,
-                  reference_window_sizes, to_dense, transpose_perm)
+                  reference_apply_hlt_bsgs, reference_plan_for,
+                  reference_split, reference_window_sizes, to_dense,
+                  transpose_perm)
 
 
 def test_signed_rep():
@@ -613,3 +616,68 @@ def test_bsgs_key_steps():
     assert 0 not in keys
     assert keys == set(plan.executed_steps())
     assert len(keys) <= lg.rotation_count
+
+
+# ------------------------------------------- position masks against dense
+
+
+def _op_stream(led):
+    return [(op.kind, op.level, op.tag, op.step) for op in led.ops]
+
+
+def _random_matrix(n, rng, zero_one):
+    """A few random diagonals, each with random rows: all 1 when zero_one,
+    else values in -9..9 with some diagonals all 1 among them."""
+    m = DiagMatrix(n)
+    for k in rng.sample(range(n), rng.randint(1, min(n, 9))):
+        ones = zero_one or rng.random() < 0.3
+        for l in rng.sample(range(n), rng.randint(1, n)):
+            val = 1 if ones else rng.choice([-9, -2, -1, 1, 2, 3, 9])
+            m.set_entry(k, l, val)
+    return m
+
+
+def _power_paths(steps):
+    """Each step as the rotations by the powers of two it sums."""
+    return {s: tuple(1 << b for b in range(s.bit_length()) if s >> b & 1)
+            for s in steps}
+
+
+@pytest.mark.parametrize("zero_one", [True, False], ids=["0-1", "general"])
+def test_hlt_position_masks_match_dense_masks(zero_one):
+    # apply_hlt_bsgs, with masks made once (hlt_masks) or as it goes, gives
+    # the dense-mask evaluator's output and op stream, for any plan, with
+    # and without key paths, on dense, sparse and zero inputs
+    rng = random.Random(f"hlt:{zero_one}")
+    for _ in range(15):
+        n = rng.choice([8, 16, 64])
+        m = _random_matrix(n, rng, zero_one)
+        vals = [rng.randint(-50, 50) for _ in range(n)]
+        dense = SlotVector.from_list(vals, level=9)
+        inputs = [dense, SlotVector.zeros(n),
+                  dense.cmult(PositionMask(n, rng.sample(range(n), n // 4)))]
+        assert type(inputs[2].slots) is not tuple
+        offs = m.signed_diag_set()
+        for plan in (plan_bsgs(offs, n), baby_plan(offs, n),
+                     baby_plan(m.diags, n)):
+            made = hlt_masks(m, plan)
+            assert made.keys() == m.diags.keys()
+            for k, mask in made.items():
+                ones = set(m.diags[k].values()) == {1}
+                assert (type(mask) is PositionMask) == ones
+            assert all(type(mask) is PositionMask
+                       for mask in made.values()) or not zero_one
+            for key_paths in (None, _power_paths(plan.executed_steps())):
+                for v in inputs:
+                    with CostLedger() as ref:
+                        want = reference_apply_hlt_bsgs(m, plan, v, "t",
+                                                        key_paths)
+                    assert want.to_list() == matvec(m, v.to_list())
+                    for masks in (None, made):
+                        with CostLedger() as led:
+                            got = apply_hlt_bsgs(m, plan, v, "t", key_paths,
+                                                 masks)
+                        assert got.to_list() == want.to_list()
+                        assert (got.level, got.depth_used) \
+                            == (want.level, want.depth_used)
+                        assert _op_stream(led) == _op_stream(ref)

@@ -9,7 +9,8 @@ from util import SMALL_ROUTES
 
 from permdec.ledger import CostLedger
 from permdec.network import evaluate_network
-from permdec.slots import SlotVector
+from permdec.slots import PositionMask, SlotVector
+from permdec.structured import LADDERS
 from permdec.verify import ROUTES, checked_run
 
 
@@ -39,6 +40,21 @@ def test_every_family_is_exact_and_structured(name):
     # padded chains draw their inputs on their support alone
     support = route.support if route.support is not None else range(out.n)
     assert all(s in support for s, x in enumerate(vals) if x)
+
+
+def test_package_chain_factors_are_zero_one():
+    # every factor of a ladder, searched or Beneš chain is 0/1, so every
+    # mask its chain makes is a PositionMask
+    chains = [ROUTES[family](d, l).obj for family in LADDERS
+              for d in (4, 5, 8, 16) for l in range(1, (d - 1).bit_length())]
+    chains += [SMALL_ROUTES[name](random.Random(name)).obj
+               for name in ("search", "benes-collapsed", "benes-restricted")]
+    for chain in chains:
+        assert all(set(rows.values()) == {1} for f in chain.factors
+                   for rows in f.diags.values())
+        assert len(chain.masks) == chain.depth
+        assert all(type(mask) is PositionMask for masks in chain.masks
+                   for mask in masks.values())
 
 
 @pytest.mark.parametrize("name", ["network-raw", "network-reduced",

@@ -17,7 +17,7 @@ from permdec.benes import _chain
 from permdec.costmodel import replay
 from permdec.diag import BsgsPlan, DiagMatrix, _tie_penalty, plan_bsgs
 from permdec.network import rotation_profile
-from permdec.slots import Permutation
+from permdec.slots import Permutation, SlotVector
 from permdec.structured import build_ut
 from permdec.verify import ROUTES
 
@@ -231,14 +231,15 @@ def reference_span_costs(stages: tuple, n: int) -> dict:
     return cost
 
 
-def reference_collapse(chain, target_depth):
-    """collapse_benes(chain, target_depth) by exhaustive scoring: every span
-    of up to nf - T + 1 factors is a candidate, and the DP scans each
-    state's predecessors a upward, keeping the first cheapest."""
-    n, nf = chain.n, chain.depth
+def reference_collapse(routing, target_depth):
+    """collapse_benes(routing, target_depth) by exhaustive scoring: every
+    span of up to nf - T + 1 stages is a candidate, and the DP scans each
+    state's predecessors a upward, keeping the first cheapest. The chain
+    plans its own factors."""
+    n, nf = routing.n, routing.depth
     if target_depth >= nf:
-        return chain
-    cost = reference_span_costs(tuple(chain.stages), n)
+        return routing.chain()
+    cost = reference_span_costs(tuple(routing.stages), n)
     span_max = nf - target_depth + 1
     best = {(0, 0): 0}
     back = {}
@@ -255,15 +256,57 @@ def reference_collapse(chain, target_depth):
         bounds.append(back[bounds[-1], g])
     bounds.reverse()
 
-    stages = chain.stages
+    stages = routing.stages
     merged, groups = [], []
     for a, b in zip(bounds, bounds[1:]):
         q = stages[a]
         for stage in stages[a + 1:b]:
             q = tuple(map(q.__getitem__, stage))
         merged.append(q)
-        groups.append((chain.groups[a][0], chain.groups[b - 1][1]))
+        groups.append((routing.groups[a][0], routing.groups[b - 1][1]))
     return _chain(n, merged, groups)
+
+
+def reference_apply_hlt_bsgs(m: DiagMatrix, plan: BsgsPlan, v: SlotVector,
+                             tag: str = "", key_paths=None) -> SlotVector:
+    """apply_hlt_bsgs with every mask built as the n-long list
+    DiagMatrix.mask, in the same op order: giant groups sorted, (j, k)
+    sorted within each, terms and groups added one at a time."""
+    if not m.n == v.n == plan.n:
+        raise ValueError("dimension mismatch")
+
+    def rot(vec, step):
+        for k in (step,) if key_paths is None else key_paths[step]:
+            vec = vec.rotate(k, tag)
+        return vec
+
+    n = m.n
+    diag_for = {}
+    for t in plan.assign:
+        diag_for.setdefault((plan.stride * t) % n, t)
+    groups = {}
+    for k in m.diags:
+        g, j = plan.assign[diag_for[k]]
+        groups.setdefault(g, []).append((j, k))
+    babies = {0: v}
+
+    def baby(j):
+        if j not in babies:
+            babies[j] = rot(v, (plan.stride * j) % n)
+        return babies[j]
+
+    acc = None
+    for g in sorted(groups):
+        gstep = (plan.stride * plan.n1 * g) % n
+        inner = None
+        for j, k in sorted(groups[g]):
+            term = baby(j).cmult(m.mask(k, gstep), tag)
+            inner = term if inner is None else inner + term
+        out_g = rot(inner, gstep) if gstep else inner
+        acc = out_g if acc is None else acc + out_g
+    if acc is None:
+        acc = v.zeros_like()
+    return acc.rescale(tag)
 
 
 def depth1_oracle(u: DiagMatrix, a: int, r: int, rc: int,
